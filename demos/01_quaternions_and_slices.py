@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from ffq import (E1, E2, E3, ONE, Quaternion, SliceFrame, frame_coords,
-                 inverse, principal_power, slice_decompose, truncated_exp)
+                 principal_power, slice_decompose, truncated_exp)
 
 print("== basis relations ==")
 print("e1*e2 =", E1 * E2, " e2*e3 =", E2 * E3, " e3*e1 =", E3 * E1)
@@ -20,7 +20,7 @@ print("\n== a generic quaternion ==")
 print("q          =", q)
 print("conjugate  =", q.conjugate())
 print("|q|        =", q.norm())
-print("q * q^-1   =", q * inverse(q))
+print("q * q^-1   =", q * q.inverse())
 
 print("\n== slice structure ==")
 # every quaternion lives in a complex plane C(I) spanned by 1 and a unit

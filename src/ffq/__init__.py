@@ -8,13 +8,12 @@ from .errors import (INF, BranchError, DegenerateMeasure, DegreeMismatch,
                      NoConvergence, check_order)
 from .quaternion import (E1, E2, E3, ONE, ZERO, Quaternion, SliceFrame,
                          SlicePolar, STANDARD_FRAME, as_quaternion, dot4,
-                         embed_complex, frame_coords, frame_embed, inverse,
-                         mul, principal_power, random_frame,
+                         embed_complex, frame_coords, frame_embed,
+                         principal_power, random_frame,
                          random_unit_imaginary, slice_decompose,
                          truncated_exp)
-from .holo_series import (CPowerSeries, SlitDiskPoint, derivative, evaluate,
-                          fractal_measure_c, fractal_measure_deriv_c,
-                          in_slit_disk, nonvanishing_check,
+from .holo_series import (CPowerSeries, fractal_measure_c,
+                          fractal_measure_deriv_c, in_slit_disk,
                           principal_power_c, truncated_exp_c)
 from .slice_regular import (QPowerSeries, SplitPair, cullen_derivative,
                             eval_q, extend_from_slice, intrinsic_exp,
@@ -32,7 +31,8 @@ from .quadrature import (DEFAULT_SPEC, QuadratureSpec, QuadResult, SlitPath,
                          path_integral)
 from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          bergman_kernel, closed_k1_matrices,
-                         coefficient_integrals, dirichlet_norm_closed_k1,
+                         coefficient_integrals, dirichlet_norm,
+                         dirichlet_norm_closed_k1,
                          dirichlet_norm_quad, dirichlet_norm_series,
                          ff_eval_c, inner_product_c,
                          integrating_factor_residual, kernel_K_half,
@@ -41,6 +41,6 @@ from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
 from .ff_quaternionic import (QDirichletValue, QReproduceResult, SLICE_BOUND,
                               ff_eval_q, q_reproduce, qdirichlet_inner_product,
                               qdirichlet_norm, qdirichlet_norm_series,
-                              slice_bergman_kernel, slice_norm_compare)
+                              slice_norm_compare)
 
 __version__ = "0.1.0"

@@ -20,11 +20,10 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import DomainError, FFQError, INF, NoConvergence
-from .ff_complex import (dirichlet_norm_closed_k1, dirichlet_norm_quad,
-                         dirichlet_norm_series, coefficient_integrals,
-                         ff_eval_c, inner_product_c, kernel_K_half)
+from .ff_complex import (dirichlet_norm, ff_eval_c, inner_product_c,
+                         kernel_K_half)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
-                              qdirichlet_norm, qdirichlet_norm_series)
+                              qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
 from .holo_series import CPowerSeries
 from .quadrature import QuadratureSpec
@@ -98,7 +97,7 @@ class JobSpec:
     zeta: list = None
     t: float = None
     real_f: str = None
-    method: str = "quad"
+    method: str = None
     suite: str = "all"
     alphas: list = None
     sigmas: list = None
@@ -215,16 +214,19 @@ def _complex_pair(value):
     return [float(value.real), float(value.imag)]
 
 
+# --method when none is given; an unknown method raises ValueError (exit 2)
+_DEFAULT_METHODS = {"deriv": "closed", "qderiv": "split"}
+
+
 def run(job):
     """Execute a job; returns (exit_code, document) where the document is a
     dict for JSON output or a list of row dicts for tabular output."""
-    p = None
     spec = build_quad_spec(job.quad)
+    method = job.method or _DEFAULT_METHODS.get(job.command, "quad")
     if job.command == "deriv":
         if job.real_f is not None:
             fn = _real_function(job)
-            value = ff_derivative_real(fn, build_params(job), job.t,
-                                       method=job.method if job.method in ("closed", "limit") else "closed")
+            value = ff_derivative_real(fn, build_params(job), job.t, method=method)
             return EXIT_OK, {"command": "deriv", "space": "real",
                              "t": job.t, "value": value,
                              "params": _params_doc(job)}
@@ -237,7 +239,6 @@ def run(job):
     if job.command == "qderiv":
         f = quaternion_series(_series_payload(job.f))
         frame = build_frame(job.frame)
-        method = job.method if job.method in ("split", "direct") else "split"
         value = ff_eval_q(f, build_params(job), frame, parse_point(job.z),
                           method=method)
         return EXIT_OK, {"command": "qderiv",
@@ -253,13 +254,7 @@ def run(job):
             return EXIT_OK, {"command": "norm",
                              "inner_product": _complex_pair(value),
                              "params": _params_doc(job)}
-        if job.method == "series":
-            ci = coefficient_integrals(p, max(f.degree, 0), spec)
-            val = dirichlet_norm_series(f, p, ci)
-        elif job.method == "closed-k1":
-            val = dirichlet_norm_closed_k1(f, p)
-        else:
-            val = dirichlet_norm_quad(f, p, spec)
+        val = dirichlet_norm(f, p, spec, method)
         return EXIT_OK, {"command": "norm", "method": val.method,
                          "norm_sq": val.norm_sq, "point_term": val.point_term,
                          "field_term": val.field_term,
@@ -274,12 +269,7 @@ def run(job):
             return EXIT_OK, {"command": "qnorm",
                              "inner_product": list(value.components),
                              "params": _params_doc(job)}
-        if job.method == "series":
-            ci = coefficient_integrals(p, max(f.degree, 0), spec)
-            val = qdirichlet_norm_series(f, p, frame, ci)
-        else:
-            val = qdirichlet_norm(f, p, frame, spec,
-                                  method=job.method if job.method in ("quad", "closed-k1") else "quad")
+        val = qdirichlet_norm(f, p, frame, spec, method)
         return EXIT_OK, {"command": "qnorm", "method": val.method,
                          "norm_sq": val.norm_sq,
                          "split_parts": list(val.split_parts),
@@ -299,7 +289,7 @@ def run(job):
         rows, ok = verify_mod.run_suite(job.suite, quaternionic=True)
         return (EXIT_OK if ok else EXIT_TOLERANCE), rows
     if job.command == "table":
-        return _table(job, spec)
+        return EXIT_OK, _table(job, spec, method)
     raise DomainError(f"unknown command {job.command!r}")
 
 
@@ -312,40 +302,29 @@ def _k_sort_key(k):
     return (1, 0.0) if k == INF else (0, float(k))
 
 
-def table(job, spec=None):
+def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
     lexicographic parameter order."""
-    return _table(job, spec or build_quad_spec(job.quad))[1]
-
-
-def _table(job, spec):
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
     ks = sorted(job.ks or [job.k], key=_k_sort_key)
     rows = []
-    code = EXIT_OK
     for alpha in alphas:
         for sigma in sigmas:
             for k in ks:
                 p = FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
                 row = {"alpha": alpha, "sigma": sigma, "k": encode_k(k)}
                 try:
-                    if job.method == "closed-k1":
-                        val = dirichlet_norm_closed_k1(f, p)
-                    elif job.method == "series":
-                        ci = coefficient_integrals(p, max(f.degree, 0), spec)
-                        val = dirichlet_norm_series(f, p, ci)
-                    else:
-                        val = dirichlet_norm_quad(f, p, spec)
+                    val = dirichlet_norm(f, p, spec, method)
                     row.update(norm_sq=val.norm_sq, point_term=val.point_term,
                                field_term=val.field_term, method=val.method,
                                status="ok")
                 except NoConvergence:
                     row.update(norm_sq="", point_term="", field_term="",
-                               method=job.method, status="divergent")
+                               method=method, status="divergent")
                 rows.append(row)
-    return code, rows
+    return rows
 
 
 def _render_csv(rows):
@@ -441,7 +420,7 @@ COMMANDS = ("deriv", "norm", "qnorm", "qderiv", "kernel", "verify", "qverify",
             "table")
 
 _DEFAULTS = {"alpha": 1.0, "beta": 1.0, "sigma": 0.5, "k": 1,
-             "method": "quad", "suite": "all", "format": "json"}
+             "suite": "all", "format": "json"}
 
 
 def _config_defaults():
@@ -517,7 +496,7 @@ def main(argv=None):
         _error_record("parse", exc, position=exc.pos, line=exc.lineno,
                       column=exc.colno)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         _error_record("parse", exc)
         return EXIT_PARSE
     try:

@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BranchError, DegreeMismatch, DomainError, INF
-from .holo_series import (CPowerSeries, fractal_measure_c,
-                          fractal_measure_deriv_c, in_slit_disk,
-                          nonvanishing_check, truncated_exp_c)
+from .holo_series import (fractal_measure_c, fractal_measure_deriv_c,
+                          in_slit_disk, truncated_exp_c)
 from .quadrature import (DEFAULT_SPEC, _composite, _converge, _polar_blocks,
                          build_slit_path, integrate_disk)
 
@@ -141,10 +140,10 @@ def coefficient_integrals(p, N, spec=None):
     All entries share the quadrature nodes, so the whole table costs little
     more than a single integral.  Raises NoConvergence when the underlying
     integrals do not exist (e.g. e_{k-1} vanishing on the closed disk).
+    e_{k-1}(z**alpha) never vanishes on the open slit disk: every zero of
+    e_m has |w| >= 1 (Enestrom-Kakeya, coefficient ratios j + 1 >= 1).
     """
     _require_order(p)
-    if not nonvanishing_check(p.alpha, p.k):
-        raise DomainError("e_{k-1}(z**alpha) vanishes on the slit disk")
     spec = spec or DEFAULT_SPEC
     result = _converge(
         lambda level: _matrix_estimate(p, N, spec, level), spec, "coefficient integrals"
@@ -214,6 +213,20 @@ def dirichlet_norm_closed_k1(f, p):
     N = max(f.degree, 0)
     A, B = closed_k1_matrices(p.alpha, N)
     return _assemble_series_norm(f, p, A, B, "closed-k1")
+
+
+def dirichlet_norm(f, p, spec=None, method="quad"):
+    """Squared norm by the named method: "quad" (dirichlet_norm_quad),
+    "series" (a coefficient table sized to f, then dirichlet_norm_series) or
+    "closed-k1" (dirichlet_norm_closed_k1)."""
+    if method == "quad":
+        return dirichlet_norm_quad(f, p, spec)
+    if method == "series":
+        ci = coefficient_integrals(p, max(f.degree, 0), spec)
+        return dirichlet_norm_series(f, p, ci)
+    if method == "closed-k1":
+        return dirichlet_norm_closed_k1(f, p)
+    raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
 
 
 def bergman_kernel(z, zeta):

@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchError, DomainError, FFQError
-from .ff_complex import (BASE_POINT, bergman_kernel, dirichlet_norm_closed_k1,
-                         dirichlet_norm_quad, dirichlet_norm_series,
+from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
                          ff_eval_c, reproduction_rhs_1, reproduction_rhs_2,
                          _assemble_series_norm, _require_sigma_interior)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
@@ -37,6 +36,8 @@ def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
     beta < 1 needs the slice-regular power supplied as f_beta (splitting
     does not commute with fractional powers) and forces the direct path.
     """
+    if method not in ("split", "direct"):
+        raise ValueError(f"unknown method {method!r}")
     z = complex(z)
     if not in_slit_disk(z):
         raise BranchError(f"{z} is not in the slit slice disk")
@@ -49,8 +50,6 @@ def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
         return frame_embed(
             ff_eval_c(pair.f1, p, z), ff_eval_c(pair.f2, p, z), frame
         )
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
     qz = embed_complex(z, frame.i)
     value = eval_q(f, qz) * (1.0 - p.sigma)
     if p.sigma != 0.0:
@@ -77,17 +76,16 @@ def _require_linear(p):
 
 
 def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
-    """Squared norm as the sum of the split components' complex norms."""
+    """Squared norm as the sum of the split components' complex norms, each
+    by dirichlet_norm's method; "series" assembles the quaternionic series
+    form from one coefficient table instead."""
     _require_linear(p)
+    if method == "series":
+        ci = coefficient_integrals(p, max(f.degree, 0), spec)
+        return qdirichlet_norm_series(f, p, frame, ci)
     pair = split(f, frame)
-    if method == "quad":
-        n1 = dirichlet_norm_quad(pair.f1, p, spec)
-        n2 = dirichlet_norm_quad(pair.f2, p, spec)
-    elif method == "closed-k1":
-        n1 = dirichlet_norm_closed_k1(pair.f1, p)
-        n2 = dirichlet_norm_closed_k1(pair.f2, p)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    n1 = dirichlet_norm(pair.f1, p, spec, method)
+    n2 = dirichlet_norm(pair.f2, p, spec, method)
     return QDirichletValue(
         n1.norm_sq + n2.norm_sq, (n1.norm_sq, n2.norm_sq), frame, method
     )
@@ -220,14 +218,3 @@ def q_reproduce(f, p, frame, q, spec=None):
     rec1 = recombine(lambda comp, w: reproduction_rhs_1(comp, p, w, spec))
     rec2 = recombine(lambda comp, w: reproduction_rhs_2(comp, p, w, spec))
     return QReproduceResult((rec1 - target).norm(), (rec2 - target).norm())
-
-
-def slice_bergman_kernel(q, zeta, frame):
-    """Disk Bergman kernel read on the slice C(frame.i) and extended by the
-    representation formula; q anywhere in the ball, zeta on the slice."""
-    sp = slice_decompose(q)
-    zp = complex(sp.x, sp.y)
-    vp = embed_complex(bergman_kernel(zp, zeta), frame.i)
-    vm = embed_complex(bergman_kernel(zp.conjugate(), zeta), frame.i)
-    ii = sp.axis * frame.i
-    return ((ONE + ii) * vm + (ONE - ii) * vp) * 0.5

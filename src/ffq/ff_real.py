@@ -155,6 +155,8 @@ def ff_derivative_real(f, p, t, h=DEFAULT_STEP, method="closed"):
     method="limit" takes the raw difference quotient against e_k(t**alpha).
     Both agree to ~1e-6 on smooth data.
     """
+    if method not in ("closed", "limit"):
+        raise ValueError(f"unknown method {method!r}")
     if t <= 0.0:
         raise DomainError(f"operator needs t > 0, got t = {t}")
     if p.k != INF and p.k < 1:
@@ -166,7 +168,7 @@ def ff_derivative_real(f, p, t, h=DEFAULT_STEP, method="closed"):
         return chi1 * f(t)
     if method == "limit":
         frac = beta_fractal_derivative(f, measure_truncated_exp(p.alpha, p.k), p.beta, t, h)
-    elif method == "closed":
+    else:
         ft = f(t)
         if p.beta != 1.0 and ft <= 0.0:
             raise DomainError(f"f(t) = {ft} <= 0; fractional power undefined")
@@ -174,8 +176,6 @@ def ff_derivative_real(f, p, t, h=DEFAULT_STEP, method="closed"):
         km1 = INF if p.k == INF else p.k - 1
         den = p.alpha * t ** (p.alpha - 1.0) * float(truncated_exp_c(t ** p.alpha, km1))
         frac = p.beta * ft ** (p.beta - 1.0) * fp / den
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return chi1 * f(t) + chi0 * frac
 
 

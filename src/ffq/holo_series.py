@@ -6,8 +6,6 @@ on polynomial data, so tails are out of scope and degrees stay explicit.
 Evaluation is numpy-vectorised; scalars in give scalars out.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BranchError, DomainError, INF, check_order
@@ -54,9 +52,6 @@ class CPowerSeries:
             return CPowerSeries([c0])
         n = np.arange(1, len(self.coeffs) + 1)
         return CPowerSeries(np.concatenate(([complex(c0)], self.coeffs / n)))
-
-    def conjugate_coefficients(self):
-        return CPowerSeries(np.conj(self.coeffs))
 
     def _binary(self, other, op):
         if isinstance(other, CPowerSeries):
@@ -106,16 +101,6 @@ class CPowerSeries:
         return cls([complex(p[0], p[1]) for p in pairs])
 
 
-def evaluate(f, z):
-    """Horner evaluation of a CPowerSeries at z (scalar or array)."""
-    return f(z)
-
-
-def derivative(f):
-    """Coefficient map a_n -> n*a_n with the degree shifted down one."""
-    return f.derivative()
-
-
 def in_slit_disk(z):
     """True where |z| < 1 and z is not on the removed segment (-1, 0].
 
@@ -126,17 +111,6 @@ def in_slit_disk(z):
     on_cut = (zz.imag == 0.0) & (zz.real > -1.0) & (zz.real <= 0.0)
     ok = (np.abs(zz) < 1.0) & ~on_cut
     return bool(ok) if ok.ndim == 0 else ok
-
-
-@dataclass(frozen=True)
-class SlitDiskPoint:
-    z: complex
-    valid: bool
-
-    @classmethod
-    def of(cls, z):
-        z = complex(z)
-        return cls(z, in_slit_disk(z))
 
 
 def principal_power_c(z, alpha):
@@ -197,26 +171,3 @@ def fractal_measure_deriv_c(z, alpha, k):
     w = principal_power_c(zz, alpha)
     # z**(alpha-1) = z**alpha / z on the principal branch (same logarithm)
     return alpha * w / zz * truncated_exp_c(w, km1)
-
-
-NONVANISHING_FLOOR = 1e-8
-
-
-def nonvanishing_check(alpha, k, grid=(400, 400), floor=NONVANISHING_FLOOR):
-    """Screen the standing hypothesis that e_{k-1}(z**alpha) has no zeros.
-
-    k = 1 (constant 1) and k = inf (exponential) are nonvanishing without
-    scanning.  Other orders are screened on a dense polar grid of the open
-    slit disk against a conservative floor.
-    """
-    k = check_order(k)
-    if k == 0:
-        raise DomainError("k = 0 has identically zero e_{k-1}")
-    if k == 1 or k == INF:
-        return True
-    nr, nt = grid
-    r = (np.arange(nr) + 0.5) / nr
-    t = -np.pi + (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
-    zz = r[:, None] * np.exp(1j * t[None, :])
-    vals = truncated_exp_c(principal_power_c(zz, alpha), k - 1)
-    return bool(np.min(np.abs(vals)) > floor)

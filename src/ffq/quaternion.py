@@ -149,16 +149,6 @@ def as_quaternion(value):
     raise TypeError(f"cannot interpret {value!r} as a quaternion")
 
 
-def mul(a, b):
-    """Hamilton product of two quaternions."""
-    return as_quaternion(a) * as_quaternion(b)
-
-
-def inverse(q):
-    """Multiplicative inverse conj(q)/|q|^2; raises DomainError at zero."""
-    return as_quaternion(q).inverse()
-
-
 def dot4(a, b):
     """Euclidean inner product of two quaternions viewed as 4-vectors."""
     return a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z

@@ -4,29 +4,31 @@ renders and the acceptance tests assert on.
 
 Each suite returns (rows, ok): rows are plain dicts with a trailing "status"
 of "pass", "fail" or "divergent"; ok is True when no row failed.  Tolerances
-are the pinned acceptance values.
+are the pinned acceptance values (the TOL_* constants) and quadrature rules
+are module constants; neither can be passed in, so no caller can loosen a
+check.
 """
 
 import math
-import time
 
 import numpy as np
 
 from .errors import INF, NoConvergence
-from .ff_complex import (bergman_kernel, closed_k1_matrices,
-                         coefficient_integrals, dirichlet_norm_closed_k1,
-                         dirichlet_norm_quad, dirichlet_norm_series, ff_eval_c,
-                         integrating_factor_residual, kernel_K_half,
-                         reproduce_identity_1, reproduce_identity_2)
-from .ff_quaternionic import (ff_eval_q, q_reproduce, qdirichlet_norm,
+from .ff_complex import (bergman_kernel, coefficient_integrals,
+                         dirichlet_norm_closed_k1, dirichlet_norm_quad,
+                         dirichlet_norm_series, ff_eval_c,
+                         integrating_factor_residual, reproduce_identity_1,
+                         reproduce_identity_2)
+from .ff_quaternionic import (SLICE_BOUND, q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
-from .holo_series import CPowerSeries, in_slit_disk
-from .quadrature import QuadratureSpec, build_slit_path, path_integral
+from .holo_series import (CPowerSeries, fractal_measure_c,
+                          fractal_measure_deriv_c, in_slit_disk)
+from .quadrature import (DEFAULT_SPEC, QuadratureSpec, build_slit_path,
+                         path_integral)
 from .quaternion import Quaternion, SliceFrame, random_frame, E1, E2
-from .slice_regular import (QPowerSeries, cullen_derivative, eval_q,
-                            extend_from_slice, regular_conjugate, split,
-                            star_inverse, star_product, symmetrization)
+from .slice_regular import (QPowerSeries, eval_q, extend_from_slice, split,
+                            star_inverse, star_product)
 
 TOL_NORM_AGREEMENT = 1e-6
 TOL_ANCHOR = 1e-9
@@ -41,6 +43,8 @@ TOL_SPLIT_IDENTITY = 1e-12
 TOL_QSERIES = 1e-6
 TOL_LIMIT_RATIO = 0.1
 TOL_REAL_CLOSED_FORMS = 1e-6
+TOL_CLOSED_K1 = 1e-6
+TOL_SLICE_BOUND = 1e-9
 
 GRID_ALPHAS = (0.3, 0.7, 1.0)
 GRID_SIGMAS = (0.2, 0.5, 0.8)
@@ -49,8 +53,26 @@ GRID_KS = (1, 2, INF)
 DEFAULT_SEED = 20260810
 
 
+# nested integrands (path kernel inside a disk integral) are smooth at
+# alpha = 1, so a light base rule refined as needed beats a heavy fixed one
+NESTED_SPEC = QuadratureSpec(nr=20, ntheta=20, panels_r=2, panels_theta=2,
+                             max_refine=6)
+# enough levels to show the logarithmic growth of a divergent norm integral
+DIVERGENCE_SPEC = QuadratureSpec(nr=16, ntheta=16, panels_r=2, panels_theta=2,
+                                 max_refine=3)
+
+
 def _k_label(k):
     return "inf" if k == INF else str(k)
+
+
+def _verdict(rows):
+    """A suite's (rows, ok): ok is True when no row failed."""
+    return rows, not any(row["status"] == "fail" for row in rows)
+
+
+def _status(good):
+    return "pass" if good else "fail"
 
 
 def sweep_functions(max_degree=6, n_random=20, seed=DEFAULT_SEED):
@@ -66,44 +88,46 @@ def sweep_functions(max_degree=6, n_random=20, seed=DEFAULT_SEED):
     return out
 
 
-def random_qpolys(n, max_degree=4, seed=DEFAULT_SEED, scale=1.0):
+def random_qpolys(n, max_degree=4, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         deg = int(rng.integers(0, max_degree + 1))
-        coeffs = [Quaternion(*(scale * rng.standard_normal(4))) for _ in range(deg + 1)]
+        coeffs = [Quaternion(*rng.standard_normal(4)) for _ in range(deg + 1)]
         out.append((f"qrand{i}(deg {deg})", QPowerSeries(coeffs)))
     return out
 
 
-def random_slit_points(n, seed=DEFAULT_SEED, r_range=(0.1, 0.85), margin=0.05):
+_CUT_MARGIN = 0.05
+
+
+def random_slit_points(n, seed=DEFAULT_SEED, r_range=(0.1, 0.85)):
     """Slit-disk points with a margin from the cut (finite differences need
     a neighbourhood)."""
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < n:
         r = rng.uniform(*r_range)
-        th = rng.uniform(-np.pi + 3 * margin, np.pi - 3 * margin)
+        th = rng.uniform(-np.pi + 3 * _CUT_MARGIN, np.pi - 3 * _CUT_MARGIN)
         z = r * np.exp(1j * th)
-        if in_slit_disk(z) and (z.real > margin or abs(z.imag) > margin):
+        if in_slit_disk(z) and (z.real > _CUT_MARGIN or abs(z.imag) > _CUT_MARGIN):
             pts.append(complex(z))
     return pts
 
 
-def _divergence_profile(f, p, spec):
+def _divergence_profile(f, p):
     """Confirm a norm integral genuinely diverges: the refinement estimates
     must keep growing by a roughly constant increment per doubling (the
     logarithmic signature) and end in NoConvergence."""
     try:
-        dirichlet_norm_quad(f, p, spec)
+        dirichlet_norm_quad(f, p, DIVERGENCE_SPEC)
     except NoConvergence as exc:
-        return exc.error > 10.0 * spec.rel_tol * abs(exc.value)
+        return exc.error > 10.0 * DIVERGENCE_SPEC.rel_tol * abs(exc.value)
     return False
 
 
 def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
-                   ks=GRID_KS, spec=None, tol=TOL_NORM_AGREEMENT,
-                   divergence_spec=None):
+                   ks=GRID_KS):
     """Series-vs-quadrature sweep of the squared Dirichlet-type norm.
 
     Parameter pairs whose coefficient integrals do not exist (e_{k-1}
@@ -111,18 +135,14 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
     with status "divergent" after confirming both routes diagnose the
     divergence; such functions are simply not members of the space there.
     """
-    spec = spec or QuadratureSpec()
-    divergence_spec = divergence_spec or QuadratureSpec(
-        nr=16, ntheta=16, panels_r=2, panels_theta=2, max_refine=3)
     functions = functions or sweep_functions()
     max_deg = max(f.degree for _, f in functions)
     rows = []
-    ok = True
     for alpha in alphas:
         for k in ks:
             base = FFParams(alpha=alpha, sigma=0.5, k=k)
             try:
-                ci = coefficient_integrals(base, max_deg, spec)
+                ci = coefficient_integrals(base, max_deg, DEFAULT_SPEC)
             except NoConvergence:
                 ci = None
             # the divergent field term scales with sigma**2, so one profile
@@ -135,13 +155,9 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                            "k": _k_label(k)}
                     if ci is None and f.degree > 0:
                         if label not in profiles:
-                            profiles[label] = _divergence_profile(
-                                f, FFParams(alpha=alpha, sigma=0.5, k=k),
-                                divergence_spec)
-                        diverges = profiles[label]
+                            profiles[label] = _divergence_profile(f, base)
                         row.update(series="", quadrature="", rel_diff="",
-                                   status="divergent" if diverges else "fail")
-                        ok = ok and diverges
+                                   status="divergent" if profiles[label] else "fail")
                     else:
                         if ci is None:
                             # constants never touch the matrices: the series
@@ -151,19 +167,16 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                                   * abs(f.coeffs[0]) ** 2)
                         else:
                             ns = dirichlet_norm_series(f, p, ci).norm_sq
-                        nq = dirichlet_norm_quad(f, p, spec).norm_sq
+                        nq = dirichlet_norm_quad(f, p, DEFAULT_SPEC).norm_sq
                         rel = abs(ns - nq) / max(abs(nq), 1e-300)
-                        good = rel <= tol
                         row.update(series=ns, quadrature=nq, rel_diff=rel,
-                                   status="pass" if good else "fail")
-                        ok = ok and good
+                                   status=_status(rel <= TOL_NORM_AGREEMENT))
                     rows.append(row)
-    return rows, ok
+    return _verdict(rows)
 
 
-def anchors(spec=None, tol=TOL_ANCHOR):
+def anchors():
     """The two closed-form norm anchors."""
-    spec = spec or QuadratureSpec()
     cases = [
         ("f=1", CPowerSeries([1.0]), FFParams(alpha=1.0, sigma=0.5, k=1),
          1.0 + math.pi / 4.0),
@@ -171,19 +184,15 @@ def anchors(spec=None, tol=TOL_ANCHOR):
          0.25 + math.pi),
     ]
     rows = []
-    ok = True
     for label, f, p, expected in cases:
-        got = dirichlet_norm_quad(f, p, spec).norm_sq
+        got = dirichlet_norm_quad(f, p, DEFAULT_SPEC).norm_sq
         err = abs(got - expected)
-        good = err <= tol
         rows.append({"f": label, "expected": expected, "computed": got,
-                     "abs_err": err, "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "abs_err": err, "status": _status(err <= TOL_ANCHOR)})
+    return _verdict(rows)
 
 
-def closed_k1_discrepancy(alphas=(0.3, 0.7), n_max=4, spec=None,
-                          sigma=0.5, seed=DEFAULT_SEED):
+def closed_k1_discrepancy():
     """Adjudicate the k = 1 closed form against a circulating variant of it.
 
     The variant omits the 2 pi angular factor on the diagonal quadratic
@@ -191,42 +200,39 @@ def closed_k1_discrepancy(alphas=(0.3, 0.7), n_max=4, spec=None,
     phase.  The quadrature oracle must match the implemented closed form
     and reject the variant (diagonal ratio 2 pi).
     """
-    spec = spec or QuadratureSpec()
-    rng = np.random.default_rng(seed)
+    n_max = 4
+    rng = np.random.default_rng(DEFAULT_SEED)
     rows = []
-    ok = True
-    for alpha in alphas:
-        p = FFParams(alpha=alpha, sigma=sigma, k=1)
-        ci = coefficient_integrals(p, n_max, spec)
+    for alpha in (0.3, 0.7):
+        p = FFParams(alpha=alpha, sigma=0.5, k=1)
+        ci = coefficient_integrals(p, n_max, DEFAULT_SPEC)
         for n in range(n_max + 1):
             measured = ci.alpha_mn[n, n].real
             implemented = 2.0 * math.pi / (2 * n + 4 - 2 * alpha)
             variant = 1.0 / (2 * n + 4 - 2 * alpha)
-            good = abs(measured - implemented) <= 1e-6 * implemented
+            good = abs(measured - implemented) <= TOL_CLOSED_K1 * implemented
             rows.append({
                 "record": "diagonal", "alpha": alpha, "n": n,
                 "quadrature": measured, "implemented": implemented,
                 "variant_no_2pi": variant,
                 "ratio_vs_variant": measured / variant,
-                "status": "pass" if good else "fail",
+                "status": _status(good),
             })
-            ok = ok and good
         coeffs = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
         f = CPowerSeries(coeffs)
-        nq = dirichlet_norm_quad(f, p, spec).norm_sq
+        nq = dirichlet_norm_quad(f, p, DEFAULT_SPEC).norm_sq
         nc = dirichlet_norm_closed_k1(f, p).norm_sq
         nv = _closed_k1_variant(f, p)
         rel_closed = abs(nc - nq) / nq
         rel_variant = abs(nv - nq) / nq
-        good = rel_closed <= 1e-6 and rel_variant > 1e-3
+        good = rel_closed <= TOL_CLOSED_K1 and rel_variant > 1e-3
         rows.append({
             "record": "norm", "alpha": alpha, "n": "",
             "quadrature": nq, "implemented": nc, "variant_no_2pi": nv,
             "ratio_vs_variant": rel_variant,
-            "status": "pass" if good else "fail",
+            "status": _status(good),
         })
-        ok = ok and good
-    return rows, ok
+    return _verdict(rows)
 
 
 def _closed_k1_variant(f, p):
@@ -253,145 +259,117 @@ def _closed_k1_variant(f, p):
     return float(total)
 
 
-def reproducing(sigmas=(0.3, 0.5, 0.7), ks=(1, INF), alpha=1.0, n_points=20,
-                max_degree=4, spec=None, seed=DEFAULT_SEED,
-                tol=TOL_REPRODUCE_1):
+def reproducing(n_points=20, seed=DEFAULT_SEED):
     """First reproducing identity on random polynomials at random points.
 
-    alpha defaults to 1, where the operator output stays holomorphic on the
-    whole disk and the identity is exact; smaller alpha leaves the disk
-    Bergman space (branch cut) and the hypothesis fails.
+    alpha is 1, where the operator output stays holomorphic on the whole
+    disk and the identity is exact; smaller alpha leaves the disk Bergman
+    space (branch cut) and the hypothesis fails.
     """
-    spec = spec or QuadratureSpec()
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 1)
     rows = []
-    ok = True
-    combos = [(s, k) for s in sigmas for k in ks]
+    combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
     for idx, z in enumerate(points):
         s, k = combos[idx % len(combos)]
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(0, 5))
         f = CPowerSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        p = FFParams(alpha=alpha, sigma=s, k=k)
-        res = reproduce_identity_1(f, p, z, spec)
-        good = res < tol
+        p = FFParams(alpha=1.0, sigma=s, k=k)
+        res = reproduce_identity_1(f, p, z, DEFAULT_SPEC)
         rows.append({"z": str(z), "sigma": s, "k": _k_label(k), "deg": deg,
-                     "residual": res, "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "residual": res, "status": _status(res < TOL_REPRODUCE_1)})
+    return _verdict(rows)
 
 
-NESTED_SPEC = QuadratureSpec(nr=20, ntheta=20, panels_r=2, panels_theta=2,
-                             max_refine=6)
-
-
-def kernel_reproducing(sigmas=(0.3, 0.5, 0.7), ks=(1, INF), alpha=1.0,
-                       n_points=10, max_degree=4, spec=None,
-                       seed=DEFAULT_SEED, tol=TOL_REPRODUCE_2,
-                       path_tol=TOL_PATH_INDEPENDENCE):
-    """Second reproducing identity (path kernel), plus path independence of
-    the kernel integrand between the two slit-path constructions.
-
-    The nested integrands are smooth at alpha = 1, so a light base rule
-    refined as needed beats a heavy fixed one."""
-    spec = spec or NESTED_SPEC
+def kernel_reproducing(n_points=10, seed=DEFAULT_SEED):
+    """Second reproducing identity (path kernel) at alpha = 1, plus path
+    independence of the kernel integrand between the two slit-path
+    constructions."""
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 2)
     rows = []
-    ok = True
-    combos = [(s, k) for s in sigmas for k in ks]
+    combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
     for idx, z in enumerate(points):
         s, k = combos[idx % len(combos)]
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(0, 5))
         f = CPowerSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        p = FFParams(alpha=alpha, sigma=s, k=k)
-        res = reproduce_identity_2(f, p, z, spec)
-        good = res < tol
+        p = FFParams(alpha=1.0, sigma=s, k=k)
+        res = reproduce_identity_2(f, p, z, NESTED_SPEC)
         rows.append({"record": "identity2", "z": str(z), "sigma": s,
                      "k": _k_label(k), "deg": deg, "residual": res,
-                     "status": "pass" if good else "fail"})
-        ok = ok and good
+                     "status": _status(res < TOL_REPRODUCE_2)})
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    lam = (1.0 - p.sigma) / p.sigma
     for z in points[:3]:
-        p = FFParams(alpha=alpha, sigma=0.5, k=1)
         zeta = complex(rng.uniform(0.1, 0.5), rng.uniform(-0.3, 0.3))
-        lam = (1.0 - p.sigma) / p.sigma
 
-        def integrand(w, zeta=zeta, p=p, lam=lam):
-            from .holo_series import fractal_measure_c, fractal_measure_deriv_c
+        def integrand(w, zeta=zeta):
             weight = (1.0 / p.sigma) * np.exp(
                 lam * fractal_measure_c(w, p.alpha, p.k)
             ) * fractal_measure_deriv_c(w, p.alpha, p.k)
             return weight * bergman_kernel(w, zeta)
 
-        v1 = path_integral(integrand, build_slit_path(z), spec).value
-        v2 = path_integral(integrand, build_slit_path(z, arc_first=True), spec).value
+        v1 = path_integral(integrand, build_slit_path(z), NESTED_SPEC).value
+        v2 = path_integral(integrand, build_slit_path(z, arc_first=True),
+                           NESTED_SPEC).value
         diff = abs(v1 - v2)
-        good = diff < path_tol
         rows.append({"record": "path_independence", "z": str(z), "sigma": 0.5,
                      "k": "1", "deg": "", "residual": diff,
-                     "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "status": _status(diff < TOL_PATH_INDEPENDENCE)})
+    return _verdict(rows)
 
 
-def factor_identity(n_points=50, max_degree=4, h=1e-5, seed=DEFAULT_SEED,
-                    tol=TOL_FACTOR_IDENTITY, spec=None):
+def factor_identity(n_points=50, seed=DEFAULT_SEED):
     """Integrating-factor differential identity, complex and quaternionic
-    (via slice) variants, central differences with step h.
+    (via slice) variants, central differences with step h = 1e-5.
 
     Points keep |z| >= 0.25 and sigma >= 0.4: the identity itself is exact,
     but the central difference's h**2 truncation error carries the factors
     exp(lam e_k) lam**3 and z**(alpha-3), which swamp the 1e-6 target for
     tiny sigma or points hugging the origin.
     """
+    h = 1e-5
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 3, r_range=(0.25, 0.85))
     alphas = (0.3, 0.5, 0.8, 1.0)
     sigmas = (0.4, 0.5, 0.8, 1.0)
     ks = (1, 2, INF)
     rows = []
-    ok = True
     for idx, z in enumerate(points):
         p = FFParams(alpha=alphas[idx % 4], sigma=sigmas[(idx // 4) % 4],
                      k=ks[idx % 3])
-        deg = int(rng.integers(0, max_degree + 1))
+        deg = int(rng.integers(0, 5))
         f = CPowerSeries(0.5 * (rng.standard_normal(deg + 1)
                                 + 1j * rng.standard_normal(deg + 1)))
         res = integrating_factor_residual(f, p, z, h)
-        good = res < tol
         rows.append({"variant": "complex", "z": str(z), "alpha": p.alpha,
                      "sigma": p.sigma, "k": _k_label(p.k), "residual": res,
-                     "status": "pass" if good else "fail"})
-        ok = ok and good
+                     "status": _status(res < TOL_FACTOR_IDENTITY)})
     frame = SliceFrame(E1, E2)
     for idx, z in enumerate(points):
         p = FFParams(alpha=alphas[(idx + 1) % 4], sigma=sigmas[(idx // 3) % 4],
                      k=ks[(idx + 1) % 3])
         fq = QPowerSeries(
             [Quaternion(*(0.5 * rng.standard_normal(4)))
-             for _ in range(int(rng.integers(1, max_degree + 2)))])
+             for _ in range(int(rng.integers(1, 6)))])
         pair = split(fq, frame)
         res = max(
             integrating_factor_residual(pair.f1, p, z, h),
             integrating_factor_residual(pair.f2, p, z, h),
         )
-        good = res < tol
         rows.append({"variant": "quaternionic-slice", "z": str(z),
                      "alpha": p.alpha, "sigma": p.sigma, "k": _k_label(p.k),
-                     "residual": res, "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "residual": res, "status": _status(res < TOL_FACTOR_IDENTITY)})
+    return _verdict(rows)
 
 
-def operator_limits(seed=DEFAULT_SEED, ratio_tol=TOL_LIMIT_RATIO,
-                    closed_tol=TOL_REAL_CLOSED_FORMS):
+def operator_limits(seed=DEFAULT_SEED):
     """sigma -> 0+ and sigma -> 1- operator limits (linear rate, ratio 2 per
     halving), plus the real-line closed forms against the limit quotient."""
     rng = np.random.default_rng(seed)
     grid = np.asarray(random_slit_points(100, seed=seed + 4))
     f = CPowerSeries(rng.standard_normal(5) + 1j * rng.standard_normal(5))
     rows = []
-    ok = True
     for k in (1, INF):
         for alpha in (0.6, 1.0):
             def dev0(s):
@@ -408,12 +386,12 @@ def operator_limits(seed=DEFAULT_SEED, ratio_tol=TOL_LIMIT_RATIO,
             while sig > 1e-3:
                 r0 = dev0(sig) / dev0(sig / 2.0)
                 r1 = dev1(1.0 - sig) / dev1(1.0 - sig / 2.0)
-                good = abs(r0 - 2.0) <= ratio_tol and abs(r1 - 2.0) <= ratio_tol
+                good = (abs(r0 - 2.0) <= TOL_LIMIT_RATIO
+                        and abs(r1 - 2.0) <= TOL_LIMIT_RATIO)
                 rows.append({"record": "limit_ratio", "alpha": alpha,
                              "k": _k_label(k), "sigma": sig,
                              "ratio_at_0": r0, "ratio_at_1": r1,
-                             "status": "pass" if good else "fail"})
-                ok = ok and good
+                             "status": _status(good)})
                 sig /= 2.0
     tests = [
         ("sin+2", lambda t: math.sin(t) + 2.0),
@@ -426,12 +404,11 @@ def operator_limits(seed=DEFAULT_SEED, ratio_tol=TOL_LIMIT_RATIO,
             closed = ff_derivative_real(fn, p, float(t), method="closed")
             limit = ff_derivative_real(fn, p, float(t), method="limit")
             rel = abs(closed - limit) / max(abs(closed), 1e-12)
-            good = rel <= closed_tol
             rows.append({"record": "real_closed_form", "alpha": 0.6,
                          "k": "2", "sigma": 0.4, "f": name, "t": float(t),
-                         "rel_diff": rel, "status": "pass" if good else "fail"})
-            ok = ok and good
-    return rows, ok
+                         "rel_diff": rel,
+                         "status": _status(rel <= TOL_REAL_CLOSED_FORMS)})
+    return _verdict(rows)
 
 
 def star_suite(seed=DEFAULT_SEED, n_twist=50):
@@ -439,7 +416,6 @@ def star_suite(seed=DEFAULT_SEED, n_twist=50):
     twist formula, and split/extension plus representation round trips."""
     rng = np.random.default_rng(seed)
     rows = []
-    ok = True
 
     def rand_q(scale=1.0):
         return Quaternion(*(scale * rng.standard_normal(4)))
@@ -455,10 +431,8 @@ def star_suite(seed=DEFAULT_SEED, n_twist=50):
             abs(c - (1.0 if n == 0 else 0.0))
             for n, c in enumerate(prod.coeffs[:9])
         )
-        good = err <= TOL_STAR_INVERSE
         rows.append({"record": "star_inverse", "trial": trial, "residual": err,
-                     "status": "pass" if good else "fail"})
-        ok = ok and good
+                     "status": _status(err <= TOL_STAR_INVERSE)})
     worst = 0.0
     for _ in range(n_twist):
         f = QPowerSeries([rand_q() for _ in range(4)])
@@ -470,10 +444,8 @@ def star_suite(seed=DEFAULT_SEED, n_twist=50):
         lhs = eval_q(star_product(f, g), q)
         rhs = fq * eval_q(g, fq.inverse() * q * fq)
         worst = max(worst, (lhs - rhs).norm())
-    good = worst <= TOL_TWIST
     rows.append({"record": "twist", "trial": n_twist, "residual": worst,
-                 "status": "pass" if good else "fail"})
-    ok = ok and good
+                 "status": _status(worst <= TOL_TWIST)})
     worst = 0.0
     for _ in range(20):
         f = QPowerSeries([rand_q() for _ in range(5)])
@@ -481,104 +453,90 @@ def star_suite(seed=DEFAULT_SEED, n_twist=50):
         pair = split(f, frame)
         q = rand_q(0.2)
         worst = max(worst, (extend_from_slice(pair, q) - eval_q(f, q)).norm())
-    good = worst <= TOL_ROUND_TRIP
     rows.append({"record": "split_round_trip", "trial": 20, "residual": worst,
-                 "status": "pass" if good else "fail"})
-    ok = ok and good
-    return rows, ok
+                 "status": _status(worst <= TOL_ROUND_TRIP)})
+    return _verdict(rows)
 
 
-def quaternionic_split(seed=DEFAULT_SEED, spec=None, tol=TOL_SPLIT_IDENTITY):
+def quaternionic_split():
     """Splitting-norm identity: the module norm equals the sum of the two
     complex component norms, algebraically."""
-    spec = spec or QuadratureSpec()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     rows = []
-    ok = True
     for trial in range(6):
         f = QPowerSeries([Quaternion(*rng.standard_normal(4))
                           for _ in range(int(rng.integers(1, 5)))])
         frame = random_frame(rng)
         p = FFParams(alpha=(0.7, 1.0)[trial % 2], sigma=(0.3, 0.8)[trial % 2],
                      k=(1, INF)[trial % 2])
-        val = qdirichlet_norm(f, p, frame, spec)
+        val = qdirichlet_norm(f, p, frame, DEFAULT_SPEC)
         gap = abs(val.norm_sq - sum(val.split_parts))
-        good = gap <= tol * max(val.norm_sq, 1.0)
+        good = gap <= TOL_SPLIT_IDENTITY * max(val.norm_sq, 1.0)
         rows.append({"record": "split_identity", "trial": trial, "gap": gap,
-                     "norm_sq": val.norm_sq, "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "norm_sq": val.norm_sq, "status": _status(good)})
+    return _verdict(rows)
 
 
-def quaternionic_series(seed=DEFAULT_SEED, spec=None, tol=TOL_QSERIES):
+def quaternionic_series():
     """Quaternionic series-norm formula against the splitting quadrature."""
-    spec = spec or QuadratureSpec()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     rows = []
-    ok = True
     params = [FFParams(alpha=0.7, sigma=0.3, k=1),
               FFParams(alpha=1.0, sigma=0.8, k=INF),
               FFParams(alpha=0.5, sigma=0.5, k=2)]
-    tables = {id(p): coefficient_integrals(p, 4, spec) for p in params}
+    tables = [coefficient_integrals(p, 4, DEFAULT_SPEC) for p in params]
     for trial in range(9):
         p = params[trial % 3]
         f = QPowerSeries([Quaternion(*rng.standard_normal(4))
                           for _ in range(int(rng.integers(1, 6)))])
         frame = random_frame(rng)
-        ns = qdirichlet_norm_series(f, p, frame, tables[id(p)])
-        nq = qdirichlet_norm(f, p, frame, spec)
+        ns = qdirichlet_norm_series(f, p, frame, tables[trial % 3])
+        nq = qdirichlet_norm(f, p, frame, DEFAULT_SPEC)
         rel = abs(ns.norm_sq - nq.norm_sq) / nq.norm_sq
         alg = abs(ns.norm_sq - sum(ns.split_parts)) / max(ns.norm_sq, 1.0)
-        good = rel <= tol and alg <= TOL_SPLIT_IDENTITY
+        good = rel <= TOL_QSERIES and alg <= TOL_SPLIT_IDENTITY
         rows.append({"record": "series_vs_quad", "trial": trial,
                      "series": ns.norm_sq, "quadrature": nq.norm_sq,
-                     "rel_diff": rel, "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "rel_diff": rel, "status": _status(good)})
+    return _verdict(rows)
 
 
-def quaternionic_bound(n_polys=200, seed=DEFAULT_SEED, spec=None,
-                       n_quad_checks=5):
+def quaternionic_bound(n_polys=200):
     """Monte Carlo over the slice-comparison bound; the empirical maximum
     ratio is reported (on power-series data it sits at 1 to rounding, since
-    the coefficient integrals are real)."""
-    spec = spec or QuadratureSpec()
-    rng = np.random.default_rng(seed)
+    the coefficient integrals are real).  Five lower-degree polynomials are
+    checked on the quadrature route as well."""
+    rng = np.random.default_rng(DEFAULT_SEED)
     p = FFParams(alpha=0.7, sigma=0.4, k=2)
-    ci = coefficient_integrals(p, 4, spec)
+    ci = coefficient_integrals(p, 4, DEFAULT_SPEC)
+    bound = SLICE_BOUND + TOL_SLICE_BOUND
     rows = []
-    ok = True
     max_ratio = 0.0
-    for label, f in random_qpolys(n_polys, max_degree=4, seed=seed + 5):
+    for label, f in random_qpolys(n_polys, max_degree=4, seed=DEFAULT_SEED + 5):
         fr1 = random_frame(rng)
         fr2 = random_frame(rng)
         ratio = slice_norm_compare(f, p, fr1, fr2, ci=ci)
         max_ratio = max(max_ratio, ratio)
-        if ratio > 8.0 + 1e-9:
+        if ratio > bound:
             rows.append({"record": "bound", "f": label, "ratio": ratio,
                          "status": "fail"})
-            ok = False
-    for label, f in random_qpolys(n_quad_checks, max_degree=3, seed=seed + 6):
+    for label, f in random_qpolys(5, max_degree=3, seed=DEFAULT_SEED + 6):
         fr1 = random_frame(rng)
         fr2 = random_frame(rng)
-        ratio = slice_norm_compare(f, p, fr1, fr2, spec=spec)
+        ratio = slice_norm_compare(f, p, fr1, fr2, spec=DEFAULT_SPEC)
         max_ratio = max(max_ratio, ratio)
-        good = ratio <= 8.0 + 1e-9
         rows.append({"record": "bound_quadrature_check", "f": label,
-                     "ratio": ratio, "status": "pass" if good else "fail"})
-        ok = ok and good
+                     "ratio": ratio, "status": _status(ratio <= bound)})
+    _, ok = _verdict(rows)
     rows.insert(0, {"record": "bound_summary", "f": f"{n_polys} polynomials",
-                    "ratio": max_ratio, "status": "pass" if ok else "fail"})
+                    "ratio": max_ratio, "status": _status(ok)})
     return rows, ok
 
 
-def quaternionic_kernel(seed=DEFAULT_SEED, spec=None, n_points=4,
-                        tol=TOL_REPRODUCE_2):
+def quaternionic_kernel(seed=DEFAULT_SEED, n_points=4):
     """Quaternionic reproducing identities by slice reduction at alpha = 1."""
-    spec = spec or NESTED_SPEC
     rng = np.random.default_rng(seed)
     rows = []
-    ok = True
     frame = SliceFrame(E1, E2)
     for idx in range(n_points):
         p = FFParams(alpha=1.0, sigma=(0.3, 0.5, 0.7)[idx % 3],
@@ -587,14 +545,13 @@ def quaternionic_kernel(seed=DEFAULT_SEED, spec=None, n_points=4,
                           for _ in range(int(rng.integers(1, 4)))])
         v = rng.standard_normal(3) * 0.2
         q = Quaternion(rng.uniform(0.1, 0.5), *v)
-        res = q_reproduce(f, p, frame, q, spec)
-        good = res.identity1 < TOL_REPRODUCE_1 * 10 and res.identity2 < tol
+        res = q_reproduce(f, p, frame, q, NESTED_SPEC)
+        good = res.identity1 < TOL_REPRODUCE_1 * 10 and res.identity2 < TOL_REPRODUCE_2
         rows.append({"record": "q_reproduce", "q": str(q.components),
                      "sigma": p.sigma, "k": _k_label(p.k),
                      "identity1": res.identity1, "identity2": res.identity2,
-                     "status": "pass" if good else "fail"})
-        ok = ok and good
-    return rows, ok
+                     "status": _status(good)})
+    return _verdict(rows)
 
 
 SUITES = {
@@ -616,24 +573,15 @@ QSUITES = {
 }
 
 
-def run_suite(name, quaternionic=False, **kwargs):
+def run_suite(name, quaternionic=False):
     table = QSUITES if quaternionic else SUITES
     if name == "all":
         rows = []
-        ok = True
         for key, fn in table.items():
-            r, o = fn(**kwargs)
-            for row in r:
+            for row in fn()[0]:
                 row["suite"] = key
-            rows.extend(r)
-            ok = ok and o
-        return rows, ok
+                rows.append(row)
+        return _verdict(rows)
     if name not in table:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(table)} or 'all'")
-    return table[name](**kwargs)
-
-
-def timed(fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start
+    return table[name]()

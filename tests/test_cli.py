@@ -165,3 +165,29 @@ def test_kernel_command(capsys):
          "--sigma", "0.5", "--k", "1"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["value"] == [0.0, 0.0]  # empty path at z = 1/2
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "[[1,0]]"],
+    ["qnorm", "--f", "[[1,0,0,0]]"],
+    ["table", "--f", "[[1,0]]"],
+    ["deriv", "--real-f", "exp", "--t", "0.5"],
+    ["deriv", "--real-f", "exp", "--t", "0.5", "--sigma", "0"],
+    ["qderiv", "--f", "[[1,0,0,0],[0,1,0,0]]", "--z", "[0.3,0.1]"],
+    ["qderiv", "--f", "[[1,0,0,0]]", "--z", "[0.3,0.1]", "--beta", "0.5"],
+])
+def test_unknown_method_exits_2(argv, capsys):
+    code, out, err = run_cli(argv + ["--method", "bogus"], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "bogus" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "[[1,0]]", "--k", "1.5"],                # ValueError
+    ["norm", "--job", '{"command": "norm", "colour": 1}'],   # TypeError
+])
+def test_errors_while_building_the_job_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE
+    assert json.loads(err)["error"]["type"] == "parse"

@@ -6,7 +6,7 @@ import pytest
 
 from ffq import (CPowerSeries, FFParams, INF, BranchError, DomainError,
                  NoConvergence, QuadratureSpec, bergman_kernel,
-                 coefficient_integrals, dirichlet_norm_closed_k1,
+                 coefficient_integrals, dirichlet_norm, dirichlet_norm_closed_k1,
                  dirichlet_norm_quad, dirichlet_norm_series, ff_eval_c,
                  inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk)
@@ -161,6 +161,19 @@ def test_closed_k1(spec, rng):
     assert abs(nc - nq) <= 1e-8 * nq
     with pytest.raises(DomainError):
         dirichlet_norm_closed_k1(f, FFParams(alpha=0.5, sigma=0.5, k=2))
+
+
+def test_dirichlet_norm_dispatch(spec):
+    p = FFParams(alpha=0.6, sigma=0.3, k=1)
+    f = CPowerSeries([0.0, 1.0, 0.5 + 0.5j])
+    ci = coefficient_integrals(p, 2, spec)
+    assert dirichlet_norm(f, p, spec) == dirichlet_norm_quad(f, p, spec)
+    assert (dirichlet_norm(f, p, spec, "series")
+            == dirichlet_norm_series(f, p, ci))
+    assert (dirichlet_norm(f, p, method="closed-k1")
+            == dirichlet_norm_closed_k1(f, p))
+    with pytest.raises(ValueError):
+        dirichlet_norm(f, p, spec, "closed")
 
 
 def test_bergman_kernel_reproduces_monomials(spec):

@@ -151,6 +151,20 @@ def test_series_matches_quadrature_random(spec, rng):
         assert abs(ns.norm_sq - sum(ns.split_parts)) <= 1e-12 * ns.norm_sq
 
 
+def test_qnorm_methods_share_the_complex_dispatch(spec, rng):
+    p = FFParams(alpha=0.6, sigma=0.45, k=1)
+    f = QPowerSeries([random_quaternion(rng) for _ in range(3)])
+    ci = coefficient_integrals(p, 2, spec)
+    assert (qdirichlet_norm(f, p, STANDARD_FRAME, spec, "series")
+            == qdirichlet_norm_series(f, p, STANDARD_FRAME, ci))
+    quad = qdirichlet_norm(f, p, STANDARD_FRAME, spec)
+    closed = qdirichlet_norm(f, p, STANDARD_FRAME, method="closed-k1")
+    assert (quad.method, closed.method) == ("quad", "closed-k1")
+    assert abs(quad.norm_sq - closed.norm_sq) <= 1e-8 * quad.norm_sq
+    with pytest.raises(ValueError):
+        qdirichlet_norm(f, p, STANDARD_FRAME, spec, "bogus")
+
+
 def test_frame_covariance_for_intrinsic_functions(spec, rng):
     p = FFParams(alpha=0.75, sigma=0.4, k=1)
     f = QPowerSeries([0.3, -1.0, 0.0, 0.7])

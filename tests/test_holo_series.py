@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ffq import (CPowerSeries, INF, BranchError, DomainError, SlitDiskPoint,
-                 derivative, evaluate, fractal_measure_c, in_slit_disk,
-                 nonvanishing_check, principal_power_c, truncated_exp_c)
+from ffq import (CPowerSeries, INF, BranchError, DomainError, FFParams,
+                 coefficient_integrals, fractal_measure_c, in_slit_disk,
+                 principal_power_c, truncated_exp_c)
 from ffq.ff_real import measure_truncated_exp
 
 coeff_lists = st.lists(
@@ -15,10 +15,10 @@ coeff_lists = st.lists(
 
 
 def test_evaluate_examples():
-    assert evaluate(CPowerSeries([1.0]), 0.3 + 0.9j) == 1.0
+    assert CPowerSeries([1.0])(0.3 + 0.9j) == 1.0
     z = 0.3 + 0.4j
-    assert evaluate(CPowerSeries([0.0, 1.0]), z) == z
-    assert evaluate(CPowerSeries([1.0, 2.0, 1.0]), 0.5) == 2.25  # (1+z)^2
+    assert CPowerSeries([0.0, 1.0])(z) == z
+    assert CPowerSeries([1.0, 2.0, 1.0])(0.5) == 2.25  # (1+z)^2
 
 
 def test_evaluate_vectorised():
@@ -28,10 +28,10 @@ def test_evaluate_vectorised():
 
 
 def test_derivative_examples():
-    assert derivative(CPowerSeries([3.0 + 1j])).degree == -1
-    assert derivative(CPowerSeries([0, 0, 1])) == CPowerSeries([0, 2])
+    assert CPowerSeries([3.0 + 1j]).derivative().degree == -1
+    assert CPowerSeries([0, 0, 1]).derivative() == CPowerSeries([0, 2])
     # order-2 exponential sum drops to order 1
-    assert derivative(CPowerSeries([1, 1, 0.5])) == CPowerSeries([1, 1])
+    assert CPowerSeries([1, 1, 0.5]).derivative() == CPowerSeries([1, 1])
 
 
 @given(coeff_lists)
@@ -80,8 +80,8 @@ def test_slit_disk_membership():
     assert in_slit_disk(-0.5 + 1e-12j)  # off the segment
     assert not in_slit_disk(1.0)
     assert not in_slit_disk(2.0j)
-    assert SlitDiskPoint.of(0.3 + 0.4j).valid
-    assert not SlitDiskPoint.of(-0.25).valid
+    assert in_slit_disk(0.3 + 0.4j)
+    assert not in_slit_disk(-0.25)
 
 
 def test_fractal_measure_examples():
@@ -109,12 +109,21 @@ def test_truncated_exp_c_preserves_real_dtype():
     assert out.dtype == np.float64
 
 
-def test_nonvanishing_check():
-    assert nonvanishing_check(0.4, 1)       # e_0 is constant 1
-    assert nonvanishing_check(0.9, INF)     # the exponential never vanishes
-    assert nonvanishing_check(1.0, 2)       # 1 + z has no zero inside
+def test_exponential_sums_have_no_zero_inside_the_unit_disk():
+    # Enestrom-Kakeya: the coefficients 1/j! of e_m have ratios j + 1 >= 1,
+    # so every zero has |w| >= 1; |z**alpha| < 1 on the slit disk, hence
+    # e_{k-1}(z**alpha) never vanishes there.  Only e_1 (zero at -1) reaches 1.
+    moduli = {m: np.min(np.abs(np.roots([1.0 / math.factorial(j)
+                                         for j in range(m, -1, -1)])))
+              for m in range(1, 61)}
+    assert min(moduli.values()) >= 1.0 - 1e-12
+    assert abs(moduli[1] - 1.0) <= 1e-12
+    assert all(v > 1.0 + 1e-3 for m, v in moduli.items() if m > 1)
+
+
+def test_coefficient_integrals_reject_order_zero():
     with pytest.raises(DomainError):
-        nonvanishing_check(0.5, 0)
+        coefficient_integrals(FFParams(alpha=0.5, sigma=0.5, k=0), 2)
 
 
 def test_series_json_round_trip():

@@ -1,0 +1,45 @@
+import inspect
+
+from ffq import verify
+
+# every keyword a caller may pass; tolerances and quadrature rules are
+# module constants, so no caller can loosen a pinned check
+KEYWORDS = {
+    "sweep_functions": ("max_degree", "n_random", "seed"),
+    "random_qpolys": ("max_degree", "seed"),
+    "random_slit_points": ("seed", "r_range"),
+    "norm_agreement": ("functions", "alphas", "sigmas", "ks"),
+    "anchors": (),
+    "closed_k1_discrepancy": (),
+    "reproducing": ("n_points", "seed"),
+    "kernel_reproducing": ("n_points", "seed"),
+    "factor_identity": ("n_points", "seed"),
+    "operator_limits": ("seed",),
+    "star_suite": ("seed", "n_twist"),
+    "quaternionic_split": (),
+    "quaternionic_series": (),
+    "quaternionic_bound": ("n_polys",),
+    "quaternionic_kernel": ("seed", "n_points"),
+    "run_suite": ("quaternionic",),
+}
+
+
+def _public_functions():
+    return {name: fn for name, fn in vars(verify).items()
+            if inspect.isfunction(fn) and fn.__module__ == verify.__name__
+            and not name.startswith("_")}
+
+
+def test_verify_keyword_parameters_are_pinned():
+    found = {name: tuple(p.name for p in inspect.signature(fn).parameters.values()
+                         if p.default is not inspect.Parameter.empty)
+             for name, fn in _public_functions().items()}
+    assert found == KEYWORDS
+
+
+def test_no_tolerance_or_spec_can_be_passed_to_verify():
+    for name, fn in _public_functions().items():
+        for param in inspect.signature(fn).parameters.values():
+            assert param.kind is not inspect.Parameter.VAR_KEYWORD, name
+            assert param.name not in ("tol", "spec"), name
+            assert not param.name.endswith(("_tol", "_spec")), name
