@@ -138,8 +138,10 @@ def _read_json_arg(text):
 
 
 def _series_payload(raw):
-    """Normalise a coefficient payload: numbers, [re, im] pairs or
+    """Normalise a coefficient payload: a list of numbers, [re, im] pairs or
     [w, x, y, z] quadruples."""
+    if not isinstance(raw, list):
+        raise ValueError(f"series must be a JSON list of coefficients, got {raw!r}")
     out = []
     for item in raw:
         if isinstance(item, (int, float)):
@@ -154,21 +156,16 @@ def _series_payload(raw):
     return out
 
 
-def complex_series(payload):
-    coeffs = []
-    for item in payload:
-        if len(item) == 4 and (item[2] != 0.0 or item[3] != 0.0):
-            raise DomainError("quaternionic coefficients in a complex job")
-        coeffs.append(complex(item[0], item[1] if len(item) > 1 else 0.0))
-    return CPowerSeries(coeffs)
-
-
 def quaternion_series(payload):
-    coeffs = []
-    for item in payload:
-        padded = list(item) + [0.0] * (4 - len(item))
-        coeffs.append(Quaternion(*padded))
-    return QPowerSeries(coeffs)
+    return QPowerSeries([Quaternion(*item) for item in payload])
+
+
+def complex_series(payload):
+    # [re, im] is the quaternion re + im e1, whose split is (re + im i, 0)
+    parts = quaternion_series(payload).parts
+    if np.any(parts[:, 1]):
+        raise DomainError("quaternionic coefficients in a complex job")
+    return CPowerSeries(parts[:, 0])
 
 
 def parse_point(value):
@@ -381,8 +378,11 @@ def _emit(doc, job):
 
 
 def _error_record(kind, exc, **extra):
+    # strict JSON: a non-finite float is written as its repr string
+    extra = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in extra.items()}
     record = {"error": {"type": kind, "message": str(exc), **extra}}
-    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    sys.stderr.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _add_common(sub):
@@ -507,7 +507,7 @@ def main(argv=None):
         _error_record("no_convergence", exc,
                       value=repr(exc.value), change=exc.error)
         return EXIT_TOLERANCE
-    except (DomainError, FFQError, ZeroDivisionError) as exc:
+    except (DomainError, FFQError, ZeroDivisionError, OverflowError) as exc:
         _error_record("domain", exc)
         return EXIT_DOMAIN
     except (TypeError, KeyError, ValueError) as exc:

@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import BranchError, DomainError, FFQError
 from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
-                         ff_eval_c, reproduction_rhs_1, reproduction_rhs_2,
-                         _assemble_series_norm, _require_sigma_interior)
+                         dirichlet_norm_series, ff_eval_c, reproduction_rhs_1,
+                         reproduction_rhs_2, _require_sigma_interior)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
-from .quaternion import (ONE, Quaternion, as_quaternion, embed_complex,
+from .quaternion import (Quaternion, as_quaternion, embed_complex,
                          frame_coords, frame_embed, slice_decompose)
-from .slice_regular import cullen_derivative, eval_q, split
+from .slice_regular import (_qmul, _two_point, cullen_derivative, eval_q,
+                            regular_conjugate, split)
 
 
 def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
@@ -120,44 +121,29 @@ def qdirichlet_inner_product(f, g, p, frame, spec=None):
 def qdirichlet_norm_series(f, p, frame, ci):
     """Series form of the squared norm, assembled quaternionically.
 
-    The slice projection (w - i w i)/2 extracts the C(i) component of each
-    coefficient product, which is what the sum of the two complex series
-    norms produces; split_parts records those complex norms, and the
-    quaternionic assembly must match their sum to rounding.
+    The Gram of the coefficient products a_n conj(a_m), formed in the
+    standard-frame split, is projected on C(i) (the slice projection
+    (w - i w i)/2) and weighted by the coefficient matrices, which is what
+    the sum of the two complex series norms produces; split_parts records
+    those complex norms, and the quaternionic assembly must match their sum
+    to rounding.
     """
     _require_linear(p)
-    if ci.params.alpha != p.alpha or ci.params.k != p.k:
-        raise DomainError("coefficient table was computed for different (alpha, k)")
-    a = f.coeffs
-    deg = len(a) - 1
-    s = p.sigma
-    point = p.alpha * eval_q(f, Quaternion(BASE_POINT)).norm_sq()
-    bergman = (1.0 - s) ** 2 * np.pi * sum(
-        c.norm_sq() / (n + 1.0) for n, c in enumerate(a)
-    )
-    A, B = ci.alpha_mn, ci.beta_mn
-    if deg > ci.N:
-        from .errors import DegreeMismatch
-
-        raise DegreeMismatch(f"series degree {deg} exceeds table degree {ci.N}")
-    quad_form = 0j
-    for n in range(deg):
-        for m in range(deg):
-            w = a[n + 1] * a[m + 1].conjugate()
-            quad_form += (n + 1) * (m + 1) * frame_coords(w, frame)[0] * A[m, n]
-    sig_term = (s / p.alpha) ** 2 * quad_form.real
-    cross = 0.0
-    for m in range(deg):
-        for n in range(deg + 1):
-            w = a[m + 1] * a[n].conjugate()
-            cross += 2.0 * (m + 1) * (frame_coords(w, frame)[0] * B[m, n]).real
-    cross *= (1.0 - s) * s / p.alpha
-    norm_sq = point + bergman + sig_term + cross
     pair = split(f, frame)
-    parts = (
-        _assemble_series_norm(pair.f1, p, A, B, "series").norm_sq,
-        _assemble_series_norm(pair.f2, p, A, B, "series").norm_sq,
-    )
+    # the complex norms also check the table against (alpha, k) and the degree
+    parts = (dirichlet_norm_series(pair.f1, p, ci).norm_sq,
+             dirichlet_norm_series(pair.f2, p, ci).norm_sq)
+    s, d = p.sigma, max(f.degree, 0)
+    # gram[n, m] is the C(i) component of a_n conj(a_m)
+    gram_q = _qmul(f.parts, regular_conjugate(f).parts, np.multiply.outer)
+    gram = frame_coords(gram_q.view(float), frame)[0]
+    n = np.arange(1.0, f.degree + 2)
+    bergman = (1.0 - s) ** 2 * np.pi * np.sum(gram.diagonal().real / n)
+    quad_form = np.sum(n[:d, None] * gram[1:, 1:] * n[:d] * ci.alpha_mn[:d, :d].T).real
+    cross = 2.0 * np.sum(n[:d, None] * gram[1:, :] * ci.beta_mn[:d, : d + 1]).real
+    point = p.alpha * eval_q(f, Quaternion(BASE_POINT)).norm_sq()
+    norm_sq = float(point + bergman + (s / p.alpha) ** 2 * quad_form
+                    + (1.0 - s) * s / p.alpha * cross)
     return QDirichletValue(norm_sq, parts, frame, "series")
 
 
@@ -207,13 +193,11 @@ def q_reproduce(f, p, frame, q, spec=None):
         raise DomainError(f"{q!r} is not in the slit unit ball")
     pair = split(f, frame)
     target = eval_q(f, q)
-    ii = sp.axis * frame.i
 
     def recombine(rhs):
-        vals = {}
-        for w in {z, z.conjugate()}:
-            vals[w] = frame_embed(rhs(pair.f1, w), rhs(pair.f2, w), frame)
-        return ((ONE + ii) * vals[z.conjugate()] + (ONE - ii) * vals[z]) * 0.5
+        return _two_point(
+            lambda w: frame_embed(rhs(pair.f1, w), rhs(pair.f2, w), frame),
+            sp.x, sp.y, sp.axis, frame.i)
 
     rec1 = recombine(lambda comp, w: reproduction_rhs_1(comp, p, w, spec))
     rec2 = recombine(lambda comp, w: reproduction_rhs_2(comp, p, w, spec))

@@ -20,6 +20,8 @@ class CPowerSeries:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
         if arr.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
+        if not np.isfinite(arr).all():
+            raise DomainError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
         arr.setflags(write=False)
 

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import BranchError, DomainError, FrameError, INF, check_order
 
 
@@ -28,16 +30,8 @@ class Quaternion:
     def components(self):
         return (self.w, self.x, self.y, self.z)
 
-    @property
-    def real(self):
-        return self.w
-
-    @property
-    def vector(self):
-        return (self.x, self.y, self.z)
-
     def vector_norm(self):
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.hypot(self.x, self.y, self.z)
 
     def conjugate(self):
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -46,7 +40,7 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self):
-        return math.sqrt(self.norm_sq())
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     __abs__ = norm
 
@@ -55,13 +49,6 @@ class Quaternion:
         if n2 == 0.0:
             raise DomainError("zero quaternion has no inverse")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def axis(self):
-        """Unit imaginary direction of the vector part; e1 for real points."""
-        v = self.vector_norm()
-        if v == 0.0:
-            return E1
-        return Quaternion(0.0, self.x / v, self.y / v, self.z / v)
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
@@ -240,12 +227,8 @@ class SliceFrame:
         if abs(dot4(self.i, self.j)) > _FRAME_TOL:
             raise FrameError("frame axes are not orthogonal")
 
-    @property
-    def ij(self):
-        return self.i * self.j
-
     def basis(self):
-        return (ONE, self.i, self.j, self.ij)
+        return (ONE, self.i, self.j, self.i * self.j)
 
 
 STANDARD_FRAME = SliceFrame(E1, E2)
@@ -272,16 +255,25 @@ def random_frame(rng):
             return SliceFrame(i, u / n)
 
 
+def _basis_matrix(frame):
+    # rows: the components of 1, i, j, i*j
+    return np.array([b.components for b in frame.basis()])
+
+
 def frame_coords(q, frame):
-    """Coordinates (c1, c2) of q in the frame: q = c1 + c2*j with c1, c2 in C(i)."""
-    q = as_quaternion(q)
-    b = frame.basis()
-    return (
-        complex(dot4(q, b[0]), dot4(q, b[1])),
-        complex(dot4(q, b[2]), dot4(q, b[3])),
-    )
+    """Coordinates (c1, c2) of q in the frame: q = c1 + c2*j with c1, c2 in C(i).
+
+    q is a Quaternion, or an array with components (w, x, y, z) on its last
+    axis; c1 and c2 are then complex arrays over the leading axes.
+    """
+    comps = q if isinstance(q, np.ndarray) else as_quaternion(q).components
+    c1, c2 = np.moveaxis((np.asarray(comps) @ _basis_matrix(frame).T).view(complex), -1, 0)
+    return c1, c2
 
 
 def frame_embed(c1, c2, frame):
-    """Inverse of frame_coords: assemble c1 + c2*j as a quaternion."""
+    """Inverse of frame_coords: c1 + c2*j as a Quaternion, or as an array of
+    components (..., 4) when c1 and c2 are complex arrays."""
+    if isinstance(c1, np.ndarray):
+        return np.stack([c1, c2], axis=-1).view(float) @ _basis_matrix(frame)
     return embed_complex(c1, frame.i) + embed_complex(c2, frame.i) * frame.j

@@ -5,6 +5,7 @@ formula that rebuilds values on the whole ball from one slice.
 Coefficients sit on the right: f(q) = sum q^n a_n. All operations are pure.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,20 +17,46 @@ from .quaternion import (ONE, Quaternion, SliceFrame, as_quaternion,
                          slice_decompose, truncated_exp)
 
 
-class QPowerSeries:
-    """Polynomial sum q^n a_n with quaternion right coefficients a_0..a_N."""
+def _qmul(a, b, op):
+    """Quaternion product of split arrays a = a1 + a2 e2 and b = b1 + b2 e2
+    (last axis (c1, c2)), each factor product taken by the bilinear op; as
+    e2 z = conj(z) e2 for z in C(e1), it is
+    (a1 b1 - a2 conj(b2)) + (a1 b2 + a2 conj(b1)) e2."""
+    (a1, a2), (b1, b2) = a.T, b.T
+    return np.stack([op(a1, b1) - op(a2, b2.conj()), op(a1, b2) + op(a2, b1.conj())],
+                    axis=-1)
 
-    __slots__ = ("coeffs",)
+
+class QPowerSeries:
+    """Polynomial sum q^n a_n with quaternion right coefficients a_0..a_N.
+
+    Held as one read-only complex array `parts` of shape (N+1, 2): row n is
+    the standard-frame split (c1, c2) of a_n = c1 + c2 e2 with c1, c2 in
+    C(e1), and its float view is the (N+1, 4) array of components
+    (w, x, y, z).  `coeffs` gives the coefficients as Quaternions.
+    Non-finite coefficients raise DomainError.
+    """
+
+    __slots__ = ("parts",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(as_quaternion(c) for c in coeffs))
+        comps = [x for c in coeffs for x in as_quaternion(c).components]
+        if not all(map(math.isfinite, comps)):
+            raise DomainError("series coefficients must be finite")
+        parts = np.array(comps, dtype=float).view(complex).reshape(-1, 2)
+        parts.setflags(write=False)
+        object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPowerSeries is immutable")
 
     @property
+    def coeffs(self):
+        return tuple(Quaternion(*c) for c in self.parts.view(float).tolist())
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.parts) - 1
 
     def __call__(self, q):
         return eval_q(self, q)
@@ -39,10 +66,11 @@ class QPowerSeries:
 
     def __add__(self, other):
         if isinstance(other, QPowerSeries):
-            n = max(len(self.coeffs), len(other.coeffs))
-            a = list(self.coeffs) + [Quaternion()] * (n - len(self.coeffs))
-            b = list(other.coeffs) + [Quaternion()] * (n - len(other.coeffs))
-            return QPowerSeries([p + q for p, q in zip(a, b)])
+            n = max(self.degree, other.degree) + 1
+            out = np.zeros((n, 2), dtype=complex)
+            out[: self.degree + 1] += self.parts
+            out[: other.degree + 1] += other.parts
+            return _series(out)
         return NotImplemented
 
     def __sub__(self, other):
@@ -51,23 +79,23 @@ class QPowerSeries:
         return NotImplemented
 
     def __neg__(self):
-        return QPowerSeries([-c for c in self.coeffs])
+        return _series(-self.parts)
 
     def __mul__(self, other):
         # right scalar multiple f*a: coefficients a_n * a
         if isinstance(other, (Quaternion, int, float)):
-            a = as_quaternion(other)
-            return QPowerSeries([c * a for c in self.coeffs])
+            a = np.array(as_quaternion(other).components).view(complex)
+            return _series(_qmul(self.parts, a, np.multiply))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return QPowerSeries([c * other for c in self.coeffs])
+            return _series(self.parts * other)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, QPowerSeries):
-            return self.coeffs == other.coeffs
+            return np.array_equal(self.parts, other.parts)
         return NotImplemented
 
     def __repr__(self):
@@ -75,7 +103,7 @@ class QPowerSeries:
 
     def to_arrays(self):
         """JSON form: list of [w, x, y, z] component arrays."""
-        return [list(c.components) for c in self.coeffs]
+        return self.parts.view(float).tolist()
 
     @classmethod
     def from_arrays(cls, arrays):
@@ -83,48 +111,48 @@ class QPowerSeries:
 
     def max_imag_coefficient(self):
         """Largest imaginary component over all coefficients (0 when empty)."""
-        if not self.coeffs:
-            return 0.0
-        return max(max(abs(c.x), abs(c.y), abs(c.z)) for c in self.coeffs)
+        return float(np.max(np.abs(self.parts.view(float)[:, 1:]), initial=0.0))
 
 
-def _horner(f, q):
-    # right-coefficient Horner: a_0 + q*(a_1 + q*(a_2 + ...))
-    if not f.coeffs:
-        return Quaternion()
-    acc = f.coeffs[-1]
-    for a in f.coeffs[-2::-1]:
-        acc = q * acc + a
-    return acc
+def _series(parts):
+    # wrap a split array as a QPowerSeries, read-only and without re-checking
+    f = object.__new__(QPowerSeries)
+    parts.setflags(write=False)
+    object.__setattr__(f, "parts", parts)
+    return f
 
 
 def eval_q(f, q, check_domain=True):
-    """Evaluate the series at a quaternion of the open unit ball."""
+    """Evaluate the series at a quaternion of the open unit ball.
+
+    With q = x + y I and z = x + y i, q^n = Re(z^n) + Im(z^n) I, so
+    f(q) = A + I B with A = sum Re(z^n) a_n and B = sum Im(z^n) a_n.
+    """
     q = as_quaternion(q)
     if check_domain and q.norm() >= 1.0:
         raise DomainError(f"|q| = {q.norm()} is outside the open unit ball")
-    return _horner(f, q)
+    sp = slice_decompose(q)
+    zn = complex(sp.x, sp.y) ** np.arange(f.degree + 1)
+    a, b = (zn.view(float).reshape(-1, 2).T @ f.parts.view(float)).tolist()
+    return Quaternion(*a) + sp.axis * Quaternion(*b)
 
 
 def cullen_derivative(f):
     """Slice derivative: maps q^n a_n to n q^(n-1) a_n."""
-    return QPowerSeries([c * n for n, c in enumerate(f.coeffs)][1:])
+    return _series(f.parts[1:] * np.arange(1.0, f.degree + 1)[:, None])
 
 
 def star_product(f, g):
     """Cauchy convolution product; coefficient order a_k * b_{n-k} preserved."""
-    if not f.coeffs or not g.coeffs:
+    if f.degree < 0 or g.degree < 0:
         return QPowerSeries([])
-    out = [Quaternion() for _ in range(len(f.coeffs) + len(g.coeffs) - 1)]
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = out[i + j] + a * b
-    return QPowerSeries(out)
+    return _series(_qmul(f.parts, g.parts, np.convolve))
 
 
 def regular_conjugate(f):
-    """Coefficientwise quaternion conjugate."""
-    return QPowerSeries([c.conjugate() for c in f.coeffs])
+    """Coefficientwise quaternion conjugate: (conj c1, -c2) in the split."""
+    c1, c2 = f.parts.T
+    return _series(np.stack([c1.conj(), -c2], axis=-1))
 
 
 def symmetrization(f):
@@ -140,20 +168,17 @@ def star_inverse(f, degree):
 
     Computed as the reciprocal of the real-coefficient symmetrization star
     the regular conjugate; star_product(f, result) is 1 up to O(q^(degree+1)).
+    The reciprocal r solves the lower-triangular Toeplitz system s * r = 1.
     """
-    if not f.coeffs or f.coeffs[0].norm() < _STAR_INVERSE_FLOOR:
+    if f.degree < 0 or np.linalg.norm(f.parts[0]) < _STAR_INVERSE_FLOOR:
         raise DomainError("constant term too small for a star inverse")
-    fs = symmetrization(f)
-    s = np.zeros(degree + 1)
-    for n, c in enumerate(fs.coeffs[: degree + 1]):
-        s[n] = c.w
-    r = np.zeros(degree + 1)
-    r[0] = 1.0 / s[0]
-    for n in range(1, degree + 1):
-        r[n] = -np.dot(s[1 : n + 1], r[n - 1 :: -1]) / s[0]
-    recip = QPowerSeries(r)
+    c1 = symmetrization(f).parts[: degree + 1, 0].real
+    s = np.pad(c1, (0, degree + 1 - len(c1)))
+    k = np.arange(degree + 1)
+    r = np.linalg.solve(np.tril(s[k[:, None] - k]), np.eye(degree + 1)[0])
+    recip = _series(np.stack([r, 0.0 * r], axis=-1) + 0j)
     out = star_product(recip, regular_conjugate(f))
-    return QPowerSeries(out.coeffs[: degree + 1])
+    return _series(out.parts[: degree + 1])
 
 
 @dataclass(frozen=True)
@@ -171,45 +196,40 @@ class SplitPair:
 
 def split(f, frame):
     """Decompose every coefficient as a_n = a_n^1 + a_n^2 * j over the frame."""
-    c1 = []
-    c2 = []
-    for a in f.coeffs:
-        u, v = frame_coords(a, frame)
-        c1.append(u)
-        c2.append(v)
-    return SplitPair(CPowerSeries(c1 or [0]), CPowerSeries(c2 or [0]), frame)
+    c1, c2 = frame_coords(f.parts.view(float), frame)
+    if f.degree < 0:
+        c1 = c2 = [0]
+    return SplitPair(CPowerSeries(c1), CPowerSeries(c2), frame)
 
 
 def join(pair):
     """Reassemble the quaternionic series from its split components."""
     n = max(len(pair.f1.coeffs), len(pair.f2.coeffs))
-    c1 = np.zeros(n, dtype=complex)
-    c2 = np.zeros(n, dtype=complex)
-    c1[: len(pair.f1.coeffs)] = pair.f1.coeffs
-    c2[: len(pair.f2.coeffs)] = pair.f2.coeffs
-    return QPowerSeries([frame_embed(a, b, pair.frame) for a, b in zip(c1, c2)])
+    c1, c2 = (np.pad(g.coeffs, (0, n - len(g.coeffs))) for g in (pair.f1, pair.f2))
+    return _series(frame_embed(c1, c2, pair.frame).view(complex))
 
 
-def _slice_value(pair, z):
-    # value f1(z) + f2(z)*j as a quaternion, z a python complex
-    return frame_embed(pair.f1(z), pair.f2(z), pair.frame)
+def _two_point(value_at, x, y, axis, i):
+    """Representation formula: the value at x + y*axis of a slice function
+    from its values value_at(x + y i) and value_at(x - y i) on the slice C(i),
+    ((1 - axis*i) f(x + y i) + (1 + axis*i) f(x - y i)) / 2.  At real points
+    (y = 0) both halves coincide and value_at is called once."""
+    wp = value_at(complex(x, y))
+    wm = wp if y == 0.0 else value_at(complex(x, -y))
+    t = axis * i
+    return ((ONE + t) * wm + (ONE - t) * wp) * 0.5
 
 
 def extend_from_slice(pair, q):
     """Extension from slice data to the whole ball.
 
-    For q = x + y*I the value is the usual two-point average
-    (1 + I*i) f(x - y i)/2 + (1 - I*i) f(x + y i)/2 of the slice function
-    f = f1 + f2*j; on the slice itself this restricts to f exactly, and at
-    real points both halves coincide.
+    For q = x + y*I the value is the usual two-point average of the slice
+    function f = f1 + f2*j; on the slice itself this restricts to f exactly,
+    and at real points both halves coincide.
     """
     sp = slice_decompose(q)
-    zp = complex(sp.x, sp.y)
-    zm = zp.conjugate()
-    wp = _slice_value(pair, zp)
-    wm = _slice_value(pair, zm)
-    ii = sp.axis * pair.frame.i
-    return ((ONE + ii) * wm + (ONE - ii) * wp) * 0.5
+    return _two_point(lambda z: frame_embed(pair.f1(z), pair.f2(z), pair.frame),
+                      sp.x, sp.y, sp.axis, pair.frame.i)
 
 
 def representation_formula(f_on_slice, frame, x, y, target_axis):
@@ -217,11 +237,8 @@ def representation_formula(f_on_slice, frame, x, y, target_axis):
 
     f_on_slice evaluates f at quaternion points of the frame's slice plane.
     """
-    i = frame.i
-    fp = f_on_slice(embed_complex(complex(x, y), i))
-    fm = f_on_slice(embed_complex(complex(x, -y), i))
-    ti = as_quaternion(target_axis) * i
-    return ((ONE - ti) * fp + (ONE + ti) * fm) * 0.5
+    return _two_point(lambda z: f_on_slice(embed_complex(z, frame.i)),
+                      x, y, as_quaternion(target_axis), frame.i)
 
 
 _INTRINSIC_TOL = 1e-12
@@ -241,4 +258,4 @@ def intrinsic_exp(f, q):
     """
     if not is_intrinsic(f):
         raise IntrinsicError("series coefficients are not real")
-    return truncated_exp(_horner(f, as_quaternion(q)), INF)
+    return truncated_exp(eval_q(f, q, check_domain=False), INF)

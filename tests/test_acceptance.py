@@ -15,9 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from ffq import (E1, E2, INF, QPowerSeries, Quaternion, QuadratureSpec,
-                 SliceFrame, eval_q, extend_from_slice, random_frame,
-                 regular_conjugate, representation_formula, slice_decompose,
+from ffq import (E1, E2, INF, FFParams, QPowerSeries, Quaternion,
+                 QuadratureSpec, SliceFrame, coefficient_integrals, eval_q,
+                 extend_from_slice, random_frame, regular_conjugate,
+                 representation_formula, slice_decompose, slice_norm_compare,
                  split, star_inverse, star_product)
 from ffq import verify
 
@@ -110,6 +111,21 @@ def test_criterion_7_slice_comparison_bound():
                   f"{max_ratio:.12f} (bound 8; equals 1 to rounding on "
                   "power-series data since the coefficient integrals are real)")
     assert max_ratio <= 8.0 + 1e-9
+
+
+def test_criterion_7_series_ratio_is_one_to_rounding():
+    # sharper companion of the 8x bound: on the series route the squared
+    # norm does not depend on the slice, since the coefficient matrices are
+    # real by conjugate symmetry
+    p = FFParams(alpha=0.7, sigma=0.4, k=2)
+    ci = coefficient_integrals(p, 4)
+    rng = np.random.default_rng(verify.DEFAULT_SEED)
+    worst = max(
+        abs(slice_norm_compare(f, p, random_frame(rng), random_frame(rng), ci=ci) - 1.0)
+        for _, f in verify.random_qpolys(200, max_degree=4, seed=verify.DEFAULT_SEED + 5))
+    assert report(7, "series slice ratio", worst <= 1e-12,
+                  f"200 random polynomials and frame pairs, max |ratio - 1| "
+                  f"{worst:.2e} (<= 1e-12)")
 
 
 def test_criterion_8_star_algebra_suite():

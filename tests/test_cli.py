@@ -191,3 +191,28 @@ def test_errors_while_building_the_job_exit_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_PARSE
     assert json.loads(err)["error"]["type"] == "parse"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("series", [
+    "[[NaN,0]]",        # non-finite coefficient
+    "[[Infinity,0]]",   # non-finite coefficient
+    "{}",               # not a list
+    "[[1e200,0]]",      # overflows while running
+])
+def test_hostile_series_exit_2_or_3_with_strict_json(series, capsys):
+    code, out, err = run_cli(["norm", "--f", series], capsys)
+    assert code in (EXIT_PARSE, EXIT_DOMAIN)
+    assert out == ""
+    assert "error" in json.loads(err, parse_constant=_reject_constant)
+
+
+def test_error_record_writes_non_finite_floats_as_strings(capsys):
+    from ffq.cli import _error_record
+    _error_record("no_convergence", ValueError("x"), change=math.nan, value=math.inf)
+    record = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
+    assert record["error"]["change"] == "nan"
+    assert record["error"]["value"] == "inf"

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffq import (E1, E2, E3, INF, ONE, BranchError, DomainError, FrameError,
-                 Quaternion, SliceFrame, embed_complex, frame_coords,
+                 Quaternion, SliceFrame, dot4, embed_complex, frame_coords,
                  frame_embed, principal_power, random_frame,
                  slice_decompose, truncated_exp)
 
@@ -97,6 +97,7 @@ def test_slice_decompose_examples():
 
 
 @given(quaternions)
+@example(Quaternion(0.0, 0.0, 0.0, 1.6515938958392981e-158))  # z*z is subnormal
 def test_slice_decompose_reconstructs(q):
     sp = slice_decompose(q)
     back = Quaternion(sp.x) + sp.axis * sp.y
@@ -202,3 +203,16 @@ def test_frame_coordinates_round_trip(rng):
         q = Quaternion(*rng.standard_normal(4))
         c1, c2 = frame_coords(q, fr)
         assert qdist(frame_embed(c1, c2, fr), q) < 1e-14 * max(q.norm(), 1.0)
+
+
+def test_frame_coordinates_of_component_arrays(rng):
+    fr = random_frame(rng)
+    qs = [Quaternion(*rng.standard_normal(4)) for _ in range(6)]
+    c1, c2 = frame_coords(np.array([q.components for q in qs]), fr)
+    for q, u, v in zip(qs, c1, c2):
+        # oracle: the inner products with the basis 1, i, j, i*j
+        assert abs(u - complex(dot4(q, ONE), dot4(q, fr.i))) <= 1e-15 * q.norm()
+        assert abs(v - complex(dot4(q, fr.j), dot4(q, fr.i * fr.j))) <= 1e-15 * q.norm()
+    back = frame_embed(c1, c2, fr)
+    assert back.shape == (6, 4)
+    assert np.max(np.abs(back - [q.components for q in qs])) <= 1e-14

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ffq import (E1, E2, E3, INF, ONE, CPowerSeries, DomainError,
                  IntrinsicError, QPowerSeries, Quaternion, SliceFrame,
@@ -11,6 +12,67 @@ from ffq import (E1, E2, E3, INF, ONE, CPowerSeries, DomainError,
                  symmetrization, truncated_exp)
 
 from conftest import qdist, random_quaternion
+
+
+def star_product_reference(f, g):
+    """Oracle: the Cauchy product as a double loop over Quaternion objects."""
+    if f.degree < 0 or g.degree < 0:
+        return []
+    out = [Quaternion() for _ in range(f.degree + g.degree + 1)]
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def eval_reference(f, q):
+    """Oracle: right-coefficient Horner a_0 + q*(a_1 + q*(a_2 + ...))."""
+    acc = Quaternion()
+    for a in reversed(f.coeffs):
+        acc = q * acc + a
+    return acc
+
+
+component = st.floats(min_value=-10.0, max_value=10.0)
+series_0_to_8 = st.lists(st.builds(Quaternion, component, component, component,
+                                   component),
+                         min_size=1, max_size=9).map(QPowerSeries)
+ball_component = st.floats(min_value=-0.49, max_value=0.49)
+ball_points = st.builds(Quaternion, ball_component, ball_component,
+                        ball_component, ball_component)
+
+
+@given(series_0_to_8, series_0_to_8)
+def test_star_product_matches_object_loop(f, g):
+    got = star_product(f, g).coeffs
+    want = star_product_reference(f, g)
+    scale = max(sum(a.norm() for a in f.coeffs) * sum(b.norm() for b in g.coeffs), 1.0)
+    assert len(got) == len(want)
+    assert max(qdist(a, b) for a, b in zip(got, want)) <= 1e-13 * scale
+
+
+@given(series_0_to_8, ball_points)
+def test_eval_matches_object_horner(f, q):
+    scale = max(sum(a.norm() * q.norm() ** n for n, a in enumerate(f.coeffs)), 1.0)
+    assert qdist(eval_q(f, q), eval_reference(f, q)) <= 1e-13 * scale
+
+
+def test_series_hold_one_read_only_split_array():
+    f = QPowerSeries([Quaternion(1.0, 2.0, 3.0, 4.0), 0.5])
+    assert f.parts.tolist() == [[1 + 2j, 3 + 4j], [0.5 + 0j, 0j]]
+    assert f.parts.view(float).tolist() == [[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError):
+        f.parts[0, 0] = 0.0
+    assert f.coeffs == (Quaternion(1.0, 2.0, 3.0, 4.0), Quaternion(0.5))
+    assert QPowerSeries([]).degree == -1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_reject_non_finite_coefficients(bad):
+    with pytest.raises(DomainError):
+        QPowerSeries([1.0, Quaternion(0.0, 0.0, bad)])
+    with pytest.raises(DomainError):
+        CPowerSeries([1.0, complex(0.0, bad)])
 
 
 def test_eval_examples():
