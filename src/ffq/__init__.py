@@ -4,8 +4,8 @@ oracles for every computable identity.
 """
 
 from .errors import (INF, BranchError, DegenerateMeasure, DegreeMismatch,
-                     DomainError, FFQError, FrameError, IntrinsicError,
-                     NoConvergence, check_order)
+                     DivergentIntegral, DomainError, FFQError, FrameError,
+                     IntrinsicError, NoConvergence, check_order)
 from .quaternion import (E1, E2, E3, ONE, ZERO, Quaternion, SliceFrame,
                          SlicePolar, STANDARD_FRAME, as_quaternion, dot4,
                          embed_complex, frame_coords, frame_embed,
@@ -32,9 +32,9 @@ from .quadrature import (DEFAULT_SPEC, QuadratureSpec, QuadResult, SlitPath,
 from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          bergman_kernel, closed_k1_matrices,
                          coefficient_integrals, dirichlet_norm,
-                         dirichlet_norm_closed_k1,
-                         dirichlet_norm_quad, dirichlet_norm_series,
-                         ff_eval_c, inner_product_c,
+                         dirichlet_norm_closed_k1, dirichlet_norm_quad,
+                         dirichlet_norms_quad, dirichlet_norm_series,
+                         ff_eval_c, ff_eval_stack, inner_product_c,
                          integrating_factor_residual, kernel_K_half,
                          reproduce_identity_1, reproduce_identity_2,
                          reproduction_rhs_1, reproduction_rhs_2)

@@ -48,6 +48,14 @@ class NoConvergence(FFQError):
         self.error = error
 
 
+class DivergentIntegral(NoConvergence):
+    """The integral is proven not to exist, so no quadrature was run.
+
+    Carries no estimate (value and error are None); the message names the
+    reason.
+    """
+
+
 def check_order(k):
     """Validate a truncation order: a non-negative integer, or inf."""
     if k == INF:

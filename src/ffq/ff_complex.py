@@ -14,10 +14,12 @@ over the slit disk.  Everything is validated against the quadrature oracle.
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import BranchError, DegreeMismatch, DomainError, INF
+from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
+                     DomainError, INF, NoConvergence)
 from .holo_series import (fractal_measure_c, fractal_measure_deriv_c,
                           in_slit_disk, truncated_exp_c)
 from .quadrature import (DEFAULT_SPEC, _composite, _converge, _polar_blocks,
@@ -32,35 +34,41 @@ def _require_order(p):
         raise DomainError("the fractal term needs k >= 1 or k = inf")
 
 
-def ff_eval_c(f, p, z):
-    """Apply the derivative D to the series f at z (scalar or array).
+def ff_eval_stack(fs, p, z):
+    """Apply the derivative D to each series of fs at z (an array): one row
+    per series, with the measure derivative computed once for the stack.
 
-    For beta < 1 the factor f(z)**(beta-1) uses the principal power, so f
-    must be nonvanishing with values off the closed negative real axis at
-    the evaluation points (spot-screened here; the global hypothesis is the
-    caller's).
+    For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
+    every f must be nonvanishing with values off the closed negative real
+    axis at the evaluation points (spot-screened here; the global hypothesis
+    is the caller's).
     """
     _require_order(p)
-    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.all(in_slit_disk(zz)):
         raise BranchError("evaluation point outside the slit unit disk")
     s = p.sigma
-    fv = f(zz)
+    fv = np.stack([f(zz) for f in fs])
     if s == 0.0:
-        out = fv
+        return fv
+    fp = np.stack([f.derivative()(zz) for f in fs])
+    den = fractal_measure_deriv_c(zz, p.alpha, p.k)
+    if p.beta == 1.0:
+        frac = fp / den
     else:
-        fp = f.derivative()(zz)
-        den = fractal_measure_deriv_c(zz, p.alpha, p.k)
-        if p.beta == 1.0:
-            frac = fp / den
-        else:
-            if np.any(fv == 0):
-                raise DomainError("f vanishes at an evaluation point; f**beta undefined")
-            if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
-                raise BranchError("f(z) on the negative real axis; principal power undefined")
-            frac = p.beta * fv ** (p.beta - 1.0) * fp / den
-        out = (1.0 - s) * fv + s * frac
+        if np.any(fv == 0):
+            raise DomainError("f vanishes at an evaluation point; f**beta undefined")
+        if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
+            raise BranchError("f(z) on the negative real axis; principal power undefined")
+        frac = p.beta * fv ** (p.beta - 1.0) * fp / den
+    return (1.0 - s) * fv + s * frac
+
+
+def ff_eval_c(f, p, z):
+    """Apply the derivative D to the series f at z (scalar or array); the
+    one-series case of ff_eval_stack."""
+    scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
+    out = ff_eval_stack((f,), p, z)[0]
     return complex(out[0]) if scalar else out
 
 
@@ -74,12 +82,26 @@ class DirichletValue:
     method: str
 
 
+def dirichlet_norms_quad(fs, p, spec=None):
+    """Squared Dirichlet-type norms of a stack of series by one quadrature of
+    the stacked |Df|**2; each series gets the value dirichlet_norm_quad
+    gives it alone."""
+    if not fs:
+        return []
+    points = [p.alpha * abs(f(BASE_POINT)) ** 2 for f in fs]
+    fields = integrate_disk(lambda zeta: np.abs(ff_eval_stack(fs, p, zeta)) ** 2,
+                            spec, len(fs)).value
+    return [DirichletValue(point + float(field), point, float(field), "quadrature")
+            for point, field in zip(points, fields)]
+
+
 def dirichlet_norm_quad(f, p, spec=None):
-    """Squared Dirichlet-type norm by direct quadrature of |Df|**2."""
-    spec = spec or DEFAULT_SPEC
-    point = p.alpha * abs(f(BASE_POINT)) ** 2
-    field = integrate_disk(lambda zeta: np.abs(ff_eval_c(f, p, zeta)) ** 2, spec).value
-    return DirichletValue(point + field, point, float(field), "quadrature")
+    """Squared Dirichlet-type norm by direct quadrature of |Df|**2; the
+    NoConvergence it raises carries the last field estimate as a float."""
+    try:
+        return dirichlet_norms_quad((f,), p, spec)[0]
+    except NoConvergence as exc:
+        raise NoConvergence(str(exc), float(exc.value[0]), exc.error) from None
 
 
 def inner_product_c(f, g, p, spec=None):
@@ -88,9 +110,12 @@ def inner_product_c(f, g, p, spec=None):
         raise DomainError("the inner product is defined on the linear (beta = 1) space")
     spec = spec or DEFAULT_SPEC
     point = p.alpha * f(BASE_POINT) * np.conj(g(BASE_POINT))
-    field = integrate_disk(
-        lambda zeta: ff_eval_c(f, p, zeta) * np.conj(ff_eval_c(g, p, zeta)), spec
-    ).value
+
+    def integrand(zeta):
+        df, dg = ff_eval_stack((f, g), p, zeta)
+        return df * np.conj(dg)
+
+    field = integrate_disk(integrand, spec, 2).value
     return complex(point + field)
 
 
@@ -134,16 +159,37 @@ def _matrix_estimate(p, N, spec, level):
     return np.stack([A, B])
 
 
+def _measure_vanishes(alpha, k):
+    """Whether e_{k-1}(z**alpha) has a zero on the closed slit disk; the
+    proof is in coefficient_integrals."""
+    return k == 2 and alpha >= 1.0
+
+
 def coefficient_integrals(p, N, spec=None):
     """Compute both coefficient matrices up to index N in one refined pass.
 
     All entries share the quadrature nodes, so the whole table costs little
-    more than a single integral.  Raises NoConvergence when the underlying
-    integrals do not exist (e.g. e_{k-1} vanishing on the closed disk).
-    e_{k-1}(z**alpha) never vanishes on the open slit disk: every zero of
-    e_m has |w| >= 1 (Enestrom-Kakeya, coefficient ratios j + 1 >= 1).
+    more than a single integral.  Raises DivergentIntegral, before any
+    quadrature, exactly when e_{k-1}(z**alpha) has a zero on the closed slit
+    disk: 1/|e_{k-1}|**2 then has a non-integrable pole and the alpha_mn
+    integrals diverge logarithmically.  For alpha in (0, 1] that happens
+    only at alpha = 1, k = 2, with the zero at z = -1:
+
+    - by Enestrom-Kakeya (positive coefficients 1/j! with ratios j + 1 >= 1)
+      every zero of e_m has |w| >= 1, and only e_1 reaches |w| = 1, at
+      w = -1 (e_0 = 1 and exp have no zeros);
+    - |z**alpha| = |z|**alpha <= 1 on the closed slit disk;
+    - so a zero needs k = 2 and z**alpha = -1, i.e. |z| = 1 and
+      alpha |Arg z| = pi, which |Arg z| <= pi allows only at alpha = 1.
+
+    Raises NoConvergence when refinement stops short of the tolerance.
     """
     _require_order(p)
+    if _measure_vanishes(p.alpha, p.k):
+        raise DivergentIntegral(
+            f"coefficient integrals diverge at alpha = {p.alpha}, k = {p.k}: "
+            "e_1(z**alpha) = 1 + z vanishes at the boundary point z = -1"
+        )
     spec = spec or DEFAULT_SPEC
     result = _converge(
         lambda level: _matrix_estimate(p, N, spec, level), spec, "coefficient integrals"
@@ -215,11 +261,32 @@ def dirichlet_norm_closed_k1(f, p):
     return _assemble_series_norm(f, p, A, B, "closed-k1")
 
 
+def _field_diverges(f, p):
+    """Whether |Df|**2 is not integrable because of the zero of the measure
+    factor at z = -1 (see coefficient_integrals): at beta = 1 and sigma > 0,
+    D f = (1 - sigma) f + sigma f'(z) / (1 + z) there, whose square has a
+    log-divergent integral unless f'(-1) = 0.  f'(-1) is summed exactly from
+    the float coefficients."""
+    if p.beta != 1.0 or p.sigma == 0.0 or not _measure_vanishes(p.alpha, p.k):
+        return False
+    signs = [(-1) ** (n + 1) * n for n in range(len(f.coeffs))]
+    return any(sum(c * Fraction(part(a)) for c, a in zip(signs, f.coeffs)) != 0
+               for part in (np.real, np.imag))
+
+
 def dirichlet_norm(f, p, spec=None, method="quad"):
     """Squared norm by the named method: "quad" (dirichlet_norm_quad),
     "series" (a coefficient table sized to f, then dirichlet_norm_series) or
-    "closed-k1" (dirichlet_norm_closed_k1)."""
+    "closed-k1" (dirichlet_norm_closed_k1).
+
+    "quad" raises DivergentIntegral without integrating where the norm is
+    proven infinite; dirichlet_norm_quad itself always integrates."""
     if method == "quad":
+        if _field_diverges(f, p):
+            raise DivergentIntegral(
+                f"the norm diverges at alpha = {p.alpha}, k = {p.k}: D f has a "
+                "pole at z = -1, where 1 + z vanishes and f' does not"
+            )
         return dirichlet_norm_quad(f, p, spec)
     if method == "series":
         ci = coefficient_integrals(p, max(f.degree, 0), spec)

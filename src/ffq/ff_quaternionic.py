@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import BranchError, DomainError, FFQError
 from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
-                         dirichlet_norm_series, ff_eval_c, reproduction_rhs_1,
-                         reproduction_rhs_2, _require_sigma_interior)
+                         dirichlet_norm_series, ff_eval_stack,
+                         reproduction_rhs_1, reproduction_rhs_2,
+                         _require_sigma_interior)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
 from .quaternion import (Quaternion, as_quaternion, embed_complex,
@@ -48,9 +49,8 @@ def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
         method = "direct"
     if method == "split":
         pair = split(f, frame)
-        return frame_embed(
-            ff_eval_c(pair.f1, p, z), ff_eval_c(pair.f2, p, z), frame
-        )
+        d1, d2 = ff_eval_stack((pair.f1, pair.f2), p, z)[:, 0]
+        return frame_embed(complex(d1), complex(d2), frame)
     qz = embed_complex(z, frame.i)
     value = eval_q(f, qz) * (1.0 - p.sigma)
     if p.sigma != 0.0:
@@ -105,14 +105,11 @@ def qdirichlet_inner_product(f, g, p, frame, spec=None):
     pg = split(g, frame)
 
     def integrand(zeta):
-        d1 = ff_eval_c(pf.f1, p, zeta)
-        d2 = ff_eval_c(pf.f2, p, zeta)
-        g1 = ff_eval_c(pg.f1, p, zeta)
-        g2 = ff_eval_c(pg.f2, p, zeta)
+        d1, d2, g1, g2 = ff_eval_stack((pf.f1, pf.f2, pg.f1, pg.f2), p, zeta)
         return np.stack([np.conj(d1) * g1 + d2 * np.conj(g2),
                          np.conj(d1) * g2 - d2 * np.conj(g1)])
 
-    field = integrate_disk(integrand, spec).value
+    field = integrate_disk(integrand, spec, 4).value
     base = Quaternion(BASE_POINT)
     point = (eval_q(f, base).conjugate() * eval_q(g, base)) * p.alpha
     return point + frame_embed(field[0], field[1], frame)

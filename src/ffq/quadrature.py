@@ -11,7 +11,8 @@ integrable data used here.
 Integrands receive flat numpy arrays and may return a stack of values with
 the node axis last; a stack is integrated entrywise in one pass.  Node blocks
 are processed in fixed-size chunks with a fixed accumulation order, so
-results are deterministic for a given spec.
+results are deterministic for a given spec; a block holds at most _CHUNK
+elements, counting each row of a stack of the given height.
 """
 
 import cmath
@@ -74,10 +75,10 @@ def _composite(a, b, panels, n):
     return nodes, weights
 
 
-def _polar_blocks(spec, level):
+def _polar_blocks(spec, level, height=1):
     rn, rw = _composite(0.0, 1.0, spec.panels_r << level, spec.nr)
     tn, tw = _composite(-np.pi, np.pi, spec.panels_theta << level, spec.ntheta)
-    rows = max(1, _CHUNK // len(tn))
+    rows = max(1, _CHUNK // (height * len(tn)))
     for i in range(0, len(rn), rows):
         rb, wb = rn[i : i + rows], rw[i : i + rows]
         yield (
@@ -87,9 +88,9 @@ def _polar_blocks(spec, level):
         )
 
 
-def _polar_estimate(g, spec, level, jacobian):
+def _polar_estimate(g, spec, level, jacobian, height=1):
     acc = None
-    for r, t, w in _polar_blocks(spec, level):
+    for r, t, w in _polar_blocks(spec, level, height):
         if jacobian:
             w = w * r
         part = np.asarray(g(r, t)) @ w
@@ -97,25 +98,41 @@ def _polar_estimate(g, spec, level, jacobian):
     return np.asarray(acc)
 
 
-def _converge(estimate, spec, describe):
+def _converge(estimate, spec, describe, entrywise=False):
+    """Refine estimate(level) until successive levels agree to tolerance.
+
+    By default every entry of a stacked estimate must agree at the same
+    level.  With entrywise=True each entry is an integral of its own: it
+    keeps the value and change of the first level at which it agreed, as if
+    refined alone, while refinement goes on for the entries that have not.
+    """
     prev = estimate(0)
-    cur, err = prev, np.inf
+    value, change = prev, np.inf
+    held = np.zeros(np.shape(prev), dtype=bool)
     for level in range(1, spec.max_refine + 1):
         cur = estimate(level)
-        diff = np.abs(np.atleast_1d(cur - prev))
-        mags = np.abs(np.atleast_1d(cur))
-        err = float(diff.max())
-        if np.all(diff <= np.maximum(spec.rel_tol * mags, spec.abs_tol)):
-            value = cur.item() if np.ndim(cur) == 0 else cur
-            return QuadResult(value, err, level)
+        diff = np.abs(cur - prev)
+        met = diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
+        if entrywise:
+            value = np.where(held, value, cur)
+            change = np.where(held, change, diff)
+            held = held | met
+        else:
+            value, change, held = cur, diff, met
+        if np.all(held):
+            return QuadResult(_unwrap(value), float(np.max(change)), level)
         prev = cur
-    value = cur.item() if np.ndim(cur) == 0 else cur
+    err = float(np.max(change))
     raise NoConvergence(
         f"{describe}: refinement cap {spec.max_refine} reached with "
         f"inter-level change {err:.3e} above tolerance",
-        value=value,
+        value=_unwrap(value),
         error=err,
     )
+
+
+def _unwrap(value):
+    return value.item() if np.ndim(value) == 0 else value
 
 
 def integrate_polar(g, spec=None, include_jacobian=False):
@@ -133,21 +150,25 @@ def integrate_polar(g, spec=None, include_jacobian=False):
     )
 
 
-def integrate_disk(integrand, spec=None):
+def integrate_disk(integrand, spec=None, height=1):
     """Integral of integrand(z) over the slit unit disk, d(mu) = r dr dtheta.
 
     The integrand must be finite on the open slit disk; power-type behaviour
     r**p with p > -1 at the origin is fine.  Complex integrands integrate
-    componentwise; a stacked integrand (leading axes before the node axis)
-    integrates entrywise.
+    componentwise.  A stacked integrand (leading axes before the node axis)
+    integrates entrywise: each entry keeps the value of the first level at
+    which it meets the tolerance, the value it would get alone.  height,
+    the number of rows the integrand evaluates per node, shrinks the node
+    blocks to match.
     """
     spec = spec or DEFAULT_SPEC
     return _converge(
         lambda level: _polar_estimate(
-            lambda r, t: integrand(r * np.exp(1j * t)), spec, level, True
+            lambda r, t: integrand(r * np.exp(1j * t)), spec, level, True, height
         ),
         spec,
         "disk integral",
+        entrywise=True,
     )
 
 

@@ -15,3 +15,15 @@ def random_quaternion(rng, scale=1.0):
 
 def qdist(a, b):
     return (a - b).norm()
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    """Make the coefficient-table and disk quadratures of ff_complex raise."""
+    import ffq.ff_complex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(ffq.ff_complex, "_matrix_estimate", refuse)
+    monkeypatch.setattr(ffq.ff_complex, "integrate_disk", refuse)

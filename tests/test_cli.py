@@ -216,3 +216,25 @@ def test_error_record_writes_non_finite_floats_as_strings(capsys):
     record = json.loads(capsys.readouterr().err, parse_constant=_reject_constant)
     assert record["error"]["change"] == "nan"
     assert record["error"]["value"] == "inf"
+
+
+@pytest.mark.parametrize("method", ["quad", "series"])
+def test_divergent_cell_is_decided_without_quadrature(method, no_quadrature, capsys):
+    code, out, err = run_cli(["norm", "--f", "[[1,0],[1,0]]", "--alpha", "1",
+                              "--k", "2", "--method", method], capsys)
+    assert code == EXIT_TOLERANCE
+    assert out == ""
+    record = json.loads(err, parse_constant=_reject_constant)
+    assert record["error"]["type"] == "no_convergence"
+    assert "z = -1" in record["error"]["message"]
+
+
+def test_norm_with_vanishing_derivative_at_minus_one_is_integrated(capsys):
+    # f = 2z + z**2 has f'(-1) = 0, so D f is a polynomial at (alpha=1, k=2)
+    code, out, err = run_cli(["norm", "--f", "[[0,0],[2,0],[1,0]]", "--alpha", "1",
+                              "--k", "2"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["method"] == "quadrature"
+    # D f = 1 + z + z**2 / 2: |f(1/2)|**2 + pi (1 + 1/2 + 1/12)
+    assert abs(doc["norm_sq"] - (1.5625 + 19.0 * math.pi / 12.0)) < 1e-9

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffq import (CPowerSeries, FFParams, INF, BranchError, DomainError,
-                 NoConvergence, QuadratureSpec, bergman_kernel,
+from ffq import (CPowerSeries, FFParams, INF, BranchError, DivergentIntegral,
+                 DomainError, NoConvergence, QuadratureSpec, bergman_kernel,
                  coefficient_integrals, dirichlet_norm, dirichlet_norm_closed_k1,
-                 dirichlet_norm_quad, dirichlet_norm_series, ff_eval_c,
+                 dirichlet_norm_quad, dirichlet_norms_quad,
+                 dirichlet_norm_series, ff_eval_c,
                  inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk)
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
@@ -307,3 +308,104 @@ def test_family_endpoints(spec, rng):
     dev4 = abs(field(1e-4) - bergman_field) / bergman_field
     dev3 = abs(field(1e-3) - bergman_field) / bergman_field
     assert 5.0 <= dev3 / dev4 <= 20.0  # linear rate in alpha
+
+
+def test_divergence_predicate_matches_the_roots_of_exponential_sums():
+    # e_{k-1}(z**alpha) vanishes on the closed slit disk exactly when e_{k-1}
+    # has a root w with |w| <= 1 and |Arg w| <= alpha pi (w = z**alpha)
+    from ffq.ff_complex import _measure_vanishes
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
+    for k in list(range(1, 61)) + [INF]:
+        if k == INF:
+            roots = np.array([])  # exp has no zeros
+        else:
+            roots = np.roots([1.0 / math.factorial(j) for j in range(k - 1, -1, -1)])
+        for alpha in alphas:
+            hit = bool(np.any((np.abs(roots) <= 1.0 + 1e-12)
+                              & (np.abs(np.angle(roots)) <= alpha * math.pi)))
+            assert _measure_vanishes(alpha, k) == hit, (alpha, k)
+    assert [k for k in range(1, 61) if _measure_vanishes(1.0, k)] == [2]
+
+
+def test_divergent_table_grows_by_a_constant_increment():
+    # the numerical witness behind the up-front verdict: at (1, 2) the
+    # coefficient integral A[0, 0] gains about pi log 2 per panel doubling
+    from ffq.ff_complex import _matrix_estimate
+    from ffq.verify import DIVERGENCE_SPEC
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    a00 = [_matrix_estimate(p, 2, DIVERGENCE_SPEC, level)[0][0, 0].real
+           for level in range(4)]
+    increments = np.diff(a00)
+    assert np.all(np.abs(increments / (math.pi * math.log(2.0)) - 1.0) < 0.01)
+    with pytest.raises(DivergentIntegral):
+        coefficient_integrals(p, 2)
+
+
+def test_up_front_verdicts_run_no_quadrature(no_quadrature):
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    with pytest.raises(DivergentIntegral):
+        coefficient_integrals(p, 3)
+    for coeffs in ([0, 1], [1, 1], [0, 0, 1], [0, 1j, 0, 2]):
+        for method in ("quad", "series"):
+            with pytest.raises(DivergentIntegral):
+                dirichlet_norm(CPowerSeries(coeffs), p, method=method)
+    # f'(-1) = 0 (or sigma = 0, or beta < 1) leaves the quadrature route open
+    for f, q in ((CPowerSeries([0, 2, 1]), p),
+                 (CPowerSeries([1.0]), p),
+                 (CPowerSeries([0, 1]), FFParams(alpha=1.0, sigma=0.0, k=2)),
+                 (CPowerSeries([1, 1]), FFParams(alpha=1.0, sigma=0.5, k=2,
+                                                 beta=0.5))):
+        with pytest.raises(AssertionError, match="quadrature ran"):
+            dirichlet_norm(f, q)
+
+
+def test_stacked_norms_match_one_at_a_time(spec, rng):
+    p = FFParams(alpha=0.7, sigma=0.8, k=2)
+    fs = [CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+          for d in range(6)] + [CPowerSeries([0, 0, 0, 1]), CPowerSeries([2.0])]
+    stacked = dirichlet_norms_quad(fs, p, spec)
+    for f, v in zip(fs, stacked):
+        alone = dirichlet_norm_quad(f, p, spec)
+        assert abs(v.norm_sq - alone.norm_sq) <= 1e-13 * alone.norm_sq
+        assert v.point_term == alone.point_term
+    assert dirichlet_norms_quad([], p, spec) == []
+
+
+def test_measure_derivative_once_per_node_block(spec, rng, monkeypatch):
+    import ffq.ff_complex
+    from ffq import STANDARD_FRAME, QPowerSeries, Quaternion
+    from ffq import qdirichlet_inner_product, quadrature
+    calls = {"deriv": 0, "blocks": 0}
+    deriv, blocks = ffq.ff_complex.fractal_measure_deriv_c, quadrature._polar_blocks
+
+    def counted_deriv(*args):
+        calls["deriv"] += 1
+        return deriv(*args)
+
+    def counted_blocks(*args):
+        for block in blocks(*args):
+            calls["blocks"] += 1
+            yield block
+
+    monkeypatch.setattr(ffq.ff_complex, "fractal_measure_deriv_c", counted_deriv)
+    monkeypatch.setattr(quadrature, "_polar_blocks", counted_blocks)
+    p = FFParams(alpha=0.6, sigma=0.5, k=1)
+    f = CPowerSeries([1.0, 2.0, 0.5j])
+    g = CPowerSeries([0.0, 1.0])
+    fq = QPowerSeries([Quaternion(*rng.standard_normal(4)) for _ in range(3)])
+    for run in (lambda: inner_product_c(f, g, p, spec),
+                lambda: qdirichlet_inner_product(fq, fq, p, STANDARD_FRAME, spec),
+                lambda: dirichlet_norms_quad([f, g, f + g], p, spec)):
+        calls.update(deriv=0, blocks=0)
+        run()
+        assert calls["blocks"] > 0 and calls["deriv"] == calls["blocks"]
+
+
+def test_quadrature_route_still_refines_as_the_witness():
+    from ffq.verify import DIVERGENCE_SPEC, _divergence_profile
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    with pytest.raises(NoConvergence) as info:
+        dirichlet_norm_quad(CPowerSeries([0, 1]), p, DIVERGENCE_SPEC)
+    assert not isinstance(info.value, DivergentIntegral)
+    assert type(info.value.value) is float and info.value.error > 0.1
+    assert _divergence_profile(CPowerSeries([0, 1]), p)

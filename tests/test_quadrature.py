@@ -112,3 +112,17 @@ def test_spec_validation():
         QuadratureSpec(nr=2)
     with pytest.raises(DomainError):
         QuadratureSpec(max_refine=0)
+
+
+def test_stacked_entries_keep_the_value_they_get_alone():
+    # r**0.3 meets the tolerance at level 1, the kink at level 4; in one
+    # stack each keeps its own level's value
+    spec = QuadratureSpec(nr=8, ntheta=8, panels_r=2, panels_theta=2, rel_tol=1e-4)
+    rows = [lambda z: np.abs(z) ** 0.3, lambda z: np.abs(z.real - 0.3)]
+    alone = [integrate_disk(g, spec) for g in rows]
+    stacked = integrate_disk(lambda z: np.stack([g(z) for g in rows]), spec, 2)
+    assert [a.refinements for a in alone] == [1, 4]
+    assert stacked.refinements == 4
+    assert stacked.error == pytest.approx(max(a.error for a in alone), rel=1e-6)
+    for a, v in zip(alone, stacked.value):
+        assert abs(v - a.value) <= 1e-15 * abs(a.value)

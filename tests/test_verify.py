@@ -43,3 +43,19 @@ def test_no_tolerance_or_spec_can_be_passed_to_verify():
             assert param.kind is not inspect.Parameter.VAR_KEYWORD, name
             assert param.name not in ("tol", "spec"), name
             assert not param.name.endswith(("_tol", "_spec")), name
+
+
+def test_stacked_sweep_quadrature_is_the_one_series_value():
+    # at (0.7, k, 0.8) some sweep functions need level 2 and the rest stop at
+    # level 1; (1, 2) stacks only the constants beside the divergent rows
+    from ffq import FFParams, dirichlet_norm_quad
+    functions = verify.sweep_functions()
+    by_label = dict(functions)
+    rows, ok = verify.norm_agreement(alphas=(0.7, 1.0), sigmas=(0.8,), ks=(2,))
+    assert ok and len(rows) == 2 * len(functions)
+    finite = [r for r in rows if r["status"] == "pass"]
+    assert len(finite) == len(functions) + 1
+    for r in finite:
+        p = FFParams(alpha=r["alpha"], sigma=r["sigma"], k=int(r["k"]))
+        alone = dirichlet_norm_quad(by_label[r["f"]], p, verify.DEFAULT_SPEC).norm_sq
+        assert abs(r["quadrature"] - alone) <= 1e-13 * alone
