@@ -27,8 +27,7 @@ from .ff_real import (DEFAULT_STEP, FFParams, FractalMeasure,
                       measure_identity, measure_power, measure_truncated_exp,
                       proportional_derivative)
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, QuadResult, SlitPath,
-                         build_slit_path, integrate_disk, integrate_polar,
-                         path_integral)
+                         build_slit_path, integrate_disk, path_integral)
 from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          bergman_kernel, closed_k1_matrices,
                          coefficient_integrals, dirichlet_norm,

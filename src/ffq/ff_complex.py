@@ -197,42 +197,61 @@ def coefficient_integrals(p, N, spec=None):
     return CoefficientIntegrals(result.value[0], result.value[1], p, result.error)
 
 
-def _assemble_series_norm(f, p, A, B, method):
-    a = np.asarray(f.coeffs, dtype=complex)
-    deg = len(a) - 1
-    s = p.sigma
+def series_gram(p, A, B, N):
+    """Hermitian (N+1)x(N+1) matrix G with ||f||**2 = a^H G a for every
+    series f = sum a_n z**n of degree at most N, built from coefficient
+    matrices A, B valid to degree N or more.  With s = sigma, G is the sum
+    of four terms:
+
+    - the Bergman diagonal (1 - s)**2 pi / (n + 1);
+    - (s/alpha)**2 D^T A D, where D maps a to c, c_n = (n + 1) a_{n+1};
+    - the Hermitian part of the cross term 2 (1 - s) s / alpha
+      Re(c^T B conj(a)), i.e. of 2 (1 - s) s / alpha conj(D^T B);
+    - the point term alpha v v^T with v_n = 2**-n, so v^T a = f(1/2).
+
+    The Hermitian part is taken of the whole sum, so G is exactly Hermitian
+    for a table that is so only to quadrature tolerance.
+    """
+    s, al = p.sigma, p.alpha
+    n1 = np.arange(1.0, N + 2)
+    w = n1[:N, None]
+    v = 0.5 ** np.arange(N + 1)
+    G = np.diag((1.0 - s) ** 2 * math.pi / n1).astype(complex)
+    G[1:, 1:] += (s / al) ** 2 * w * A[:N, :N] * w.T
+    G[1:, :] += 2.0 * (1.0 - s) * s / al * w * np.conj(B[:N, : N + 1])
+    G += al * np.outer(v, v)
+    return (G + G.conj().T) / 2.0
+
+
+def _gram_form(G, a):
+    """a^H G a over the leading block of G that a's length selects."""
+    return float(np.vdot(a, G[: len(a), : len(a)] @ a).real)
+
+
+def _series_value(f, p, G, method):
+    # the field term is what the norm adds to the point term alpha |f(1/2)|**2
+    norm_sq = _gram_form(G, f.coeffs)
     point = p.alpha * abs(f(BASE_POINT)) ** 2
-    if deg < 0:
-        return DirichletValue(point, point, 0.0, method)
-    n = np.arange(deg + 1)
-    bergman = (1.0 - s) ** 2 * math.pi * float(np.sum(np.abs(a) ** 2 / (n + 1)))
-    c = (n[:deg] + 1) * a[1:]
-    quad_form = float(np.vdot(c, A[:deg, :deg] @ c).real) if deg > 0 else 0.0
-    sig_term = (s / p.alpha) ** 2 * quad_form
-    if deg > 0:
-        cross = (
-            2.0
-            * (1.0 - s)
-            * s
-            / p.alpha
-            * float((c @ (B[:deg, : deg + 1] @ np.conj(a))).real)
-        )
-    else:
-        cross = 0.0
-    field = bergman + sig_term + cross
-    return DirichletValue(point + field, point, field, method)
+    return DirichletValue(norm_sq, point, norm_sq - point, method)
 
 
-def dirichlet_norm_series(f, p, ci):
-    """Squared norm assembled from the coefficient matrices; must agree with
-    dirichlet_norm_quad to the quadrature tolerance."""
+def _table_gram(p, ci, degree):
+    """series_gram from the table ci for series of the given degree, once
+    ci is known to serve them: beta = 1, the same (alpha, k), and the
+    degree at most ci.N."""
     if p.beta != 1.0:
         raise DomainError("the series norm is defined on the linear (beta = 1) space")
     if ci.params.alpha != p.alpha or ci.params.k != p.k:
         raise DomainError("coefficient table was computed for different (alpha, k)")
-    if f.degree > ci.N:
-        raise DegreeMismatch(f"series degree {f.degree} exceeds table degree {ci.N}")
-    return _assemble_series_norm(f, p, ci.alpha_mn, ci.beta_mn, "series")
+    if degree > ci.N:
+        raise DegreeMismatch(f"series degree {degree} exceeds table degree {ci.N}")
+    return series_gram(p, ci.alpha_mn, ci.beta_mn, max(degree, 0))
+
+
+def dirichlet_norm_series(f, p, ci):
+    """Squared norm a^H G a from the coefficient matrices; must agree with
+    dirichlet_norm_quad to the quadrature tolerance."""
+    return _series_value(f, p, _table_gram(p, ci, f.degree), "series")
 
 
 def closed_k1_matrices(alpha, N):
@@ -258,7 +277,7 @@ def dirichlet_norm_closed_k1(f, p):
         raise DomainError("the series norm is defined on the linear (beta = 1) space")
     N = max(f.degree, 0)
     A, B = closed_k1_matrices(p.alpha, N)
-    return _assemble_series_norm(f, p, A, B, "closed-k1")
+    return _series_value(f, p, series_gram(p, A, B, N), "closed-k1")
 
 
 def _field_diverges(f, p):

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import BranchError, DomainError, FFQError
 from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
-                         dirichlet_norm_series, ff_eval_stack,
-                         reproduction_rhs_1, reproduction_rhs_2,
-                         _require_sigma_interior)
+                         ff_eval_stack, reproduction_rhs_1, reproduction_rhs_2,
+                         _gram_form, _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
 from .quaternion import (Quaternion, as_quaternion, embed_complex,
@@ -118,29 +117,18 @@ def qdirichlet_inner_product(f, g, p, frame, spec=None):
 def qdirichlet_norm_series(f, p, frame, ci):
     """Series form of the squared norm, assembled quaternionically.
 
-    The Gram of the coefficient products a_n conj(a_m), formed in the
-    standard-frame split, is projected on C(i) (the slice projection
-    (w - i w i)/2) and weighted by the coefficient matrices, which is what
-    the sum of the two complex series norms produces; split_parts records
-    those complex norms, and the quaternionic assembly must match their sum
-    to rounding.
+    With G the Gram matrix of the complex series norm (series_gram), the
+    squared norm is Re tr(G gram), where gram[n, m] is the slice projection
+    (w - i w i)/2 on C(i) of the coefficient product a_n conj(a_m), formed
+    in the standard-frame split.  split_parts records the complex norms
+    a1^H G a1 and a2^H G a2 of the split components, whose sum the
+    quaternionic form must match to rounding.
     """
-    _require_linear(p)
-    pair = split(f, frame)
-    # the complex norms also check the table against (alpha, k) and the degree
-    parts = (dirichlet_norm_series(pair.f1, p, ci).norm_sq,
-             dirichlet_norm_series(pair.f2, p, ci).norm_sq)
-    s, d = p.sigma, max(f.degree, 0)
-    # gram[n, m] is the C(i) component of a_n conj(a_m)
+    G = _table_gram(p, ci, f.degree)
+    parts = tuple(_gram_form(G, c) for c in frame_coords(f.parts.view(float), frame))
     gram_q = _qmul(f.parts, regular_conjugate(f).parts, np.multiply.outer)
     gram = frame_coords(gram_q.view(float), frame)[0]
-    n = np.arange(1.0, f.degree + 2)
-    bergman = (1.0 - s) ** 2 * np.pi * np.sum(gram.diagonal().real / n)
-    quad_form = np.sum(n[:d, None] * gram[1:, 1:] * n[:d] * ci.alpha_mn[:d, :d].T).real
-    cross = 2.0 * np.sum(n[:d, None] * gram[1:, :] * ci.beta_mn[:d, : d + 1]).real
-    point = p.alpha * eval_q(f, Quaternion(BASE_POINT)).norm_sq()
-    norm_sq = float(point + bergman + (s / p.alpha) ** 2 * quad_form
-                    + (1.0 - s) * s / p.alpha * cross)
+    norm_sq = float(np.sum(G[: len(gram), : len(gram)] * gram.T).real)
     return QDirichletValue(norm_sq, parts, frame, "series")
 
 

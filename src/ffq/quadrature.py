@@ -16,6 +16,7 @@ elements, counting each row of a stack of the given height.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,6 +44,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nr < 4 or self.ntheta < 4:
             raise DomainError("node counts must be at least 4")
+        if self.panels_r < 1 or self.panels_theta < 1:
+            raise DomainError("panel counts must be at least 1")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
+            raise DomainError("tolerances must be finite, rel_tol > 0 and abs_tol >= 0")
         if self.max_refine < 1:
             raise DomainError("at least one refinement is needed to estimate error")
 
@@ -88,11 +93,10 @@ def _polar_blocks(spec, level, height=1):
         )
 
 
-def _polar_estimate(g, spec, level, jacobian, height=1):
+def _polar_estimate(g, spec, level, height=1):
     acc = None
     for r, t, w in _polar_blocks(spec, level, height):
-        if jacobian:
-            w = w * r
+        w = w * r
         part = np.asarray(g(r, t)) @ w
         acc = part if acc is None else acc + part
     return np.asarray(acc)
@@ -135,21 +139,6 @@ def _unwrap(value):
     return value.item() if np.ndim(value) == 0 else value
 
 
-def integrate_polar(g, spec=None, include_jacobian=False):
-    """Integrate g(r, theta) over [0,1] x (-pi, pi) with plain dr dtheta.
-
-    Pass include_jacobian=True to integrate against r dr dtheta instead.
-    Returns QuadResult(value, error estimate, refinement level); raises
-    NoConvergence when the cap is hit above tolerance.
-    """
-    spec = spec or DEFAULT_SPEC
-    return _converge(
-        lambda level: _polar_estimate(g, spec, level, include_jacobian),
-        spec,
-        "polar integral",
-    )
-
-
 def integrate_disk(integrand, spec=None, height=1):
     """Integral of integrand(z) over the slit unit disk, d(mu) = r dr dtheta.
 
@@ -164,7 +153,7 @@ def integrate_disk(integrand, spec=None, height=1):
     spec = spec or DEFAULT_SPEC
     return _converge(
         lambda level: _polar_estimate(
-            lambda r, t: integrand(r * np.exp(1j * t)), spec, level, True, height
+            lambda r, t: integrand(r * np.exp(1j * t)), spec, level, height
         ),
         spec,
         "disk integral",

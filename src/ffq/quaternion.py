@@ -6,6 +6,7 @@ to share across threads.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,7 +161,11 @@ def slice_decompose(q):
     """
     q = as_quaternion(q)
     y = q.vector_norm()
-    axis = E1 if y == 0.0 else Quaternion(0.0, q.x / y, q.y / y, q.z / y)
+    # a subnormal y has lost digits: scale by the exact power 2**600 first
+    s = 1.0 if y >= sys.float_info.min else 2.0 ** 600
+    v = (q.x * s, q.y * s, q.z * s)
+    n = math.hypot(*v)
+    axis = E1 if y == 0.0 else Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
     return SlicePolar(q.w, y, axis, math.atan2(y, q.w), math.hypot(q.w, y))
 
 

@@ -18,7 +18,7 @@ from .ff_complex import (bergman_kernel, coefficient_integrals,
                          dirichlet_norm_closed_k1, dirichlet_norm_quad,
                          dirichlet_norms_quad, dirichlet_norm_series, ff_eval_c,
                          integrating_factor_residual, reproduce_identity_1,
-                         reproduce_identity_2)
+                         reproduce_identity_2, series_gram, _gram_form)
 from .ff_quaternionic import (SLICE_BOUND, q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
@@ -167,11 +167,10 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                                    status="divergent" if profiles[label] else "fail")
                     else:
                         if ci is None:
-                            # constants never touch the matrices: the series
-                            # norm is the point term plus the n = 0 term
-                            ns = (alpha * abs(f(0.5)) ** 2
-                                  + (1 - sigma) ** 2 * math.pi
-                                  * abs(f.coeffs[0]) ** 2)
+                            # constants never touch the matrices: the
+                            # degree-0 block of G reads no table entry
+                            empty = np.zeros((0, 1))
+                            ns = _gram_form(series_gram(p, empty, empty, 0), f.coeffs)
                         else:
                             ns = dirichlet_norm_series(f, p, ci).norm_sq
                         nq = next(quads).norm_sq

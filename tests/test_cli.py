@@ -210,6 +210,20 @@ def test_hostile_series_exit_2_or_3_with_strict_json(series, capsys):
     assert "error" in json.loads(err, parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rel-tol", "nan"),
+    ("--rel-tol", "-1"),
+    ("--quad-panels-r", "0"),
+    ("--quad-panels-r", "-3"),
+    ("--abs-tol", "-1"),
+])
+def test_bad_quadrature_spec_exits_3_with_strict_json(flag, value, capsys):
+    code, out, err = run_cli(["norm", "--f", "[[1,0]]", flag, value], capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == "domain"
+
+
 def test_error_record_writes_non_finite_floats_as_strings(capsys):
     from ffq.cli import _error_record
     _error_record("no_convergence", ValueError("x"), change=math.nan, value=math.inf)

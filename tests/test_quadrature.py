@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffq import (DomainError, NoConvergence, QuadratureSpec, build_slit_path,
-                 in_slit_disk, integrate_disk, integrate_polar, path_integral)
+                 in_slit_disk, integrate_disk, path_integral)
 
 
 def test_disk_area():
@@ -31,11 +31,6 @@ def test_monomial_family(n, m):
     assert abs(res.value - expected) <= 1e-9 * max(abs(expected), 1.0)
     # the reported error bounds the true error on this family
     assert abs(res.value - expected) <= max(res.error, 1e-13)
-
-
-def test_polar_without_jacobian():
-    res = integrate_polar(lambda r, t: r * 0 + 1.0)
-    assert abs(res.value - 2.0 * math.pi) < 1e-12
 
 
 def test_refinement_is_monotone_for_divergent_integrand():
@@ -112,6 +107,12 @@ def test_spec_validation():
         QuadratureSpec(nr=2)
     with pytest.raises(DomainError):
         QuadratureSpec(max_refine=0)
+    for bad in ({"rel_tol": math.nan}, {"rel_tol": 0.0}, {"rel_tol": math.inf},
+                {"abs_tol": -1e-14}, {"abs_tol": math.nan},
+                {"panels_r": 0}, {"panels_theta": -3}):
+        with pytest.raises(DomainError):
+            QuadratureSpec(**bad)
+    QuadratureSpec(abs_tol=0.0)
 
 
 def test_stacked_entries_keep_the_value_they_get_alone():

@@ -98,6 +98,7 @@ def test_slice_decompose_examples():
 
 @given(quaternions)
 @example(Quaternion(0.0, 0.0, 0.0, 1.6515938958392981e-158))  # z*z is subnormal
+@example(Quaternion(0.0, 0.0, 2.2250738585e-313, 2.2250738585e-313))  # |v| is subnormal
 def test_slice_decompose_reconstructs(q):
     sp = slice_decompose(q)
     back = Quaternion(sp.x) + sp.axis * sp.y
