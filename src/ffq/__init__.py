@@ -26,8 +26,9 @@ from .ff_real import (DEFAULT_STEP, FFParams, FractalMeasure,
                       ff_family_sigma_alpha2, fractal_derivative,
                       measure_identity, measure_power, measure_truncated_exp,
                       proportional_derivative)
-from .quadrature import (DEFAULT_SPEC, QuadratureSpec, QuadResult, SlitPath,
-                         build_slit_path, integrate_disk, path_integral)
+from .quadrature import (DEFAULT_SPEC, MAX_FINEST_NODES, QuadratureSpec,
+                         QuadResult, SlitPath, build_slit_path, integrate_disk,
+                         path_integral)
 from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          bergman_kernel, closed_k1_matrices,
                          coefficient_integrals, dirichlet_norm,
@@ -36,7 +37,8 @@ from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          ff_eval_c, ff_eval_stack, inner_product_c,
                          integrating_factor_residual, kernel_K_half,
                          reproduce_identity_1, reproduce_identity_2,
-                         reproduction_rhs_1, reproduction_rhs_2)
+                         reproduction_rhs_1, reproduction_rhs_1_stack,
+                         reproduction_rhs_2, reproduction_rhs_2_stack)
 from .ff_quaternionic import (QDirichletValue, QReproduceResult, SLICE_BOUND,
                               ff_eval_q, q_reproduce, qdirichlet_inner_product,
                               qdirichlet_norm, qdirichlet_norm_series,

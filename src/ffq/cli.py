@@ -377,10 +377,20 @@ def _emit(doc, job):
         sys.stdout.write(text)
 
 
+def _strict_json(value):
+    """value as strict JSON data: arrays as lists, a complex number as
+    [re, im] and a non-finite float as its repr string."""
+    if isinstance(value, (np.ndarray, list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, complex):
+        return [_strict_json(value.real), _strict_json(value.imag)]
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else repr(float(value))
+    return value
+
+
 def _error_record(kind, exc, **extra):
-    # strict JSON: a non-finite float is written as its repr string
-    extra = {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in extra.items()}
+    extra = {k: _strict_json(v) for k, v in extra.items()}
     record = {"error": {"type": kind, "message": str(exc), **extra}}
     sys.stderr.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
@@ -504,8 +514,7 @@ def main(argv=None):
         _emit(doc, job)
         return code
     except NoConvergence as exc:
-        _error_record("no_convergence", exc,
-                      value=repr(exc.value), change=exc.error)
+        _error_record("no_convergence", exc, value=exc.value, change=exc.error)
         return EXIT_TOLERANCE
     except (DomainError, FFQError, ZeroDivisionError, OverflowError) as exc:
         _error_record("domain", exc)

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import BranchError, DomainError, FFQError
 from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
-                         ff_eval_stack, reproduction_rhs_1, reproduction_rhs_2,
-                         _gram_form, _require_sigma_interior, _table_gram)
+                         ff_eval_stack, reproduction_rhs_1_stack,
+                         reproduction_rhs_2_stack, _gram_form,
+                         _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
 from .quaternion import (Quaternion, as_quaternion, embed_complex,
@@ -166,8 +167,9 @@ def q_reproduce(f, p, frame, q, spec=None):
     """Residuals of both quaternionic reproducing identities at q.
 
     Verified by slice reduction: the complex right-hand sides are evaluated
-    for the split components at the two slice points x +- y i and recombined
-    to q with the representation formula, then compared with f(q).
+    for the split components, as one stack, at the two slice points x +- y i
+    and recombined to q with the representation formula, then compared with
+    f(q).
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -179,11 +181,12 @@ def q_reproduce(f, p, frame, q, spec=None):
     pair = split(f, frame)
     target = eval_q(f, q)
 
-    def recombine(rhs):
-        return _two_point(
-            lambda w: frame_embed(rhs(pair.f1, w), rhs(pair.f2, w), frame),
-            sp.x, sp.y, sp.axis, frame.i)
+    def recombine(rhs_stack):
+        def value_at(w):
+            r1, r2 = rhs_stack((pair.f1, pair.f2), p, w, spec)
+            return frame_embed(complex(r1), complex(r2), frame)
+        return _two_point(value_at, sp.x, sp.y, sp.axis, frame.i)
 
-    rec1 = recombine(lambda comp, w: reproduction_rhs_1(comp, p, w, spec))
-    rec2 = recombine(lambda comp, w: reproduction_rhs_2(comp, p, w, spec))
+    rec1 = recombine(reproduction_rhs_1_stack)
+    rec2 = recombine(reproduction_rhs_2_stack)
     return QReproduceResult((rec1 - target).norm(), (rec2 - target).norm())

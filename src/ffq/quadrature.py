@@ -27,11 +27,18 @@ from .errors import DomainError, NoConvergence
 from .holo_series import in_slit_disk
 
 _CHUNK = 1 << 20
+# largest finest-level disk rule a spec may ask for: four times the default
+# spec's 4096 x 4096 nodes at max_refine = 5, one more doubling of it
+MAX_FINEST_NODES = 1 << 26
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-rule orders, panel counts, tolerances and the refinement cap."""
+    """Tensor-rule orders, panel counts, tolerances and the refinement cap.
+
+    The finest disk level, (nr panels_r 2**max_refine) x (ntheta
+    panels_theta 2**max_refine) nodes, may not exceed MAX_FINEST_NODES.
+    """
 
     nr: int = 32
     ntheta: int = 32
@@ -50,6 +57,12 @@ class QuadratureSpec:
             raise DomainError("tolerances must be finite, rel_tol > 0 and abs_tol >= 0")
         if self.max_refine < 1:
             raise DomainError("at least one refinement is needed to estimate error")
+        # the shift is bounded first, so a huge max_refine builds no huge int
+        base = self.nr * self.panels_r * self.ntheta * self.panels_theta
+        shift = 2 * self.max_refine
+        if shift >= MAX_FINEST_NODES.bit_length() or base << shift > MAX_FINEST_NODES:
+            raise DomainError(f"the finest level's {base} * 4**{self.max_refine} disk "
+                              f"nodes exceed the budget of {MAX_FINEST_NODES}")
 
 
 DEFAULT_SPEC = QuadratureSpec()

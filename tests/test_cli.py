@@ -252,3 +252,54 @@ def test_norm_with_vanishing_derivative_at_minus_one_is_integrated(capsys):
     assert doc["method"] == "quadrature"
     # D f = 1 + z + z**2 / 2: |f(1/2)|**2 + pi (1 + 1/2 + 1/12)
     assert abs(doc["norm_sq"] - (1.5625 + 19.0 * math.pi / 12.0)) < 1e-9
+
+
+def test_divergent_cell_record_has_null_value_and_change(no_quadrature, capsys):
+    code, out, err = run_cli(["norm", "--f", "[[1,0],[1,0]]", "--alpha", "1",
+                              "--k", "2"], capsys)
+    assert code == EXIT_TOLERANCE
+    record = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert record["type"] == "no_convergence"
+    assert record["value"] is None and record["change"] is None
+
+
+# a coarse rule that cannot meet rel_tol 1e-300 in one refinement
+_CAPPED = ["--rel-tol", "1e-300", "--abs-tol", "0", "--max-refine", "1",
+           "--quad-nr", "4", "--quad-ntheta", "4", "--quad-panels-r", "1",
+           "--quad-panels-theta", "1"]
+
+
+def test_capped_norm_record_has_numeric_value(capsys):
+    code, out, err = run_cli(["norm", "--f", "[[0,0],[1,0]]", "--alpha", "0.5"]
+                             + _CAPPED, capsys)
+    assert code == EXIT_TOLERANCE
+    record = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert record["type"] == "no_convergence"
+    assert isinstance(record["value"], float) and isinstance(record["change"], float)
+
+
+def test_capped_stack_record_has_complex_pairs(capsys):
+    # the inner product's two quaternionic field rows, each as [re, im]
+    code, out, err = run_cli(["qnorm", "--f", "[[1,0,0,1],[1,0,1,0]]",
+                              "--g", "[[1,0,0,0]]", "--alpha", "0.5"] + _CAPPED,
+                             capsys)
+    assert code == EXIT_TOLERANCE
+    value = json.loads(err, parse_constant=_reject_constant)["error"]["value"]
+    assert len(value) == 2
+    assert all(len(pair) == 2 and all(isinstance(v, float) for v in pair)
+               for pair in value)
+
+
+def test_node_budget_exits_3_without_building_a_grid(no_quadrature, monkeypatch,
+                                                     capsys):
+    import ffq.quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(ffq.quadrature, "_polar_blocks", refuse)
+    code, out, err = run_cli(["norm", "--f", "[[1,0]]", "--max-refine", "40"], capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    record = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert record["type"] == "domain" and "budget" in record["message"]

@@ -10,8 +10,13 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DivergentIntegral,
                  dirichlet_norm_quad, dirichlet_norms_quad,
                  dirichlet_norm_series, ff_eval_c,
                  inner_product_c, integrating_factor_residual, kernel_K_half,
-                 reproduce_identity_1, reproduce_identity_2, integrate_disk)
+                 reproduce_identity_1, reproduce_identity_2, integrate_disk,
+                 reproduction_rhs_1, reproduction_rhs_1_stack,
+                 reproduction_rhs_2, reproduction_rhs_2_stack)
+from ffq import ff_complex
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
+from ffq.quadrature import _composite, build_slit_path
+from ffq.verify import NESTED_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +231,90 @@ def test_kernel_K_half(spec):
     from ffq import build_slit_path, path_integral
     limit = path_integral(bare, build_slit_path(z), spec).value
     assert abs(values[1] - limit) < 1e-3 * max(abs(limit), 1.0)
+
+
+# z across the disk, out to |z| = 0.97, where the path rule's coarse levels
+# need more series terms than the dense product costs
+MOMENT_POINTS = (0.5 + 0.3j, 0.85j, 0.95 * np.exp(2.5j), 0.97)
+
+
+def _zeta_grid():
+    """Zetas on rings out to the last Gauss ring of NESTED_SPEC's finest
+    level, the largest |zeta| its disk rule evaluates the kernel at."""
+    rn, _ = _composite(0.0, 1.0, NESTED_SPEC.panels_r << NESTED_SPEC.max_refine,
+                       NESTED_SPEC.nr)
+    r = np.append(np.linspace(0.0, 0.99, 20), rn[-1])
+    t = np.linspace(-math.pi, math.pi, 32, endpoint=False) + 0.01
+    return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
+
+
+def test_moment_form_matches_dense_path_sum():
+    zt = _zeta_grid()
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    for z in MOMENT_POINTS:
+        path = build_slit_path(z)
+        for level in range(NESTED_SPEC.max_refine + 1):
+            wn, wt = ff_complex._weighted_path_rule(path, p, 1.0, NESTED_SPEC, level)
+            N = ff_complex._moment_order(np.max(np.abs(wn)) * np.max(np.abs(zt)))
+            dense = ff_complex._dense_path_sum(wn, wt, zt)
+            moment = ff_complex._moment_path_sum(wn, wt, zt, N)
+            assert np.max(np.abs(moment - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_moment_order_meets_the_tail_bound():
+    for rho in (0.0, 0.3, 0.85, 0.97, 0.99999):
+        N = ff_complex._moment_order(rho)
+        assert (N + 2) * rho ** (N + 1) / (1.0 - rho) ** 2 <= 1e-16
+        if N > 0:
+            assert (N + 1) * rho ** N / (1.0 - rho) ** 2 > 1e-16
+    assert ff_complex._moment_order(1.0) == math.inf
+
+
+def test_kernel_takes_both_branches_and_matches_the_dense_kernel(monkeypatch):
+    zt = _zeta_grid()
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    seen = set()
+
+    def spy(name):
+        orig = getattr(ff_complex, name)
+
+        def run(*args):
+            seen.add(name)
+            return orig(*args)
+        monkeypatch.setattr(ff_complex, name, run)
+
+    spy("_dense_path_sum")
+    spy("_moment_path_sum")
+    mixed = [kernel_K_half(z, zt, p, NESTED_SPEC) for z in MOMENT_POINTS]
+    assert seen == {"_dense_path_sum", "_moment_path_sum"}
+    at_zero = kernel_K_half(0.85j, 0.0, p, NESTED_SPEC)  # rho = 0: one term
+    monkeypatch.setattr(ff_complex, "_DENSE_COST", 0)  # every level dense
+    for z, got in zip(MOMENT_POINTS, mixed):
+        dense = kernel_K_half(z, zt, p, NESTED_SPEC)
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    dense = kernel_K_half(0.85j, 0.0, p, NESTED_SPEC)
+    assert abs(at_zero - dense) <= 1e-13 * abs(dense)
+
+
+def test_kernel_rejects_non_finite_zeta():
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    with pytest.raises(DomainError):
+        kernel_K_half(0.3j, complex(math.nan, 0.0), p, NESTED_SPEC)
+    # off the disk the Bergman series diverges and the dense product serves
+    far = kernel_K_half(0.3j, 1.5 + 0.5j, p, NESTED_SPEC)
+    assert np.isfinite(far)
+
+
+def test_stacked_right_hand_sides_match_one_series():
+    p = FFParams(alpha=1.0, sigma=0.4, k=INF)
+    pair = (CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.3j, 0.0, 1.0]))
+    z = 0.3 + 0.4j
+    for stack, one in ((reproduction_rhs_1_stack, reproduction_rhs_1),
+                       (reproduction_rhs_2_stack, reproduction_rhs_2)):
+        got = stack(pair, p, z, NESTED_SPEC)
+        for f, value in zip(pair, got):
+            alone = one(f, p, z, NESTED_SPEC)
+            assert abs(value - alone) <= 1e-13 * abs(alone)
 
 
 def test_reproduce_identity_2(spec):

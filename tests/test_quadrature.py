@@ -115,6 +115,23 @@ def test_spec_validation():
     QuadratureSpec(abs_tol=0.0)
 
 
+def test_spec_node_budget():
+    from ffq.quadrature import DEFAULT_SPEC, MAX_FINEST_NODES
+    from ffq.verify import DIVERGENCE_SPEC, NESTED_SPEC
+
+    def finest(spec):
+        return (spec.nr * spec.panels_r * spec.ntheta * spec.panels_theta
+                * 4 ** spec.max_refine)
+
+    for spec in (DEFAULT_SPEC, NESTED_SPEC, DIVERGENCE_SPEC,
+                 QuadratureSpec(max_refine=6)):
+        assert finest(spec) <= MAX_FINEST_NODES
+    for bad in ({"max_refine": 7}, {"max_refine": 40}, {"max_refine": 10 ** 18},
+                {"nr": 64, "max_refine": 6}, {"panels_theta": 10 ** 9}):
+        with pytest.raises(DomainError, match="budget"):
+            QuadratureSpec(**bad)
+
+
 def test_stacked_entries_keep_the_value_they_get_alone():
     # r**0.3 meets the tolerance at level 1, the kink at level 4; in one
     # stack each keeps its own level's value
