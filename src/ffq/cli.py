@@ -2,15 +2,23 @@
 derivative evaluation, batch tables, verification suites, machine-readable
 JSON/CSV output.
 
-Exit codes: 0 all assertions passed, 2 parse error, 3 domain error,
-4 tolerance or convergence failure.  Every float is printed with 17
-significant digits so re-ingestion is lossless, and repeated invocations
-produce byte-identical files.  The environment variable FFQ_CONFIG may point
-at a JSON file of flag defaults.
+One table, FLAGS, maps each flag to the JobSpec field it sets, and
+COMMANDS lists the flags each command reads (plus --out, --format and
+--job); the parsers, the FFQ_CONFIG lookup and the JobSpec are built from
+the two.  The environment variable FFQ_CONFIG may point at a JSON file of
+flag defaults, keyed like the flags' argparse dests.
+
+Exit codes: 0 all assertions passed, 2 parse error (argparse errors and
+flags a command does not take included), 3 domain error, 4 tolerance or
+convergence failure; failures write one strict-JSON error record to stderr.
+Every float is printed with 17 significant digits so re-ingestion is
+lossless, and repeated invocations produce byte-identical files.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -46,10 +54,8 @@ def canonical_dumps(obj, indent=0):
     variation, so equal payloads serialize to equal bytes."""
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, int):
@@ -180,12 +186,6 @@ def build_frame(payload):
     return SliceFrame(Quaternion(*payload[0]), Quaternion(*payload[1]))
 
 
-def build_quad_spec(quad):
-    if not quad:
-        return QuadratureSpec()
-    return QuadratureSpec(**quad)
-
-
 def build_params(job):
     return FFParams(alpha=job.alpha, sigma=job.sigma, k=job.k, beta=job.beta)
 
@@ -218,7 +218,7 @@ _DEFAULT_METHODS = {"deriv": "closed", "qderiv": "split"}
 def run(job):
     """Execute a job; returns (exit_code, document) where the document is a
     dict for JSON output or a list of row dicts for tabular output."""
-    spec = build_quad_spec(job.quad)
+    spec = QuadratureSpec(**(job.quad or {}))
     method = job.method or _DEFAULT_METHODS.get(job.command, "quad")
     if job.command == "deriv":
         if job.real_f is not None:
@@ -324,50 +324,25 @@ def _table(job, spec, method):
     return rows
 
 
-def _render_csv(rows):
-    if not rows:
-        return ""
-    header = list(dict.fromkeys(key for row in rows for key in row))
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row.get(key, "")
-            if isinstance(v, bool):
-                cells.append(str(v).lower())
-            elif isinstance(v, float):
-                cells.append(fmt_float(v))
-            elif isinstance(v, (list, tuple)):
-                cells.append('"' + canonical_dumps(list(v)) + '"')
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _sanitize(doc):
-    if isinstance(doc, dict):
-        return {k: _sanitize(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_sanitize(v) for v in doc]
-    if isinstance(doc, (np.floating,)):
-        return float(doc)
-    if isinstance(doc, (np.integer,)):
-        return int(doc)
-    if isinstance(doc, np.bool_):
-        return bool(doc)
-    return doc
+def _cell(value):
+    """One CSV cell: a string as it is, a float with 17 digits, anything
+    else (a nested row value, a boolean, an integer) as canonical JSON."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return fmt_float(value)
+    return canonical_dumps(value)
 
 
 def _emit(doc, job):
-    doc = _sanitize(doc)
     if job.format == "csv":
         rows = doc if isinstance(doc, list) else [doc]
-        flat = []
-        for row in rows:
-            flat.append({k: (canonical_dumps(v) if isinstance(v, (dict, list))
-                             else v) for k, v in row.items()})
-        text = _render_csv(flat)
+        header = list(dict.fromkeys(key for row in rows for key in row))
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, header, restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({k: _cell(v) for k, v in row.items()} for row in rows)
+        text = buf.getvalue()
     else:
         text = canonical_dumps(doc) + "\n"
     if job.out:
@@ -395,42 +370,78 @@ def _error_record(kind, exc, **extra):
     sys.stderr.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--f", help="series coefficients, JSON or @file")
-    sub.add_argument("--g", help="second series, JSON or @file")
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--sigma", type=float, default=None)
-    sub.add_argument("--k", default=None, help="non-negative integer or 'inf'")
-    sub.add_argument("--frame", help="two quaternions as JSON [[..4],[..4]]")
-    sub.add_argument("--z", help="complex point as JSON [re, im]")
-    sub.add_argument("--zeta", help="complex point as JSON [re, im]")
-    sub.add_argument("--t", type=float, default=None, help="real-line point")
-    sub.add_argument("--real-f", dest="real_f", default=None,
-                     help="built-in real function: poly, exp, sin-offset")
-    sub.add_argument("--method", default=None)
-    sub.add_argument("--suite", default=None)
-    sub.add_argument("--alphas", help="JSON list for table sweeps")
-    sub.add_argument("--sigmas", help="JSON list for table sweeps")
-    sub.add_argument("--ks", help="JSON list for table sweeps")
-    sub.add_argument("--quad-nr", type=int, dest="quad_nr", default=None)
-    sub.add_argument("--quad-ntheta", type=int, dest="quad_ntheta", default=None)
-    sub.add_argument("--quad-panels-r", type=int, dest="quad_panels_r", default=None)
-    sub.add_argument("--quad-panels-theta", type=int, dest="quad_panels_theta",
-                     default=None)
-    sub.add_argument("--rel-tol", type=float, dest="rel_tol", default=None)
-    sub.add_argument("--abs-tol", type=float, dest="abs_tol", default=None)
-    sub.add_argument("--max-refine", type=int, dest="max_refine", default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--job", help="full JobSpec as JSON or @file (overrides flags)")
+# Every flag by its argparse dest, which is also its FFQ_CONFIG key:
+# (the JobSpec field it sets, or quad.<QuadratureSpec field>; the parser of
+# the flag's text; help).  A flag's value, or else the config's, goes into
+# a JobSpec payload, so k and ks decode once, in JobSpec.from_payload, and a
+# field that neither sets keeps JobSpec's default.
+FLAGS = {
+    "f": ("f", _read_json_arg, "series coefficients, JSON or @file"),
+    "g": ("g", _read_json_arg, "second series, JSON or @file"),
+    "alpha": ("alpha", float, None),
+    "beta": ("beta", float, None),
+    "sigma": ("sigma", float, None),
+    "k": ("k", str, "non-negative integer or 'inf'"),
+    "frame": ("frame", _read_json_arg, "two quaternions as JSON [[..4],[..4]]"),
+    "z": ("z", _read_json_arg, "complex point as JSON [re, im]"),
+    "zeta": ("zeta", _read_json_arg, "complex point as JSON [re, im]"),
+    "t": ("t", float, "real-line point"),
+    "real_f": ("real_f", str, "built-in real function: poly, exp, sin-offset"),
+    "method": ("method", str, None),
+    "suite": ("suite", str, None),
+    "alphas": ("alphas", _read_json_arg, "JSON list for table sweeps"),
+    "sigmas": ("sigmas", _read_json_arg, "JSON list for table sweeps"),
+    "ks": ("ks", _read_json_arg, "JSON list for table sweeps"),
+    "quad_nr": ("quad.nr", int, None),
+    "quad_ntheta": ("quad.ntheta", int, None),
+    "quad_panels_r": ("quad.panels_r", int, None),
+    "quad_panels_theta": ("quad.panels_theta", int, None),
+    "rel_tol": ("quad.rel_tol", float, None),
+    "abs_tol": ("quad.abs_tol", float, None),
+    "max_refine": ("quad.max_refine", int, None),
+    "out": ("out", str, None),
+    "format": ("format", str, None),
+}
+
+_PARAMS = ("alpha", "beta", "sigma", "k")
+_QUAD = tuple(name for name, (field, _, _) in FLAGS.items()
+              if field.startswith("quad."))
+_OUTPUT = ("out", "format")
+
+# the flags each command reads: the JobSpec fields its branch of run uses;
+# every command also takes _OUTPUT and --job
+COMMANDS = {
+    "deriv": ("f", "z", "t", "real_f", "method") + _PARAMS,
+    "norm": ("f", "g", "method") + _PARAMS + _QUAD,
+    "qnorm": ("f", "g", "frame", "method") + _PARAMS + _QUAD,
+    "qderiv": ("f", "frame", "z", "method") + _PARAMS,
+    "kernel": ("z", "zeta") + _PARAMS + _QUAD,
+    "verify": ("suite",),
+    "qverify": ("suite",),
+    "table": ("f", "alphas", "sigmas", "ks", "method") + _PARAMS + _QUAD,
+}
 
 
-COMMANDS = ("deriv", "norm", "qnorm", "qderiv", "kernel", "verify", "qverify",
-            "table")
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to main, which writes it as a parse record."""
 
-_DEFAULTS = {"alpha": 1.0, "beta": 1.0, "sigma": 0.5, "k": 1,
-             "suite": "all", "format": "json"}
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _parser():
+    parser = _Parser(
+        prog="ffq",
+        description="Fractal-fractional derivatives and Dirichlet-type norms "
+                    "for holomorphic and slice-regular series.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, names in COMMANDS.items():
+        sub = subs.add_parser(command)
+        for name in names + _OUTPUT:
+            sub.add_argument("--" + name.replace("_", "-"), help=FLAGS[name][2],
+                             choices=("json", "csv") if name == "format" else None)
+        sub.add_argument("--job", help="full JobSpec as JSON or @file (overrides flags)")
+    return parser
 
 
 def _config_defaults():
@@ -438,75 +449,41 @@ def _config_defaults():
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("FFQ_CONFIG must name a JSON object of flag defaults")
+    return cfg
 
 
 def build_job(args):
-    if args.job:
-        return JobSpec.from_json(
-            open(args.job[1:]).read() if args.job.startswith("@") else args.job)
+    """The JobSpec of --job, or else of the command's flags over the
+    FFQ_CONFIG defaults over JobSpec's own."""
+    if args.job is not None:
+        return JobSpec.from_payload(_read_json_arg(args.job))
     cfg = _config_defaults()
-
-    def pick(name, parse=None):
-        value = getattr(args, name, None)
+    payload = {"command": args.command}
+    for name in COMMANDS[args.command] + _OUTPUT:
+        field, parse, _ = FLAGS[name]
+        text = getattr(args, name)
+        value = cfg.get(name) if text is None else parse(text)
         if value is None:
-            value = cfg.get(name, _DEFAULTS.get(name))
-        if value is not None and parse is not None and isinstance(value, str):
-            value = parse(value)
-        return value
-
-    quad = {}
-    for flag, field in (("quad_nr", "nr"), ("quad_ntheta", "ntheta"),
-                        ("quad_panels_r", "panels_r"),
-                        ("quad_panels_theta", "panels_theta"),
-                        ("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"),
-                        ("max_refine", "max_refine")):
-        value = getattr(args, flag, None)
-        if value is None:
-            value = cfg.get(flag)
-        if value is not None:
-            quad[field] = value
-    return JobSpec(
-        command=args.command,
-        f=_read_json_arg(args.f) if args.f else cfg.get("f"),
-        g=_read_json_arg(args.g) if args.g else cfg.get("g"),
-        alpha=pick("alpha"),
-        beta=pick("beta"),
-        sigma=pick("sigma"),
-        k=decode_k(pick("k")),
-        frame=_read_json_arg(args.frame) if args.frame else cfg.get("frame"),
-        z=_read_json_arg(args.z) if args.z else cfg.get("z"),
-        zeta=_read_json_arg(args.zeta) if args.zeta else cfg.get("zeta"),
-        t=pick("t"),
-        real_f=pick("real_f"),
-        method=pick("method"),
-        suite=pick("suite"),
-        alphas=_read_json_arg(args.alphas) if args.alphas else cfg.get("alphas"),
-        sigmas=_read_json_arg(args.sigmas) if args.sigmas else cfg.get("sigmas"),
-        ks=[decode_k(k) for k in _read_json_arg(args.ks)] if args.ks
-        else cfg.get("ks"),
-        quad=quad or None,
-        out=pick("out"),
-        format=pick("format"),
-    )
+            continue
+        head, _, key = field.partition(".")
+        if key:
+            payload.setdefault(head, {})[key] = value
+        else:
+            payload[field] = value
+    return JobSpec.from_payload(payload)
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="ffq",
-        description="Fractal-fractional derivatives and Dirichlet-type norms "
-                    "for holomorphic and slice-regular series.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _add_common(subs.add_parser(name))
-    args = parser.parse_args(argv)
     try:
-        job = build_job(args)
+        job = build_job(_parser().parse_args(argv))
     except json.JSONDecodeError as exc:
         _error_record("parse", exc, position=exc.pos, line=exc.lineno,
                       column=exc.colno)
         return EXIT_PARSE
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, LookupError) as exc:
         _error_record("parse", exc)
         return EXIT_PARSE
     try:
@@ -519,7 +496,7 @@ def main(argv=None):
     except (DomainError, FFQError, ZeroDivisionError, OverflowError) as exc:
         _error_record("domain", exc)
         return EXIT_DOMAIN
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, LookupError, ValueError) as exc:
         _error_record("parse", exc)
         return EXIT_PARSE
 

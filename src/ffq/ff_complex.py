@@ -466,9 +466,13 @@ def kernel_K_half(z, zeta, p, spec=None):
         raise DomainError("zeta must be finite")
     path = build_slit_path(z)
     outer = np.exp(-lam * fractal_measure_c(z, p.alpha, p.k))
-    if not path.segments:
-        out = np.zeros(zt.shape, dtype=complex)
+
+    def finish(vals):
+        out = outer * vals
         return complex(out[0]) if scalar else out
+
+    if not path.segments:
+        return finish(np.zeros(zt.shape, dtype=complex))
     zeta_max = float(np.max(np.abs(zt)))
 
     def estimate(level):
@@ -478,9 +482,11 @@ def kernel_K_half(z, zeta, p, spec=None):
             return _dense_path_sum(wn, wt, zt)
         return _moment_path_sum(wn, wt, zt, N)
 
-    vals = _converge(estimate, spec, "kernel path integral").value
-    out = outer * vals
-    return complex(out[0]) if scalar else out
+    try:
+        return finish(_converge(estimate, spec, "kernel path integral").value)
+    except NoConvergence as exc:
+        raise NoConvergence(str(exc), finish(exc.value),
+                            float(exc.error * abs(outer))) from None
 
 
 def reproduction_rhs_2_stack(fs, p, z, spec=None):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -303,3 +305,81 @@ def test_node_budget_exits_3_without_building_a_grid(no_quadrature, monkeypatch,
     assert out == ""
     record = json.loads(err, parse_constant=_reject_constant)["error"]
     assert record["type"] == "domain" and "budget" in record["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["qnorm", "--f", "[[0,0,0,0],[0,0,0,1]]", "--alpha", "0.7", "--sigma", "0.3",
+     "--k", "2"],
+    ["kernel", "--z", "[0.5,0.2]", "--zeta", "[0.3,0.1]", "--sigma", "0.5"],
+    ["qverify", "--suite", "kernel"],
+])
+def test_csv_rows_have_the_header_field_count(argv, capsys):
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    for row in rows:
+        # DictReader files surplus cells under None and fills short rows with None
+        assert None not in row and None not in row.values()
+        if "params" in row:
+            assert json.loads(row["params"])["sigma"] == float(argv[argv.index("--sigma") + 1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "[[1,0]]", "--bogus", "1"],                    # unknown flag
+    [],                                                            # no command
+    ["norm", "--f", "[[1,0]]", "--format", "xml"],                 # bad choice
+    ["deriv", "--f", "[[1,0]]", "--z", "[0.3,0]", "--frame",
+     "[[0,1,0,0],[0,0,1,0]]"],                                     # not read by deriv
+    ["kernel", "--z", "[0.5,0]", "--zeta", "[0.3,0]", "--method", "bogus"],
+    ["verify", "--suite", "anchors", "--rel-tol", "1e-3"],
+])
+def test_usage_errors_exit_2_with_a_parse_record(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == "parse"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["deriv", "--help"])
+    assert exit_info.value.code == 0
+    assert "--frame" not in capsys.readouterr().out
+
+
+def test_capped_kernel_record_is_the_scaled_kernel_at_the_cap(capsys):
+    from ffq.ff_complex import kernel_K_half
+    from ffq.ff_real import FFParams
+    from ffq.quadrature import QuadratureSpec
+
+    code, out, err = run_cli(["kernel", "--z", "[0.9,0.3]", "--zeta", "[0.3,0.1]"]
+                             + _CAPPED, capsys)
+    assert code == EXIT_TOLERANCE
+    record = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert record["type"] == "no_convergence"
+    re, im = record["value"]  # one [re, im] pair for one zeta
+    # the same rule with a tolerance that level 1 meets returns level 1 too
+    loose = QuadratureSpec(nr=4, ntheta=4, panels_r=1, panels_theta=1,
+                           rel_tol=1.0, abs_tol=0.0, max_refine=1)
+    expected = kernel_K_half(0.9 + 0.3j, 0.3 + 0.1j, FFParams(alpha=1.0, sigma=0.5, k=1),
+                             loose)
+    assert abs(complex(re, im) - expected) <= 1e-12 * abs(expected)
+
+
+def test_config_ks_decode_like_the_flag(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({"f": [[1, 0]], "ks": [1, "inf"]}))
+    monkeypatch.setenv("FFQ_CONFIG", str(cfg))
+    code, out, _ = run_cli(["table"], capsys)
+    assert code == EXIT_OK
+    assert [row["k"] for row in json.loads(out)] == [1, "inf"]
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text("[1]")
+    monkeypatch.setenv("FFQ_CONFIG", str(cfg))
+    code, out, err = run_cli(["norm", "--f", "[[1,0]]"], capsys)
+    assert code == EXIT_PARSE
+    assert json.loads(err)["error"]["type"] == "parse"
