@@ -200,6 +200,8 @@ def _real_function(job):
     if job.real_f == "poly":
         coeffs = [float(c[0]) if isinstance(c, list) else float(c)
                   for c in (job.f or [])]
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(f"non-finite poly coefficient in {coeffs!r}")
         return lambda t: sum(c * t ** n for n, c in enumerate(coeffs))
     if job.real_f in _REAL_FUNCTIONS:
         return _REAL_FUNCTIONS[job.real_f]
@@ -455,6 +457,17 @@ def _config_defaults():
     return cfg
 
 
+def _parse_flag(name, parse, text):
+    """parse(text); a ValueError's message names the flag."""
+    flag = "--" + name.replace("_", "-")
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{flag}: {exc.msg}", exc.doc, exc.pos) from None
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def build_job(args):
     """The JobSpec of --job, or else of the command's flags over the
     FFQ_CONFIG defaults over JobSpec's own."""
@@ -465,7 +478,7 @@ def build_job(args):
     for name in COMMANDS[args.command] + _OUTPUT:
         field, parse, _ = FLAGS[name]
         text = getattr(args, name)
-        value = cfg.get(name) if text is None else parse(text)
+        value = cfg.get(name) if text is None else _parse_flag(name, parse, text)
         if value is None:
             continue
         head, _, key = field.partition(".")

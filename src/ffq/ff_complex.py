@@ -22,7 +22,7 @@ from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
                      DomainError, INF, NoConvergence)
 from .holo_series import (fractal_measure_c, fractal_measure_deriv_c,
                           in_slit_disk, truncated_exp_c)
-from .quadrature import (DEFAULT_SPEC, _composite, _converge, _polar_blocks,
+from .quadrature import (DEFAULT_SPEC, _converge, _path_rule, _polar_blocks,
                          build_slit_path, integrate_disk)
 
 BASE_POINT = 0.5
@@ -128,12 +128,14 @@ def inner_product_c(f, g, p, spec=None):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientIntegrals:
-    """Matrices of the two coefficient integrals entering the series norm.
+    """Real matrices of the two coefficient integrals entering the series norm.
 
     alpha_mn[m, n] integrates r**(n+m+3-2a) e^(i th (n-m)) / |e_{k-1}|**2 and
     beta_mn[m, n] integrates r**(n+m+2-a) e^(i th (m+1-n-a)) / e_{k-1}, both
-    with plain dr dtheta (the r-powers already carry the Jacobian).  Valid
-    for series of degree up to N = alpha_mn.shape[0] - 1.
+    with plain dr dtheta (the r-powers already carry the Jacobian).  The slit
+    disk and e_{k-1}(z**a) are symmetric under th -> -th, so both integrals
+    are real, and alpha_mn is symmetric.  Valid for series of degree up to
+    N = alpha_mn.shape[0] - 1.
     """
 
     alpha_mn: np.ndarray
@@ -198,36 +200,39 @@ def coefficient_integrals(p, N, spec=None):
             "e_1(z**alpha) = 1 + z vanishes at the boundary point z = -1"
         )
     spec = spec or DEFAULT_SPEC
-    result = _converge(
-        lambda level: _matrix_estimate(p, N, spec, level), spec, "coefficient integrals"
-    )
+    # real by the th -> -th symmetry: the imaginary parts are rounding
+    result = _converge(lambda level: _matrix_estimate(p, N, spec, level).real,
+                       spec, "coefficient integrals")
     return CoefficientIntegrals(result.value[0], result.value[1], p, result.error)
 
 
 def series_gram(p, A, B, N):
-    """Hermitian (N+1)x(N+1) matrix G with ||f||**2 = a^H G a for every
-    series f = sum a_n z**n of degree at most N, built from coefficient
+    """Real symmetric (N+1)x(N+1) matrix G with ||f||**2 = a^H G a for every
+    series f = sum a_n z**n of degree at most N, built from real coefficient
     matrices A, B valid to degree N or more.  With s = sigma, G is the sum
     of four terms:
 
     - the Bergman diagonal (1 - s)**2 pi / (n + 1);
     - (s/alpha)**2 D^T A D, where D maps a to c, c_n = (n + 1) a_{n+1};
-    - the Hermitian part of the cross term 2 (1 - s) s / alpha
-      Re(c^T B conj(a)), i.e. of 2 (1 - s) s / alpha conj(D^T B);
+    - the symmetric part of the cross term 2 (1 - s) s / alpha
+      Re(c^T B conj(a)), i.e. of 2 (1 - s) s / alpha D^T B;
     - the point term alpha v v^T with v_n = 2**-n, so v^T a = f(1/2).
 
-    The Hermitian part is taken of the whole sum, so G is exactly Hermitian
-    for a table that is so only to quadrature tolerance.
+    The symmetric part is taken of the whole sum, so G is exactly symmetric
+    for an A that is so only to quadrature tolerance.  A complex table
+    raises DomainError: the form above holds only for real ones.
     """
+    if np.iscomplexobj(A) or np.iscomplexobj(B):
+        raise DomainError("coefficient tables must be real")
     s, al = p.sigma, p.alpha
     n1 = np.arange(1.0, N + 2)
     w = n1[:N, None]
     v = 0.5 ** np.arange(N + 1)
-    G = np.diag((1.0 - s) ** 2 * math.pi / n1).astype(complex)
+    G = np.diag((1.0 - s) ** 2 * math.pi / n1)
     G[1:, 1:] += (s / al) ** 2 * w * A[:N, :N] * w.T
-    G[1:, :] += 2.0 * (1.0 - s) * s / al * w * np.conj(B[:N, : N + 1])
+    G[1:, :] += 2.0 * (1.0 - s) * s / al * w * B[:N, : N + 1]
     G += al * np.outer(v, v)
-    return (G + G.conj().T) / 2.0
+    return (G + G.T) / 2.0
 
 
 def _gram_form(G, a):
@@ -270,9 +275,9 @@ def closed_k1_matrices(alpha, N):
     """
     m = np.arange(N + 1)[:, None]
     n = np.arange(N + 1)[None, :]
-    A = np.where(m == n, 2.0 * math.pi / (n + m + 4.0 - 2.0 * alpha), 0.0).astype(complex)
+    A = np.where(m == n, 2.0 * math.pi / (n + m + 4.0 - 2.0 * alpha), 0.0)
     c = m + 1.0 - n - alpha
-    B = (2.0 * math.pi * np.sinc(c) / (n + m + 3.0 - alpha)).astype(complex)
+    B = 2.0 * math.pi * np.sinc(c) / (n + m + 3.0 - alpha)
     return A, B
 
 
@@ -280,11 +285,8 @@ def dirichlet_norm_closed_k1(f, p):
     """Closed-form fast path for k = 1; no quadrature involved."""
     if p.k != 1:
         raise DomainError("closed form available only for k = 1")
-    if p.beta != 1.0:
-        raise DomainError("the series norm is defined on the linear (beta = 1) space")
-    N = max(f.degree, 0)
-    A, B = closed_k1_matrices(p.alpha, N)
-    return _series_value(f, p, series_gram(p, A, B, N), "closed-k1")
+    ci = CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(f.degree, 0)), p, 0.0)
+    return _series_value(f, p, _table_gram(p, ci, f.degree), "closed-k1")
 
 
 def _field_diverges(f, p):
@@ -370,20 +372,9 @@ def _weighted_path_rule(path, p, lam, spec, level):
     """Path nodes with the scalar kernel weight folded into the quadrature
     weights, so evaluating the kernel at a zeta batch is one matrix-vector
     product per refinement level."""
-    nodes = []
-    weights = []
-    for seg in path.segments:
-        s, w = _composite(0.0, 1.0, spec.panels_r << level, spec.nr)
-        nodes.append(seg.point(s))
-        weights.append(w * seg.velocity(s))
-    wn = np.concatenate(nodes)
-    cw = np.concatenate(weights)
-    wt = cw * (
-        (1.0 / p.sigma)
-        * np.exp(lam * fractal_measure_c(wn, p.alpha, p.k))
-        * fractal_measure_deriv_c(wn, p.alpha, p.k)
-    )
-    return wn, wt
+    wn, cw = _path_rule(path, spec, level)
+    return wn, cw * ((1.0 / p.sigma) * np.exp(lam * fractal_measure_c(wn, p.alpha, p.k))
+                     * fractal_measure_deriv_c(wn, p.alpha, p.k))
 
 
 def _moment_order(rho):
@@ -457,14 +448,12 @@ def kernel_K_half(z, zeta, p, spec=None):
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
     z = complex(z)
-    if not in_slit_disk(z):
-        raise DomainError(f"{z} is not in the slit unit disk")
+    path = build_slit_path(z)
     lam = (1.0 - p.sigma) / p.sigma
     scalar = np.isscalar(zeta) or getattr(zeta, "ndim", 1) == 0
     zt = np.atleast_1d(np.asarray(zeta, dtype=complex))
     if not np.all(np.isfinite(zt)):
         raise DomainError("zeta must be finite")
-    path = build_slit_path(z)
     outer = np.exp(-lam * fractal_measure_c(z, p.alpha, p.k))
 
     def finish(vals):

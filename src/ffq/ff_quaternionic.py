@@ -23,8 +23,7 @@ from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
 from .quaternion import (Quaternion, as_quaternion, embed_complex,
                          frame_coords, frame_embed, slice_decompose)
-from .slice_regular import (_qmul, _two_point, cullen_derivative, eval_q,
-                            regular_conjugate, split)
+from .slice_regular import _two_point, cullen_derivative, eval_q, split
 
 
 def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
@@ -118,18 +117,18 @@ def qdirichlet_inner_product(f, g, p, frame, spec=None):
 def qdirichlet_norm_series(f, p, frame, ci):
     """Series form of the squared norm, assembled quaternionically.
 
-    With G the Gram matrix of the complex series norm (series_gram), the
-    squared norm is Re tr(G gram), where gram[n, m] is the slice projection
-    (w - i w i)/2 on C(i) of the coefficient product a_n conj(a_m), formed
-    in the standard-frame split.  split_parts records the complex norms
-    a1^H G a1 and a2^H G a2 of the split components, whose sum the
-    quaternionic form must match to rounding.
+    With G the real symmetric Gram matrix of the complex series norm
+    (series_gram) and P = f.parts.view(float) the four real component
+    columns, the squared norm is sum(P * (G P)), which equals Re tr(G gram),
+    gram[n, m] the C(i) part of a_n conj(a_m), and does not depend on the
+    frame.  split_parts records the complex norms a1^H G a1 and a2^H G a2
+    of the frame's split components, whose sum must match to rounding.
     """
     G = _table_gram(p, ci, f.degree)
-    parts = tuple(_gram_form(G, c) for c in frame_coords(f.parts.view(float), frame))
-    gram_q = _qmul(f.parts, regular_conjugate(f).parts, np.multiply.outer)
-    gram = frame_coords(gram_q.view(float), frame)[0]
-    norm_sq = float(np.sum(G[: len(gram), : len(gram)] * gram.T).real)
+    P = f.parts.view(float)
+    G = G[: len(P), : len(P)]
+    parts = tuple(_gram_form(G, c) for c in frame_coords(P, frame))
+    norm_sq = float(np.sum(P * (G @ P)))
     return QDirichletValue(norm_sq, parts, frame, "series")
 
 

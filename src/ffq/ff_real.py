@@ -99,39 +99,39 @@ def _richardson(quotient, h):
     return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
 
 
-def fractal_derivative(f, m, t, h=DEFAULT_STEP, with_error=False):
-    """Stieltjes difference quotient of f against the measure m at t.
-
-    Matches f'(t)/nu'(eta, t) when both exist.  Raises DegenerateMeasure if
-    the measure increment collapses (non-monotone nu near t).
-    """
-
-    def quotient(hh):
-        den = m.nu(m.eta, t + hh) - m.nu(m.eta, t - hh)
-        if abs(den) <= _MEASURE_FLOOR:
-            raise DegenerateMeasure(f"measure increment {den} at t = {t} below floor")
-        return (f(t + hh) - f(t - hh)) / den
-
-    val, err = _richardson(quotient, h)
-    return (val, err) if with_error else val
-
-
-def beta_fractal_derivative(f, m, beta, t, h=DEFAULT_STEP, with_error=False):
-    """Difference quotient of f**beta against the measure m at t."""
+def _powered(f, beta):
+    """s -> f(s)**beta: f itself at beta = 1, otherwise defined only where
+    f > 0."""
     if beta == 1.0:
-        return fractal_derivative(f, m, t, h, with_error)
+        return f
 
     def powered(s):
         v = f(s)
         if v <= 0.0:
             raise DomainError(f"f({s}) = {v} <= 0; fractional power undefined")
         return v ** beta
+    return powered
+
+
+def fractal_derivative(f, m, t, h=DEFAULT_STEP, with_error=False):
+    """Stieltjes difference quotient of f against the measure m at t.
+
+    Matches f'(t)/nu'(eta, t) when both exist.  Raises DegenerateMeasure if
+    the measure increment collapses (non-monotone nu near t).
+    """
+    return beta_fractal_derivative(f, m, 1.0, t, h, with_error)
+
+
+def beta_fractal_derivative(f, m, beta, t, h=DEFAULT_STEP, with_error=False):
+    """Difference quotient of f**beta against the measure m at t; at
+    beta = 1 the quotient of f itself, fractal_derivative."""
+    g = _powered(f, beta)
 
     def quotient(hh):
         den = m.nu(m.eta, t + hh) - m.nu(m.eta, t - hh)
         if abs(den) <= _MEASURE_FLOOR:
             raise DegenerateMeasure(f"measure increment {den} at t = {t} below floor")
-        return (powered(t + hh) - powered(t - hh)) / den
+        return (g(t + hh) - g(t - hh)) / den
 
     val, err = _richardson(quotient, h)
     return (val, err) if with_error else val
@@ -197,12 +197,7 @@ def ff_family_sigma_alpha2(f, alpha, k, beta, t, h=DEFAULT_STEP):
     if alpha == 0.0:
         return base
 
-    def powered(s):
-        v = f(s)
-        if beta != 1.0 and v <= 0.0:
-            raise DomainError(f"f({s}) = {v} <= 0; fractional power undefined")
-        return v if beta == 1.0 else v ** beta
-
+    powered = _powered(f, beta)
     step = min(h, t / 2.0) if t > 0.0 else h
     if t == 0.0:
         if alpha < 1.0:

@@ -244,13 +244,13 @@ def build_slit_path(z, arc_first=False):
     return SlitPath(tuple(segments), 0.5 + 0j, z)
 
 
-def _path_estimate(f, path, spec, level):
-    acc = None
-    for seg in path.segments:
-        s, w = _composite(0.0, 1.0, spec.panels_r << level, spec.nr)
-        part = np.asarray(f(seg.point(s))) @ (w * seg.velocity(s))
-        acc = part if acc is None else acc + part
-    return np.asarray(acc)
+def _path_rule(path, spec, level):
+    """Nodes and weights of the contour rule at a level: composite
+    Gauss-Legendre on each segment, weights times the segment's velocity."""
+    s, w = _composite(0.0, 1.0, spec.panels_r << level, spec.nr)
+    nodes = np.concatenate([seg.point(s) for seg in path.segments])
+    weights = np.concatenate([w * seg.velocity(s) for seg in path.segments])
+    return nodes, weights
 
 
 def path_integral(f, path, spec=None):
@@ -259,6 +259,8 @@ def path_integral(f, path, spec=None):
     spec = spec or DEFAULT_SPEC
     if not path.segments:
         return QuadResult(0j, 0.0, 0)
-    return _converge(
-        lambda level: _path_estimate(f, path, spec, level), spec, "path integral"
-    )
+
+    def estimate(level):
+        nodes, weights = _path_rule(path, spec, level)
+        return np.asarray(f(nodes)) @ weights
+    return _converge(estimate, spec, "path integral")

@@ -195,6 +195,30 @@ def test_errors_while_building_the_job_exit_2(argv, capsys):
     assert json.loads(err)["error"]["type"] == "parse"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "abc"),
+    ("--quad-nr", "1.5"),
+    ("--f", "[[1,0], oops]"),
+])
+def test_parse_record_names_the_flag(flag, value, capsys):
+    code, out, err = run_cli(["norm", "--f", "[[1,0]]", flag, value], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "parse"
+    assert record["message"].startswith(flag + ": ")
+    if flag == "--f":
+        assert (record["position"], record["line"], record["column"]) == (8, 1, 9)
+
+
+def test_non_finite_poly_coefficient_exits_3(capsys):
+    code, out, err = run_cli(["deriv", "--real-f", "poly", "--f", "[[NaN,0]]",
+                              "--t", "0.5"], capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == "domain"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

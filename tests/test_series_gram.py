@@ -1,14 +1,15 @@
 """The Gram matrix G of the series norm, ||f||**2 = a^H G a: checked against
-the term-by-term assemblies it replaced, for Hermitian symmetry and positive
-definiteness, and through the reproducing kernel K_z = G^{-1} conj(e(z)) of
-the degree-N polynomials against the quadrature inner product."""
+the term-by-term assemblies it replaced, for being real and exactly
+symmetric, for positive definiteness, and through the reproducing kernel
+K_z = G^{-1} conj(e(z)) of the degree-N polynomials against the quadrature
+inner product."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ffq import (INF, CoefficientIntegrals, CPowerSeries, FFParams,
+from ffq import (INF, CoefficientIntegrals, CPowerSeries, DomainError, FFParams,
                  QPowerSeries, Quaternion, closed_k1_matrices,
                  coefficient_integrals, dirichlet_norm_closed_k1, dirichlet_norm_series,
                  inner_product_c, qdirichlet_norm_series, random_frame, split)
@@ -92,18 +93,16 @@ def test_complex_routes_match_the_term_by_term_assembly(cells, rng):
             assert v.point_term == p.alpha * abs(f(0.5)) ** 2
 
 
-def complex_cell(rng):
-    """Random complex tables: the tables of the grid are real by the
-    theta -> -theta symmetry, so these are what pin the conjugations and
-    transposes."""
+def nonsymmetric_cell(rng):
+    """Random real non-symmetric tables: the grid's alpha_mn is symmetric,
+    so these are what pin every transpose."""
     p = FFParams(alpha=0.45, sigma=0.3, k=2)
-    A, B = (rng.standard_normal((2, DEGREE + 1, DEGREE + 1))
-            + 1j * rng.standard_normal((2, DEGREE + 1, DEGREE + 1)))
+    A, B = rng.standard_normal((2, DEGREE + 1, DEGREE + 1))
     return p, A, B
 
 
-def test_gram_matches_the_assembly_for_complex_tables(rng):
-    p, A, B = complex_cell(rng)
+def test_gram_matches_the_assembly_for_nonsymmetric_tables(rng):
+    p, A, B = nonsymmetric_cell(rng)
     G = series_gram(p, A, B, DEGREE)
     for d in range(DEGREE + 1):
         f = CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
@@ -111,8 +110,15 @@ def test_gram_matches_the_assembly_for_complex_tables(rng):
         assert _close(got, series_norm_reference(f, p, A, B))
 
 
+def test_gram_rejects_a_complex_table(rng):
+    p, A, B = nonsymmetric_cell(rng)
+    for tables in ((A + 0j, B), (A, B + 1e-17j)):
+        with pytest.raises(DomainError):
+            series_gram(p, *tables, DEGREE)
+
+
 def test_quaternionic_series_matches_the_term_by_term_assembly(cells, rng):
-    for p, A, B in [cell[:3] for cell in cells] + [complex_cell(rng)]:
+    for p, A, B in [cell[:3] for cell in cells] + [nonsymmetric_cell(rng)]:
         ci = CoefficientIntegrals(A, B, p, 0.0)
         series = [QPowerSeries([])] + [
             QPowerSeries([random_quaternion(rng) for _ in range(d + 1)])
@@ -128,9 +134,10 @@ def test_quaternionic_series_matches_the_term_by_term_assembly(cells, rng):
 
 def test_gram_is_hermitian(cells):
     for p, A, B, _ in cells:
+        assert A.dtype == B.dtype == np.float64
         G = series_gram(p, A, B, DEGREE)
         assert G.shape == (DEGREE + 1, DEGREE + 1)
-        assert np.max(np.abs(G - G.conj().T)) <= 1e-14 * np.max(np.abs(G))
+        assert G.dtype == np.float64 and np.array_equal(G, G.T)
 
 
 def test_gram_is_positive_definite_on_the_finite_grid():
