@@ -82,9 +82,20 @@ def encode_k(k):
 
 
 def decode_k(value):
+    """k from its JSON or flag form: an integer, an integral float, its
+    decimal text or "inf"; anything else is a ValueError."""
     if value in ("inf", INF):
         return INF
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"k must be an integer or 'inf', got {value!r}")
     return int(value)
+
+
+def _read_ks(text):
+    ks = _read_json_arg(text)
+    if not isinstance(ks, list):
+        raise ValueError(f"need a JSON list of k values, got {ks!r}")
+    return [decode_k(k) for k in ks]
 
 
 @dataclasses.dataclass
@@ -375,15 +386,17 @@ def _error_record(kind, exc, **extra):
 # Every flag by its argparse dest, which is also its FFQ_CONFIG key:
 # (the JobSpec field it sets, or quad.<QuadratureSpec field>; the parser of
 # the flag's text; help).  A flag's value, or else the config's, goes into
-# a JobSpec payload, so k and ks decode once, in JobSpec.from_payload, and a
-# field that neither sets keeps JobSpec's default.
+# a JobSpec payload, and a field that neither sets keeps JobSpec's default.
+# --k and --ks decode as they are read, so a bad value's error names the
+# flag; JobSpec.from_payload decodes them again (a no-op on decoded values)
+# for config and --job payloads.
 FLAGS = {
     "f": ("f", _read_json_arg, "series coefficients, JSON or @file"),
     "g": ("g", _read_json_arg, "second series, JSON or @file"),
     "alpha": ("alpha", float, None),
     "beta": ("beta", float, None),
     "sigma": ("sigma", float, None),
-    "k": ("k", str, "non-negative integer or 'inf'"),
+    "k": ("k", decode_k, "non-negative integer or 'inf'"),
     "frame": ("frame", _read_json_arg, "two quaternions as JSON [[..4],[..4]]"),
     "z": ("z", _read_json_arg, "complex point as JSON [re, im]"),
     "zeta": ("zeta", _read_json_arg, "complex point as JSON [re, im]"),
@@ -393,7 +406,7 @@ FLAGS = {
     "suite": ("suite", str, None),
     "alphas": ("alphas", _read_json_arg, "JSON list for table sweeps"),
     "sigmas": ("sigmas", _read_json_arg, "JSON list for table sweeps"),
-    "ks": ("ks", _read_json_arg, "JSON list for table sweeps"),
+    "ks": ("ks", _read_ks, "JSON list for table sweeps"),
     "quad_nr": ("quad.nr", int, None),
     "quad_ntheta": ("quad.ntheta", int, None),
     "quad_panels_r": ("quad.panels_r", int, None),

@@ -45,6 +45,11 @@ def ff_eval_stack(fs, p, z):
     """Apply the derivative D to each series of fs at z (an array): one row
     per series, with the measure derivative computed once for the stack.
 
+    The (len(fs),) + z.shape output is allocated once and each row is filled
+    in place, (1 - s) f + s (beta f**(beta-1) f') / den with every operation
+    in that order, so the temporaries stay a few rows deep whatever the
+    stack's height.
+
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
     axis at the evaluation points (spot-screened here; the global hypothesis
@@ -55,20 +60,33 @@ def ff_eval_stack(fs, p, z):
     if not np.all(in_slit_disk(zz)):
         raise BranchError("evaluation point outside the slit unit disk")
     s = p.sigma
-    fv = np.stack([f(zz) for f in fs])
+    out = np.empty((len(fs),) + zz.shape, dtype=complex)
     if s == 0.0:
-        return fv
-    fp = np.stack([f.derivative()(zz) for f in fs])
+        for row, f in zip(out, fs):
+            row[...] = f(zz)
+        return out
     den = fractal_measure_deriv_c(zz, p.alpha, p.k)
-    if p.beta == 1.0:
-        frac = fp / den
-    else:
-        if np.any(fv == 0):
-            raise DomainError("f vanishes at an evaluation point; f**beta undefined")
-        if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
-            raise BranchError("f(z) on the negative real axis; principal power undefined")
-        frac = p.beta * fv ** (p.beta - 1.0) * fp / den
-    return (1.0 - s) * fv + s * frac
+    # no product writes over one of its own operands: numpy may take a
+    # different complex-multiply loop then, which rounds differently
+    frac = np.empty(zz.shape, dtype=complex)
+    for row, f in zip(out, fs):
+        fv = f(zz)
+        fp = f.derivative()(zz)
+        if p.beta == 1.0:
+            np.divide(fp, den, out=frac)
+        else:
+            if np.any(fv == 0):
+                raise DomainError("f vanishes at an evaluation point; f**beta undefined")
+            if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
+                raise BranchError("f(z) on the negative real axis; principal power undefined")
+            power = fv ** (p.beta - 1.0)
+            np.multiply(p.beta, power, out=row)
+            np.multiply(row, fp, out=power)
+            np.divide(power, den, out=frac)
+        np.multiply(s, frac, out=row)
+        np.multiply(1.0 - s, fv, out=frac)
+        np.add(frac, row, out=row)
+    return out
 
 
 def ff_eval_c(f, p, z):
@@ -302,6 +320,16 @@ def _field_diverges(f, p):
                for part in (np.real, np.imag))
 
 
+def _require_finite_field(f, p):
+    """Raise DivergentIntegral where _field_diverges proves the norm of f
+    infinite."""
+    if _field_diverges(f, p):
+        raise DivergentIntegral(
+            f"the norm diverges at alpha = {p.alpha}, k = {p.k}: D f has a "
+            "pole at z = -1, where 1 + z vanishes and f' does not"
+        )
+
+
 def dirichlet_norm(f, p, spec=None, method="quad"):
     """Squared norm by the named method: "quad" (dirichlet_norm_quad),
     "series" (a coefficient table sized to f, then dirichlet_norm_series) or
@@ -310,11 +338,7 @@ def dirichlet_norm(f, p, spec=None, method="quad"):
     "quad" raises DivergentIntegral without integrating where the norm is
     proven infinite; dirichlet_norm_quad itself always integrates."""
     if method == "quad":
-        if _field_diverges(f, p):
-            raise DivergentIntegral(
-                f"the norm diverges at alpha = {p.alpha}, k = {p.k}: D f has a "
-                "pole at z = -1, where 1 + z vanishes and f' does not"
-            )
+        _require_finite_field(f, p)
         return dirichlet_norm_quad(f, p, spec)
     if method == "series":
         ci = coefficient_integrals(p, max(f.degree, 0), spec)
@@ -336,20 +360,42 @@ def _require_sigma_interior(p):
 
 
 def reproduction_rhs_1_stack(fs, p, z, spec=None):
-    """Right-hand side of the first reproducing identity at z for each series
-    of fs, one disk field for the stack:
-    -s/(1-s) * f'(z)/(d/dz e_k(z**a)) + 1/(1-s) * int B(z, .) Df dmu."""
+    """Right-hand side of the first reproducing identity for each series of
+    fs at its own point: z holds one point per series, or is one scalar
+    point for all of them.  The row of f at the point z is
+
+        -s/(1-s) * f'(z)/(d/dz e_k(z**a)) + 1/(1-s) * int B(z, .) Df dmu.
+
+    One disk integral serves the stack.  Each node block fills Df for every
+    row into one buffer (ff_eval_stack) and multiplies each row's Bergman
+    factor B(z, .) into it in place, so a block holds one (len(fs), nodes)
+    array, at most the quadrature's _CHUNK elements, plus a few rows of
+    temporaries.  Each row converges entrywise, to the value it gets alone;
+    rows that converge early ride along while the others refine.
+    """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
-    z = complex(z)
-    if not in_slit_disk(z):
-        raise DomainError(f"{z} is not in the slit unit disk")
+    if not fs:
+        return np.empty(0, dtype=complex)
+    scalar = np.ndim(z) == 0
+    zs = np.broadcast_to(np.asarray(z, dtype=complex), (len(fs),))
+    outside = ~np.asarray(in_slit_disk(zs))
+    if np.any(outside):
+        raise DomainError(f"{complex(zs[outside][0])} is not in the slit unit disk")
     s = p.sigma
-    projected = integrate_disk(
-        lambda zeta: bergman_kernel(z, zeta) * ff_eval_stack(fs, p, zeta), spec, len(fs)
-    ).value
-    fractal = np.array([f.derivative()(z) for f in fs]) / fractal_measure_deriv_c(
-        z, p.alpha, p.k)
+
+    def integrand(zeta):
+        field = ff_eval_stack(fs, p, zeta)
+        if scalar:
+            field *= bergman_kernel(zs[0], zeta)
+        else:
+            for row, w in zip(field, zs):
+                row *= bergman_kernel(w, zeta)
+        return field
+
+    projected = integrate_disk(integrand, spec, len(fs)).value
+    fractal = np.array([f.derivative()(w) for f, w in zip(fs, zs)]) / fractal_measure_deriv_c(
+        zs, p.alpha, p.k)
     return -s / (1.0 - s) * fractal + projected / (1.0 - s)
 
 

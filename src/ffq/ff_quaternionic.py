@@ -14,10 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, DomainError, FFQError
+from .errors import BranchError, DomainError, FFQError, NoConvergence
 from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
-                         ff_eval_stack, reproduction_rhs_1_stack,
-                         reproduction_rhs_2_stack, _gram_form,
+                         dirichlet_norms_quad, ff_eval_stack,
+                         reproduction_rhs_1_stack, reproduction_rhs_2_stack,
+                         _gram_form, _require_finite_field,
                          _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
@@ -78,14 +79,27 @@ def _require_linear(p):
 def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
     """Squared norm as the sum of the split components' complex norms, each
     by dirichlet_norm's method; "series" assembles the quaternionic series
-    form from one coefficient table instead."""
+    form from one coefficient table instead.
+
+    "quad" checks each component for a proven divergence first, then
+    integrates the pair as one stack, so each node block builds one measure
+    derivative for both; its NoConvergence carries the sum of the two
+    field estimates as a float."""
     _require_linear(p)
     if method == "series":
         ci = coefficient_integrals(p, max(f.degree, 0), spec)
         return qdirichlet_norm_series(f, p, frame, ci)
     pair = split(f, frame)
-    n1 = dirichlet_norm(pair.f1, p, spec, method)
-    n2 = dirichlet_norm(pair.f2, p, spec, method)
+    if method == "quad":
+        for part in (pair.f1, pair.f2):
+            _require_finite_field(part, p)
+        try:
+            n1, n2 = dirichlet_norms_quad((pair.f1, pair.f2), p, spec)
+        except NoConvergence as exc:
+            raise NoConvergence(str(exc), float(np.sum(exc.value)), exc.error) from None
+    else:
+        n1 = dirichlet_norm(pair.f1, p, spec, method)
+        n2 = dirichlet_norm(pair.f2, p, spec, method)
     return QDirichletValue(
         n1.norm_sq + n2.norm_sq, (n1.norm_sq, n2.norm_sq), frame, method
     )

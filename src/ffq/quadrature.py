@@ -13,6 +13,14 @@ the node axis last; a stack is integrated entrywise in one pass.  Node blocks
 are processed in fixed-size chunks with a fixed accumulation order, so
 results are deterministic for a given spec; a block holds at most _CHUNK
 elements, counting each row of a stack of the given height.
+
+_CHUNK is 2**19, so a block's complex stack takes at most 8 MiB.  Beside it
+a block holds its per-node arrays (r, theta and the weights at 8 bytes a
+node, z and the measure derivative at 16) and, while ff_eval_stack fills
+the stack row by row, a few row-sized temporaries.  At 2**20 a four-row
+stack at level 2 of the default rule (262,144 nodes) was a single 16 MiB
+block, and with its per-node arrays it set the peak memory of the
+reproducing suite; the halved blocks cost the norms sweep no time.
 """
 
 import cmath
@@ -26,7 +34,7 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 from .holo_series import in_slit_disk
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 19
 # largest finest-level disk rule a spec may ask for: four times the default
 # spec's 4096 x 4096 nodes at max_refine = 5, one more doubling of it
 MAX_FINEST_NODES = 1 << 26

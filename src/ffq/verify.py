@@ -17,8 +17,8 @@ from .errors import INF, NoConvergence
 from .ff_complex import (bergman_kernel, coefficient_integrals,
                          dirichlet_norm_closed_k1, dirichlet_norm_quad,
                          dirichlet_norms_quad, dirichlet_norm_series, ff_eval_c,
-                         integrating_factor_residual, reproduce_identity_1,
-                         reproduce_identity_2, series_gram, _gram_form)
+                         integrating_factor_residual, reproduce_identity_2,
+                         reproduction_rhs_1_stack, series_gram, _gram_form)
 from .ff_quaternionic import (SLICE_BOUND, q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
@@ -270,20 +270,29 @@ def reproducing(n_points=20, seed=DEFAULT_SEED):
 
     alpha is 1, where the operator output stays holomorphic on the whole
     disk and the identity is exact; smaller alpha leaves the disk Bergman
-    space (branch cut) and the hypothesis fails.
+    space (branch cut) and the hypothesis fails.  The points cycle through
+    the (sigma, k) cells, and each cell's points and polynomials are one
+    stack: one disk integral per cell, each row at its own point.
     """
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 1)
-    rows = []
     combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
-    for idx, z in enumerate(points):
-        s, k = combos[idx % len(combos)]
+    series = []
+    for _ in points:
         deg = int(rng.integers(0, 5))
-        f = CPowerSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        p = FFParams(alpha=1.0, sigma=s, k=k)
-        res = reproduce_identity_1(f, p, z, DEFAULT_SPEC)
-        rows.append({"z": str(z), "sigma": s, "k": _k_label(k), "deg": deg,
-                     "residual": res, "status": _status(res < TOL_REPRODUCE_1)})
+        series.append(CPowerSeries(rng.standard_normal(deg + 1)
+                                   + 1j * rng.standard_normal(deg + 1)))
+    rows = [None] * n_points
+    for cell, (s, k) in enumerate(combos):
+        idxs = range(cell, n_points, len(combos))
+        rhs = reproduction_rhs_1_stack([series[i] for i in idxs],
+                                       FFParams(alpha=1.0, sigma=s, k=k),
+                                       [points[i] for i in idxs], DEFAULT_SPEC)
+        for i, value in zip(idxs, rhs):
+            z, f = points[i], series[i]
+            res = float(abs(f(z) - value))
+            rows[i] = {"z": str(z), "sigma": s, "k": _k_label(k), "deg": f.degree,
+                       "residual": res, "status": _status(res < TOL_REPRODUCE_1)}
     return _verdict(rows)
 
 

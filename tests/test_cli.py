@@ -211,6 +211,22 @@ def test_parse_record_names_the_flag(flag, value, capsys):
         assert (record["position"], record["line"], record["column"]) == (8, 1, 9)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["norm", "--f", "[[1,0]]", "--k", "1.5"], "--k"),
+    (["table", "--f", "[[1,0]]", "--ks", "[1, 1.5]"], "--ks"),
+    (["table", "--f", "[[1,0]]", "--ks", "[true]"], "--ks"),
+    (["table", "--f", "[[1,0]]", "--ks", "5"], "--ks"),
+])
+def test_bad_truncation_order_names_its_flag(argv, flag, capsys):
+    # a fractional k in --ks used to be truncated to an integer silently
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["type"] == "parse"
+    assert record["message"].startswith(flag + ": ")
+
+
 def test_non_finite_poly_coefficient_exits_3(capsys):
     code, out, err = run_cli(["deriv", "--real-f", "poly", "--f", "[[NaN,0]]",
                               "--t", "0.5"], capsys)

@@ -8,7 +8,7 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DivergentIntegral,
                  DomainError, NoConvergence, QuadratureSpec, bergman_kernel,
                  coefficient_integrals, dirichlet_norm, dirichlet_norm_closed_k1,
                  dirichlet_norm_quad, dirichlet_norms_quad,
-                 dirichlet_norm_series, ff_eval_c,
+                 dirichlet_norm_series, ff_eval_c, ff_eval_stack,
                  inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
                  reproduction_rhs_1, reproduction_rhs_1_stack,
@@ -315,6 +315,78 @@ def test_stacked_right_hand_sides_match_one_series():
         for f, value in zip(pair, got):
             alone = one(f, p, z, NESTED_SPEC)
             assert abs(value - alone) <= 1e-13 * abs(alone)
+
+
+def test_stacked_rhs_1_takes_one_point_per_series():
+    p = FFParams(alpha=1.0, sigma=0.4, k=INF)
+    fs = (CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.3j, 0.0, 1.0]),
+          CPowerSeries([0.7]), CPowerSeries([0.0, 0.0, 0.0, 1.0 + 1.0j]))
+    zs = (0.3 + 0.4j, -0.2 - 0.5j, 0.6, 0.85j)
+    got = reproduction_rhs_1_stack(fs, p, zs, NESTED_SPEC)
+    assert got.shape == (len(fs),)
+    for f, z, value in zip(fs, zs, got):
+        alone = reproduction_rhs_1(f, p, z, NESTED_SPEC)
+        assert abs(value - alone) <= 1e-13 * abs(alone)
+    with pytest.raises(DomainError):
+        reproduction_rhs_1_stack(fs, p, (0.3, -0.5, 0.2, 0.1j), NESTED_SPEC)
+    with pytest.raises(ValueError):
+        reproduction_rhs_1_stack(fs, p, zs[:2], NESTED_SPEC)
+
+
+def _stacked_formula(fs, p, z):
+    """ff_eval_stack as it was written before its rows were filled in place:
+    whole-stack arrays, the same operations in the same order."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    s = p.sigma
+    fv = np.stack([f(zz) for f in fs])
+    if s == 0.0:
+        return fv
+    fp = np.stack([f.derivative()(zz) for f in fs])
+    den = fractal_measure_deriv_c(zz, p.alpha, p.k)
+    if p.beta == 1.0:
+        frac = fp / den
+    else:
+        frac = p.beta * fv ** (p.beta - 1.0) * fp / den
+    return (1.0 - s) * fv + s * frac
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+def test_eval_stack_rows_are_the_stacked_formula_bit_for_bit(beta, sigma, rng):
+    p = FFParams(alpha=0.7, sigma=sigma, k=2, beta=beta)
+    if beta == 1.0:
+        fs = [CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+              for d in range(5)] + [CPowerSeries([]), CPowerSeries([2.0 - 1.0j])]
+    else:
+        # nonvanishing, off the negative axis on |z| < 1
+        fs = [CPowerSeries([3.0, 0.5 - 0.5j, 0.25j]), CPowerSeries([2.0 - 1.0j])]
+    z = rng.uniform(0.05, 0.95, (7, 13)) * np.exp(1j * rng.uniform(-3.0, 3.0, (7, 13)))
+    for zeta in (z, z.ravel(), z[0, 0]):
+        got = ff_eval_stack(fs, p, zeta)
+        want = _stacked_formula(fs, p, zeta)
+        assert got.shape == want.shape == (len(fs),) + np.atleast_1d(zeta).shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_eval_stack_peak_memory_stays_near_its_output():
+    import tracemalloc
+    from ffq.verify import sweep_functions
+    fs = [f for _, f in sweep_functions()]
+    assert len(fs) == 27
+    rng = np.random.default_rng(0)
+    n = 65536
+    z = rng.uniform(0.05, 0.95, n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    tracemalloc.start()
+    try:
+        out = ff_eval_stack(fs, p, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (27, n)
+    # a few rows of temporaries over the output; whole-stack temporaries
+    # cost five times the output's bytes
+    assert peak < 1.5 * out.nbytes
 
 
 def test_reproduce_identity_2(spec):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ffq import (E1, E2, E3, CPowerSeries, FFParams, INF, DomainError,
-                 QPowerSeries, Quaternion, QuadratureSpec, SliceFrame,
-                 STANDARD_FRAME, coefficient_integrals, dirichlet_norm_quad,
-                 ff_eval_c, ff_eval_q, q_reproduce, qdirichlet_inner_product,
-                 qdirichlet_norm, qdirichlet_norm_series, random_frame,
-                 reproduce_identity_1, reproduce_identity_2,
-                 slice_norm_compare)
+from ffq import (E1, E2, E3, CPowerSeries, DivergentIntegral, DomainError, FFParams,
+                 INF, NoConvergence, QPowerSeries, Quaternion, QuadratureSpec,
+                 SliceFrame, STANDARD_FRAME, coefficient_integrals,
+                 dirichlet_norm_quad, ff_eval_c, ff_eval_q, q_reproduce,
+                 qdirichlet_inner_product, qdirichlet_norm, qdirichlet_norm_series,
+                 random_frame, reproduce_identity_1, reproduce_identity_2,
+                 slice_norm_compare, split)
 
 from conftest import qdist, random_quaternion
 
@@ -227,3 +227,49 @@ def test_qnorm_rejects_fractional_beta(spec):
         qdirichlet_norm(QPowerSeries([1]), p, STANDARD_FRAME, spec)
     with pytest.raises(DomainError):
         ff_eval_q(QPowerSeries([1, E1]), p, STANDARD_FRAME, 0.3)
+
+
+def test_quad_norm_integrates_the_split_pair_as_one_stack(spec, rng, monkeypatch):
+    import ffq.ff_complex
+    calls = []
+    integrate = ffq.ff_complex.integrate_disk
+
+    def counted(*args):
+        calls.append(args[2])  # the stack's height
+        return integrate(*args)
+
+    monkeypatch.setattr(ffq.ff_complex, "integrate_disk", counted)
+    p = FFParams(alpha=0.6, sigma=0.5, k=2)
+    frame = random_frame(rng)
+    f = QPowerSeries([random_quaternion(rng) for _ in range(3)])
+    v = qdirichlet_norm(f, p, frame, spec)
+    assert calls == [2]
+    pair = split(f, frame)
+    for part, got in zip((pair.f1, pair.f2), v.split_parts):
+        alone = dirichlet_norm_quad(part, p, spec).norm_sq
+        assert abs(got - alone) <= 1e-13 * alone
+
+
+def test_quad_norm_decides_divergence_before_any_quadrature(no_quadrature):
+    # divergent: decided per split component, before any quadrature
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    for coeffs in ([0, E2], [0, 1]):
+        with pytest.raises(DivergentIntegral):
+            qdirichlet_norm(QPowerSeries(coeffs), p, STANDARD_FRAME)
+
+
+def test_quad_norm_no_convergence_carries_the_field_sum():
+    capped = QuadratureSpec(nr=4, ntheta=4, panels_r=1, panels_theta=1,
+                            rel_tol=1e-300, abs_tol=0.0, max_refine=1)
+    p = FFParams(alpha=0.5, sigma=0.5, k=1)
+    f = QPowerSeries([Quaternion(1, 0, 0, 1), Quaternion(1, 0, 1, 0)])
+    with pytest.raises(NoConvergence) as info:
+        qdirichlet_norm(f, p, STANDARD_FRAME, capped)
+    assert type(info.value.value) is float and info.value.error > 0
+    pair = split(f, STANDARD_FRAME)
+    fields = []
+    for part in (pair.f1, pair.f2):
+        with pytest.raises(NoConvergence) as alone:
+            dirichlet_norm_quad(part, p, capped)
+        fields.append(alone.value.value)
+    assert abs(info.value.value - sum(fields)) <= 1e-13 * abs(sum(fields))

@@ -1,5 +1,8 @@
 import inspect
 
+import numpy as np
+import pytest
+
 from ffq import verify
 
 # every keyword a caller may pass; tolerances and quadrature rules are
@@ -59,3 +62,27 @@ def test_stacked_sweep_quadrature_is_the_one_series_value():
         p = FFParams(alpha=r["alpha"], sigma=r["sigma"], k=int(r["k"]))
         alone = dirichlet_norm_quad(by_label[r["f"]], p, verify.DEFAULT_SPEC).norm_sq
         assert abs(r["quadrature"] - alone) <= 1e-13 * alone
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+def test_reproducing_rows_are_the_per_point_residuals(offset):
+    # the suite integrates each (sigma, k) cell's points as one stack; each
+    # row must be the residual reproduce_identity_1 gives its point alone
+    from ffq import INF, CPowerSeries, FFParams, reproduce_identity_1
+    seed = verify.DEFAULT_SEED + offset
+    rows, ok = verify.reproducing(seed=seed)
+    assert ok and len(rows) == 20
+    rng = np.random.default_rng(seed)
+    points = verify.random_slit_points(20, seed=seed + 1)
+    combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
+    for idx, (z, row) in enumerate(zip(points, rows)):
+        s, k = combos[idx % len(combos)]
+        deg = int(rng.integers(0, 5))
+        f = CPowerSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        res = reproduce_identity_1(f, FFParams(alpha=1.0, sigma=s, k=k), z,
+                                   verify.DEFAULT_SPEC)
+        assert (row["z"], row["sigma"], row["k"], row["deg"]) == (
+            str(z), s, verify._k_label(k), deg)
+        assert type(row["residual"]) is float
+        assert abs(row["residual"] - res) <= 1e-13
+        assert row["status"] == ("pass" if res < verify.TOL_REPRODUCE_1 else "fail")
