@@ -6,13 +6,14 @@ Run:  python demos/04_dirichlet_norms.py
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from ffq import (CPowerSeries, FFParams, INF, NoConvergence,
-                 coefficient_integrals, dirichlet_norm_closed_k1,
+from ffq import (CPowerSeries, DivergentIntegral, FFParams, NoConvergence,
+                 coefficient_integrals, dirichlet_norm, dirichlet_norm_closed_k1,
                  dirichlet_norm_quad, dirichlet_norm_series, inner_product_c)
-from ffq.verify import _closed_k1_variant
+from ffq.verify import DIVERGENCE_SPEC, _closed_k1_variant
 
 print("== two anchors with pencil-and-paper values ==")
 p = FFParams(alpha=1.0, sigma=0.5, k=1)
@@ -47,13 +48,21 @@ print("<g, g> =", inner_product_c(g, g, p), " vs ||g||^2 =",
 print("\n== a cell where the space holds almost nothing ==")
 # at alpha = 1, k = 2 the measure's derivative involves 1 + z, which
 # vanishes at the boundary point -1; any f with f'(-1) != 0 then has an
-# infinite field integral, and refinement grows without settling
+# infinite field integral, which dirichlet_norm proves before integrating
 p = FFParams(alpha=1.0, sigma=0.5, k=2)
+z = CPowerSeries([0.0, 1.0])
 try:
-    dirichlet_norm_quad(CPowerSeries([0.0, 1.0]), p)
-except NoConvergence as exc:
-    print("|| z ||^2 at (alpha=1, k=2): NoConvergence, last estimate",
-          f"{exc.value:.3f}, still changing by {exc.error:.3f} per doubling")
+    dirichlet_norm(z, p, method="quad")
+except DivergentIntegral as exc:
+    print("|| z ||^2 at (alpha=1, k=2): DivergentIntegral up front:", exc)
+# the quadrature witness: each doubling of a coarse rule adds about the
+# same amount, the signature of a logarithmic divergence
+for cap in range(1, DIVERGENCE_SPEC.max_refine + 1):
+    try:
+        dirichlet_norm_quad(z, p, replace(DIVERGENCE_SPEC, max_refine=cap))
+    except NoConvergence as exc:
+        print(f"  estimate at refinement level {cap}: {exc.value:.3f}"
+              f"  (up {exc.error:.3f} on the level before)")
 print("constants are fine there:",
       dirichlet_norm_quad(CPowerSeries([1.0]), p).norm_sq)
 

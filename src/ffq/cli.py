@@ -28,8 +28,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import DomainError, FFQError, INF, NoConvergence
-from .ff_complex import (dirichlet_norm, ff_eval_c, inner_product_c,
-                         kernel_K_half)
+from .ff_complex import (dirichlet_norm, dirichlet_norms_quad, ff_eval_c,
+                         inner_product_c, kernel_K_half, _field_diverges)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
                               qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
@@ -82,20 +82,40 @@ def encode_k(k):
 
 
 def decode_k(value):
-    """k from its JSON or flag form: an integer, an integral float, its
-    decimal text or "inf"; anything else is a ValueError."""
+    """k from its JSON form: an integer, an integral float, the decimal text
+    of an integer or "inf"; anything else is a ValueError."""
     if value in ("inf", INF):
         return INF
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"k must be an integer or 'inf', got {value!r}")
-    return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"k must be an integer or 'inf', got {value!r}")
 
 
-def _read_ks(text):
-    ks = _read_json_arg(text)
+def _decode_ks(ks):
     if not isinstance(ks, list):
         raise ValueError(f"need a JSON list of k values, got {ks!r}")
     return [decode_k(k) for k in ks]
+
+
+def _read_k(text):
+    """k from the text of --k, decoded as the JSON value it spells; text
+    that is not JSON, such as inf, is taken as a string."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = text
+    return decode_k(value)
+
+
+def _read_ks(text):
+    return _decode_ks(_read_json_arg(text))
 
 
 @dataclasses.dataclass
@@ -134,9 +154,9 @@ class JobSpec:
     def from_payload(cls, payload):
         data = dict(payload)
         if "k" in data:
-            data["k"] = decode_k(data["k"])
+            data["k"] = _named("k", decode_k, data["k"])
         if data.get("ks") is not None:
-            data["ks"] = [decode_k(k) for k in data["ks"]]
+            data["ks"] = _named("ks", _decode_ks, data["ks"])
         return cls(**data)
 
     def to_json(self):
@@ -312,27 +332,59 @@ def _k_sort_key(k):
     return (1, 0.0) if k == INF else (0, float(k))
 
 
+def _norm_or_none(f, p, spec, method):
+    """dirichlet_norm, or None where it is divergent or does not converge."""
+    try:
+        return dirichlet_norm(f, p, spec, method)
+    except NoConvergence:
+        return None
+
+
+def _quad_column(f, params, spec):
+    """The quadrature norms of f at params, which differ only in sigma: one
+    stacked integral over the sigmas _field_diverges leaves open (None at
+    the others), or, if that does not converge, one integral per sigma, so
+    that each keeps its own verdict."""
+    shut = [_field_diverges(f, p) for p in params]
+    try:
+        stacked = iter(dirichlet_norms_quad(
+            [f], params[0], spec, sigmas=[p.sigma for p, s in zip(params, shut) if not s]))
+        return [None if s else next(stacked) for s in shut]
+    except NoConvergence:
+        return [_norm_or_none(f, p, spec, "quad") for p in params]
+
+
 def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
-    lexicographic parameter order."""
+    lexicographic parameter order.  With method quad the sigmas of each
+    (alpha, k) are one stacked integral."""
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
     ks = sorted(job.ks or [job.k], key=_k_sort_key)
+    values = {}
+    for alpha in alphas:
+        for k in ks:
+            params = [FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
+                      for sigma in sigmas]
+            if method == "quad":
+                column = _quad_column(f, params, spec)
+            else:
+                column = [_norm_or_none(f, p, spec, method) for p in params]
+            values.update(((alpha, sigma, k), val) for sigma, val in zip(sigmas, column))
     rows = []
     for alpha in alphas:
         for sigma in sigmas:
             for k in ks:
-                p = FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
+                val = values[alpha, sigma, k]
                 row = {"alpha": alpha, "sigma": sigma, "k": encode_k(k)}
-                try:
-                    val = dirichlet_norm(f, p, spec, method)
+                if val is None:
+                    row.update(norm_sq="", point_term="", field_term="",
+                               method=method, status="divergent")
+                else:
                     row.update(norm_sq=val.norm_sq, point_term=val.point_term,
                                field_term=val.field_term, method=val.method,
                                status="ok")
-                except NoConvergence:
-                    row.update(norm_sq="", point_term="", field_term="",
-                               method=method, status="divergent")
                 rows.append(row)
     return rows
 
@@ -389,14 +441,15 @@ def _error_record(kind, exc, **extra):
 # a JobSpec payload, and a field that neither sets keeps JobSpec's default.
 # --k and --ks decode as they are read, so a bad value's error names the
 # flag; JobSpec.from_payload decodes them again (a no-op on decoded values)
-# for config and --job payloads.
+# for config and --job payloads, where the error names the key.  All routes
+# share decode_k, so each accepts or rejects the same k.
 FLAGS = {
     "f": ("f", _read_json_arg, "series coefficients, JSON or @file"),
     "g": ("g", _read_json_arg, "second series, JSON or @file"),
     "alpha": ("alpha", float, None),
     "beta": ("beta", float, None),
     "sigma": ("sigma", float, None),
-    "k": ("k", decode_k, "non-negative integer or 'inf'"),
+    "k": ("k", _read_k, "non-negative integer or 'inf'"),
     "frame": ("frame", _read_json_arg, "two quaternions as JSON [[..4],[..4]]"),
     "z": ("z", _read_json_arg, "complex point as JSON [re, im]"),
     "zeta": ("zeta", _read_json_arg, "complex point as JSON [re, im]"),
@@ -470,15 +523,15 @@ def _config_defaults():
     return cfg
 
 
-def _parse_flag(name, parse, text):
-    """parse(text); a ValueError's message names the flag."""
-    flag = "--" + name.replace("_", "-")
+def _named(label, parse, value):
+    """parse(value); a ValueError's message names label, the flag or the
+    payload key that gave the value."""
     try:
-        return parse(text)
+        return parse(value)
     except json.JSONDecodeError as exc:
-        raise json.JSONDecodeError(f"{flag}: {exc.msg}", exc.doc, exc.pos) from None
+        raise json.JSONDecodeError(f"{label}: {exc.msg}", exc.doc, exc.pos) from None
     except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+        raise ValueError(f"{label}: {exc}") from None
 
 
 def build_job(args):
@@ -491,7 +544,8 @@ def build_job(args):
     for name in COMMANDS[args.command] + _OUTPUT:
         field, parse, _ = FLAGS[name]
         text = getattr(args, name)
-        value = cfg.get(name) if text is None else _parse_flag(name, parse, text)
+        value = (cfg.get(name) if text is None
+                 else _named("--" + name.replace("_", "-"), parse, text))
         if value is None:
             continue
         head, _, key = field.partition(".")

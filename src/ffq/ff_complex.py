@@ -41,51 +41,93 @@ def _require_order(p):
         raise DomainError("the fractal term needs k >= 1 or k = inf")
 
 
-def ff_eval_stack(fs, p, z):
-    """Apply the derivative D to each series of fs at z (an array): one row
-    per series, with the measure derivative computed once for the stack.
+def _stack_sigmas(p, sigmas):
+    """The sigmas of a stack, (p.sigma,) by default, each validated as
+    FFParams validates sigma."""
+    if sigmas is None:
+        return (p.sigma,)
+    return tuple(replace(p, sigma=s).sigma for s in sigmas)
 
-    The (len(fs),) + z.shape output is allocated once and each row is filled
-    in place, (1 - s) f + s (beta f**(beta-1) f') / den with every operation
-    in that order, so the temporaries stay a few rows deep whatever the
-    stack's height.
+
+def _stack_nodes(p, z):
+    """z as a complex array of evaluation points, checked for the stack."""
+    _require_order(p)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.all(in_slit_disk(zz)):
+        raise BranchError("evaluation point outside the slit unit disk")
+    return zz
+
+
+def _stack_rows(fs, p, sigmas, zz, out=None):
+    """Generate (i, row) with row = D f at zz for each (sigma, series) pair,
+    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].  The row is
+    out[i], or, without out, one scratch row that the next row overwrites.
+
+    The sigma-free parts are formed once per series: f(zz), f'(zz), the
+    measure derivative (once for the stack, only if some sigma > 0) and
+    frac = beta f**(beta-1) f' / den.  Each sigma's row is then
+    (1 - s) f + s frac with every operation in that order, or f itself at
+    s = 0, so it holds the bits a one-sigma stack gives it.
+    """
+    n = len(fs)
+    scratch = None if out is not None else np.empty(zz.shape, dtype=complex)
+    fractal = any(s != 0.0 for s in sigmas)
+    if fractal:
+        den = fractal_measure_deriv_c(zz, p.alpha, p.k)
+        # no product writes over one of its own operands: numpy may take a
+        # different complex-multiply loop then, which rounds differently
+        frac = np.empty(zz.shape, dtype=complex)
+        # frac must outlive every sigma but the last, which may overwrite it
+        tmp = np.empty(zz.shape, dtype=complex) if len(sigmas) > 1 else frac
+    for m, f in enumerate(fs):
+        fv = f(zz)
+        if fractal:
+            fp = f.derivative()(zz)
+            if p.beta == 1.0:
+                np.divide(fp, den, out=frac)
+            else:
+                if np.any(fv == 0):
+                    raise DomainError("f vanishes at an evaluation point; f**beta undefined")
+                if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
+                    raise BranchError("f(z) on the negative real axis; principal power undefined")
+                power = fv ** (p.beta - 1.0)
+                np.multiply(p.beta, power, out=frac)
+                np.multiply(frac, fp, out=power)
+                np.divide(power, den, out=frac)
+        for j, s in enumerate(sigmas):
+            i = j * n + m
+            row = scratch if out is None else out[i]
+            if s == 0.0:
+                row[...] = fv
+            else:
+                part = frac if j == len(sigmas) - 1 else tmp
+                np.multiply(s, frac, out=row)
+                np.multiply(1.0 - s, fv, out=part)
+                np.add(part, row, out=row)
+            yield i, row
+
+
+def ff_eval_stack(fs, p, z, sigmas=None):
+    """Apply the derivative D to each series of fs at z (an array): one row
+    per (sigma, series) pair, sigma-major, for sigma in sigmas (default
+    (p.sigma,)), with the measure derivative computed once for the stack.
+
+    The (len(sigmas) len(fs),) + z.shape output is allocated once and each
+    row is filled in place, (1 - s) f + s (beta f**(beta-1) f') / den with
+    every operation in that order, so the temporaries stay a few rows deep
+    whatever the stack's height; the sigma-free parts are formed once per
+    series, and every row holds the bits of a one-sigma stack.
 
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
     axis at the evaluation points (spot-screened here; the global hypothesis
     is the caller's).
     """
-    _require_order(p)
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(in_slit_disk(zz)):
-        raise BranchError("evaluation point outside the slit unit disk")
-    s = p.sigma
-    out = np.empty((len(fs),) + zz.shape, dtype=complex)
-    if s == 0.0:
-        for row, f in zip(out, fs):
-            row[...] = f(zz)
-        return out
-    den = fractal_measure_deriv_c(zz, p.alpha, p.k)
-    # no product writes over one of its own operands: numpy may take a
-    # different complex-multiply loop then, which rounds differently
-    frac = np.empty(zz.shape, dtype=complex)
-    for row, f in zip(out, fs):
-        fv = f(zz)
-        fp = f.derivative()(zz)
-        if p.beta == 1.0:
-            np.divide(fp, den, out=frac)
-        else:
-            if np.any(fv == 0):
-                raise DomainError("f vanishes at an evaluation point; f**beta undefined")
-            if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
-                raise BranchError("f(z) on the negative real axis; principal power undefined")
-            power = fv ** (p.beta - 1.0)
-            np.multiply(p.beta, power, out=row)
-            np.multiply(row, fp, out=power)
-            np.divide(power, den, out=frac)
-        np.multiply(s, frac, out=row)
-        np.multiply(1.0 - s, fv, out=frac)
-        np.add(frac, row, out=row)
+    sigmas = _stack_sigmas(p, sigmas)
+    zz = _stack_nodes(p, z)
+    out = np.empty((len(sigmas) * len(fs),) + zz.shape, dtype=complex)
+    for _ in _stack_rows(fs, p, sigmas, zz, out):
+        pass
     return out
 
 
@@ -107,17 +149,32 @@ class DirichletValue:
     method: str
 
 
-def dirichlet_norms_quad(fs, p, spec=None):
+def _abs2_stack(fs, p, z, sigmas):
+    """|D f|**2 at z for each (sigma, series) pair, in ff_eval_stack's row
+    order, written row by row into one float buffer: no complex stack is
+    formed, and each row holds the bits of np.abs(ff_eval_stack(...))**2."""
+    zz = _stack_nodes(p, z)
+    out = np.empty((len(sigmas) * len(fs),) + zz.shape)
+    for i, row in _stack_rows(fs, p, sigmas, zz):
+        np.abs(row, out=out[i])
+        np.square(out[i], out=out[i])
+    return out
+
+
+def dirichlet_norms_quad(fs, p, spec=None, sigmas=None):
     """Squared Dirichlet-type norms of a stack of series by one quadrature of
-    the stacked |Df|**2; each series gets the value dirichlet_norm_quad
-    gives it alone."""
-    if not fs:
+    the stacked |Df|**2: one value per (sigma, series) pair, sigma-major,
+    for sigma in sigmas (default (p.sigma,)).  Each entry converges on its
+    own, to within rounding of the value dirichlet_norm_quad gives it
+    alone."""
+    sigmas = _stack_sigmas(p, sigmas)
+    if not fs or not sigmas:
         return []
     points = [p.alpha * abs(f(BASE_POINT)) ** 2 for f in fs]
-    fields = integrate_disk(lambda zeta: np.abs(ff_eval_stack(fs, p, zeta)) ** 2,
-                            spec, len(fs)).value
+    fields = integrate_disk(lambda zeta: _abs2_stack(fs, p, zeta, sigmas),
+                            spec, len(sigmas) * len(fs)).value
     return [DirichletValue(point + float(field), point, float(field), "quadrature")
-            for point, field in zip(points, fields)]
+            for point, field in zip(points * len(sigmas), fields)]
 
 
 def dirichlet_norm_quad(f, p, spec=None):

@@ -14,13 +14,17 @@ are processed in fixed-size chunks with a fixed accumulation order, so
 results are deterministic for a given spec; a block holds at most _CHUNK
 elements, counting each row of a stack of the given height.
 
-_CHUNK is 2**19, so a block's complex stack takes at most 8 MiB.  Beside it
-a block holds its per-node arrays (r, theta and the weights at 8 bytes a
-node, z and the measure derivative at 16) and, while ff_eval_stack fills
-the stack row by row, a few row-sized temporaries.  At 2**20 a four-row
-stack at level 2 of the default rule (262,144 nodes) was a single 16 MiB
-block, and with its per-node arrays it set the peak memory of the
-reproducing suite; the halved blocks cost the norms sweep no time.
+_CHUNK is 2**19, so a block's complex stack takes at most 8 MiB, and the
+float |Df|**2 stack of dirichlet_norms_quad, whose rows are written without
+any complex stack, at most 4 MiB.  Beside it a block holds its per-node
+arrays (r, theta and the weights at 8 bytes a node, z and the measure
+derivative at 16) and, while the stack is filled row by row, a few
+row-sized complex temporaries: f, f' and f'/den, formed once per series
+and shared by every sigma of the stack, and with several sigmas a scratch
+row or two.  At 2**20 a four-row stack at level 2 of the default rule
+(262,144 nodes) was a single 16 MiB block, and with its per-node arrays it
+set the peak memory of the reproducing suite; the halved blocks cost the
+norms sweep no time.
 """
 
 import cmath

@@ -136,7 +136,8 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
     divergence: the series route decides it up front (DivergentIntegral)
     and the quadrature route must show the logarithmic growth.  Such
     functions are simply not members of the space there.  The quadrature
-    norms of one (alpha, k, sigma) are one stacked integral.
+    norms of one (alpha, k) are one stacked integral over every sigma,
+    which forms each function's f and f'/den once per node block.
     """
     functions = functions or sweep_functions()
     max_deg = max(f.degree for _, f in functions)
@@ -152,11 +153,11 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
             # the divergent field term scales with sigma**2, so one profile
             # per function settles every sigma
             profiles = {}
+            quads = iter(dirichlet_norms_quad(
+                [f for (_, f), fin in zip(functions, finite) if fin],
+                base, DEFAULT_SPEC, sigmas=sigmas))
             for sigma in sigmas:
                 p = FFParams(alpha=alpha, sigma=sigma, k=k)
-                quads = iter(dirichlet_norms_quad(
-                    [f for (_, f), fin in zip(functions, finite) if fin],
-                    p, DEFAULT_SPEC))
                 for (label, f), fin in zip(functions, finite):
                     row = {"f": label, "alpha": alpha, "sigma": sigma,
                            "k": _k_label(k)}

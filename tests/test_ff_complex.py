@@ -389,6 +389,70 @@ def test_eval_stack_peak_memory_stays_near_its_output():
     assert peak < 1.5 * out.nbytes
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_multi_sigma_rows_are_the_one_sigma_rows_bit_for_bit(beta, rng):
+    sigmas = (0.0, 0.3, 1.0)
+    p = FFParams(alpha=0.7, sigma=0.5, k=2, beta=beta)
+    if beta == 1.0:
+        fs = [CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+              for d in range(5)] + [CPowerSeries([]), CPowerSeries([2.0 - 1.0j])]
+    else:
+        fs = [CPowerSeries([3.0, 0.5 - 0.5j, 0.25j]), CPowerSeries([2.0 - 1.0j])]
+    z = rng.uniform(0.05, 0.95, (7, 13)) * np.exp(1j * rng.uniform(-3.0, 3.0, (7, 13)))
+    for zeta in (z, z.ravel(), z[0, 0]):
+        got = ff_eval_stack(fs, p, zeta, sigmas=sigmas)
+        assert got.shape == (len(sigmas) * len(fs),) + np.atleast_1d(zeta).shape
+        for j, s in enumerate(sigmas):
+            alone = ff_eval_stack(fs, replace(p, sigma=s), zeta)
+            assert got[j * len(fs) : (j + 1) * len(fs)].tobytes() == alone.tobytes()
+        # the |Df|**2 rows the norms integrate hold the same bits as well
+        assert (ff_complex._abs2_stack(fs, p, zeta, sigmas).tobytes()
+                == (np.abs(got) ** 2).tobytes())
+
+
+def test_stacked_sigmas_match_one_sigma_at_a_time(spec, rng):
+    sigmas = (0.2, 0.5, 0.8)
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    fs = [CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+          for d in range(6)] + [CPowerSeries([2.0])]
+    stacked = dirichlet_norms_quad(fs, p, spec, sigmas=sigmas)
+    assert len(stacked) == len(sigmas) * len(fs)
+    for j, s in enumerate(sigmas):
+        alone = dirichlet_norms_quad(fs, replace(p, sigma=s), spec)
+        for v, w in zip(stacked[j * len(fs) : (j + 1) * len(fs)], alone):
+            assert abs(v.norm_sq - w.norm_sq) <= 1e-14 * w.norm_sq
+            assert v.point_term == w.point_term
+    assert dirichlet_norms_quad(fs, p, spec, sigmas=()) == []
+
+
+def test_each_stacked_sigma_is_checked_before_any_quadrature(no_quadrature):
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError, match="sigma"):
+            dirichlet_norms_quad([CPowerSeries([1.0, 1.0])], p, sigmas=(0.2, bad))
+        with pytest.raises(DomainError, match="sigma"):
+            ff_eval_stack([CPowerSeries([1.0])], p, 0.3, sigmas=(bad,))
+
+
+def test_abs2_stack_peak_memory_stays_near_its_output():
+    import tracemalloc
+    from ffq.verify import GRID_SIGMAS, sweep_functions
+    fs = [f for _, f in sweep_functions()]
+    rng = np.random.default_rng(0)
+    n = 65536
+    z = rng.uniform(0.05, 0.95, n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    tracemalloc.start()
+    try:
+        out = ff_complex._abs2_stack(fs, p, z, GRID_SIGMAS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (81, n) and out.dtype == np.float64
+    # np.abs(ff_eval_stack(...)) ** 2 over the same rows peaks at 3x
+    assert peak < 1.3 * out.nbytes
+
+
 def test_reproduce_identity_2(spec):
     p = FFParams(alpha=1.0, sigma=0.5, k=1)
     assert reproduce_identity_2(CPowerSeries([0, 1]), p, 0.7, spec) < 1e-5
