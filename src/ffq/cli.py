@@ -28,8 +28,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import DomainError, FFQError, INF, NoConvergence
-from .ff_complex import (dirichlet_norm, dirichlet_norms_quad, ff_eval_c,
-                         inner_product_c, kernel_K_half, _field_diverges)
+from .ff_complex import (dirichlet_norm, ff_eval_c, inner_product_c,
+                         kernel_K_half)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
                               qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
@@ -332,59 +332,27 @@ def _k_sort_key(k):
     return (1, 0.0) if k == INF else (0, float(k))
 
 
-def _norm_or_none(f, p, spec, method):
-    """dirichlet_norm, or None where it is divergent or does not converge."""
-    try:
-        return dirichlet_norm(f, p, spec, method)
-    except NoConvergence:
-        return None
-
-
-def _quad_column(f, params, spec):
-    """The quadrature norms of f at params, which differ only in sigma: one
-    stacked integral over the sigmas _field_diverges leaves open (None at
-    the others), or, if that does not converge, one integral per sigma, so
-    that each keeps its own verdict."""
-    shut = [_field_diverges(f, p) for p in params]
-    try:
-        stacked = iter(dirichlet_norms_quad(
-            [f], params[0], spec, sigmas=[p.sigma for p, s in zip(params, shut) if not s]))
-        return [None if s else next(stacked) for s in shut]
-    except NoConvergence:
-        return [_norm_or_none(f, p, spec, "quad") for p in params]
-
-
 def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
-    lexicographic parameter order.  With method quad the sigmas of each
-    (alpha, k) are one stacked integral."""
+    lexicographic parameter order."""
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
     ks = sorted(job.ks or [job.k], key=_k_sort_key)
-    values = {}
-    for alpha in alphas:
-        for k in ks:
-            params = [FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
-                      for sigma in sigmas]
-            if method == "quad":
-                column = _quad_column(f, params, spec)
-            else:
-                column = [_norm_or_none(f, p, spec, method) for p in params]
-            values.update(((alpha, sigma, k), val) for sigma, val in zip(sigmas, column))
     rows = []
     for alpha in alphas:
         for sigma in sigmas:
             for k in ks:
-                val = values[alpha, sigma, k]
+                p = FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
                 row = {"alpha": alpha, "sigma": sigma, "k": encode_k(k)}
-                if val is None:
-                    row.update(norm_sq="", point_term="", field_term="",
-                               method=method, status="divergent")
-                else:
+                try:
+                    val = dirichlet_norm(f, p, spec, method)
                     row.update(norm_sq=val.norm_sq, point_term=val.point_term,
                                field_term=val.field_term, method=val.method,
                                status="ok")
+                except NoConvergence:
+                    row.update(norm_sq="", point_term="", field_term="",
+                               method=method, status="divergent")
                 rows.append(row)
     return rows
 

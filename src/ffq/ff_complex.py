@@ -41,14 +41,6 @@ def _require_order(p):
         raise DomainError("the fractal term needs k >= 1 or k = inf")
 
 
-def _stack_sigmas(p, sigmas):
-    """The sigmas of a stack, (p.sigma,) by default, each validated as
-    FFParams validates sigma."""
-    if sigmas is None:
-        return (p.sigma,)
-    return tuple(replace(p, sigma=s).sigma for s in sigmas)
-
-
 def _stack_nodes(p, z):
     """z as a complex array of evaluation points, checked for the stack."""
     _require_order(p)
@@ -107,26 +99,23 @@ def _stack_rows(fs, p, sigmas, zz, out=None):
             yield i, row
 
 
-def ff_eval_stack(fs, p, z, sigmas=None):
+def ff_eval_stack(fs, p, z):
     """Apply the derivative D to each series of fs at z (an array): one row
-    per (sigma, series) pair, sigma-major, for sigma in sigmas (default
-    (p.sigma,)), with the measure derivative computed once for the stack.
+    per series, with the measure derivative computed once for the stack.
 
-    The (len(sigmas) len(fs),) + z.shape output is allocated once and each
-    row is filled in place, (1 - s) f + s (beta f**(beta-1) f') / den with
-    every operation in that order, so the temporaries stay a few rows deep
-    whatever the stack's height; the sigma-free parts are formed once per
-    series, and every row holds the bits of a one-sigma stack.
+    The (len(fs),) + z.shape output is allocated once and each row is filled
+    in place, (1 - s) f + s (beta f**(beta-1) f') / den with every operation
+    in that order, so the temporaries stay a few rows deep whatever the
+    stack's height.
 
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
     axis at the evaluation points (spot-screened here; the global hypothesis
     is the caller's).
     """
-    sigmas = _stack_sigmas(p, sigmas)
     zz = _stack_nodes(p, z)
-    out = np.empty((len(sigmas) * len(fs),) + zz.shape, dtype=complex)
-    for _ in _stack_rows(fs, p, sigmas, zz, out):
+    out = np.empty((len(fs),) + zz.shape, dtype=complex)
+    for _ in _stack_rows(fs, p, (p.sigma,), zz, out):
         pass
     return out
 
@@ -150,9 +139,9 @@ class DirichletValue:
 
 
 def _abs2_stack(fs, p, z, sigmas):
-    """|D f|**2 at z for each (sigma, series) pair, in ff_eval_stack's row
-    order, written row by row into one float buffer: no complex stack is
-    formed, and each row holds the bits of np.abs(ff_eval_stack(...))**2."""
+    """|D f|**2 at z for each (sigma, series) pair, sigma-major, written row
+    by row into one float buffer: no complex stack is formed, and the row of
+    (s, f) holds the bits of np.abs(ff_eval_stack([f], p with sigma s, z))**2."""
     zz = _stack_nodes(p, z)
     out = np.empty((len(sigmas) * len(fs),) + zz.shape)
     for i, row in _stack_rows(fs, p, sigmas, zz):
@@ -167,7 +156,9 @@ def dirichlet_norms_quad(fs, p, spec=None, sigmas=None):
     for sigma in sigmas (default (p.sigma,)).  Each entry converges on its
     own, to within rounding of the value dirichlet_norm_quad gives it
     alone."""
-    sigmas = _stack_sigmas(p, sigmas)
+    # each sigma is checked as FFParams checks it, before any quadrature
+    sigmas = (p.sigma,) if sigmas is None else tuple(replace(p, sigma=s).sigma
+                                                     for s in sigmas)
     if not fs or not sigmas:
         return []
     points = [p.alpha * abs(f(BASE_POINT)) ** 2 for f in fs]

@@ -461,53 +461,3 @@ def test_every_route_decodes_k_alike(route, value, accepted, tmp_path, capsys,
         assert record["type"] == "parse"
         assert record["message"].startswith(label)
 
-
-def test_table_stacks_the_sigmas_of_each_cell(capsys, monkeypatch):
-    import ffq.cli
-    from ffq import CPowerSeries, FFParams, NoConvergence, dirichlet_norm
-
-    stacked, calls = ffq.cli.dirichlet_norms_quad, []
-
-    def counted(fs, p, spec=None, sigmas=None):
-        calls.append(tuple(sigmas))
-        return stacked(fs, p, spec, sigmas)
-
-    monkeypatch.setattr(ffq.cli, "dirichlet_norms_quad", counted)
-    args = ["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.7,1.0]",
-            "--sigmas", "[0.5,0]", "--ks", "[2,1]"]
-    code, out, _ = run_cli(args, capsys)
-    assert code == EXIT_OK
-    rows = json.loads(out)
-    # one integral per (alpha, k); at (1, 2) sigma 0.5 is proven divergent
-    assert calls == [(0, 0.5)] * 3 + [(0,)]
-    assert [(r["alpha"], r["sigma"], r["k"]) for r in rows] == [
-        (a, s, k) for a in (0.7, 1.0) for s in (0, 0.5) for k in (1, 2)]
-    assert [r["status"] for r in rows] == ["ok"] * 7 + ["divergent"]
-    f = CPowerSeries([0.0, 1.0])
-    for row in rows[:7]:
-        alone = dirichlet_norm(f, FFParams(alpha=row["alpha"], sigma=row["sigma"],
-                                           k=row["k"])).norm_sq
-        assert abs(row["norm_sq"] - alone) <= 1e-14 * alone
-
-    # a stacked integral that does not converge gives way to one per sigma,
-    # so that each row keeps its own verdict
-    def refuse(*args, **kwargs):
-        raise NoConvergence("capped", None, None)
-
-    def capped_at_half(f, p, spec=None, method="quad"):
-        if p.sigma == 0.5:
-            raise NoConvergence("capped", None, None)
-        return dirichlet_norm(f, p, spec, method)
-
-    monkeypatch.setattr(ffq.cli, "dirichlet_norms_quad", refuse)
-    code, out, _ = run_cli(args, capsys)
-    assert code == EXIT_OK
-    assert [r["norm_sq"] for r in json.loads(out)] == [
-        dirichlet_norm(f, FFParams(alpha=r["alpha"], sigma=r["sigma"],
-                                   k=r["k"])).norm_sq if r["status"] == "ok" else ""
-        for r in rows]
-    monkeypatch.setattr(ffq.cli, "dirichlet_norm", capped_at_half)
-    code, out, _ = run_cli(args, capsys)
-    assert code == EXIT_OK
-    assert [r["status"] for r in json.loads(out)] == ["ok"] * 2 + ["divergent"] * 2 + [
-        "ok"] * 2 + ["divergent"] * 2
