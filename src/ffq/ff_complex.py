@@ -29,11 +29,15 @@ BASE_POINT = 0.5
 _ZETA_CHUNK = 8192
 # tail bound of the truncated Bergman series in kernel_K_half
 _TAIL_EPS = 1e-16
-# one dense kernel element (product, square, division) costs about as much
-# as ten Horner steps per zeta (26 ns against 2.6 ns, numpy 2.4 on x86-64);
 # kernel_K_half goes dense only when the series needs more terms than this
-# many per path node
-_DENSE_COST = 8
+# many per path node.  A dense kernel element (product, square, division)
+# costs about 20 ns and a blocked series term 0.4-0.7 ns per zeta (numpy 2.4,
+# OpenBLAS, 2 x86-64 cores); on slit paths to four points out to |z| = 0.97
+# the two routes broke even at a median 16, 24 and 28 terms per path node
+# for 1,600, 6,400 and 25,600 zetas, the sizes of nested disk blocks
+_DENSE_COST = 24
+# powers per block of the path series in _moment_path_sum
+_SERIES_BLOCK = 16
 
 
 def _require_order(p):
@@ -219,8 +223,7 @@ def _matrix_estimate(p, N, spec, level):
     km1 = INF if p.k == INF else p.k - 1
     A = np.zeros((N + 1, N + 1), dtype=complex)
     B = np.zeros((N + 1, N + 1), dtype=complex)
-    for r, t, w in _polar_blocks(spec, level):
-        z = r * np.exp(1j * t)
+    for r, t, z, w in _polar_blocks(spec, level):
         e = truncated_exp_c(z ** a, km1)
         zp = np.empty((N + 1, len(z)), dtype=complex)
         zp[0] = 1.0
@@ -500,20 +503,44 @@ def _dense_path_sum(wn, wt, zt):
     return out
 
 
+def _powers(x, n):
+    """Rows x**0, ..., x**(n-1) of a 1-D array x, by repeated products."""
+    out = np.empty((n, len(x)), dtype=complex)
+    out[0] = 1.0
+    for i in range(1, n):
+        np.multiply(out[i - 1], x, out=out[i])
+    return out
+
+
 def _moment_path_sum(wn, wt, zt, N):
     """The same sum through the Bergman series truncated after degree N:
-    path moments c_n = (n+1)/pi sum_i wt_i w_i**n, then Horner in conj(zeta)."""
-    c = np.empty(N + 1, dtype=complex)
-    power = wt.astype(complex)
-    for n in range(N + 1):
-        c[n] = power.sum()
-        power *= wn
-    c *= np.arange(1.0, N + 2) / math.pi
+    path moments c_n = (n+1)/pi sum_i wt_i w_i**n, then the series
+    sum_n c_n x**n in x = conj(zeta).  Both are taken in blocks of
+    m = _SERIES_BLOCK powers (Paterson-Stockmeyer), n = j m + i: the moments
+    are the matrix product (V wt) W^T over V_i = w**i, i < m, and
+    W_j = (w**m)**j, j < q = ceil((N+1)/m); the series is
+    Q = c.reshape(q, m) @ x**i per chunk of zetas, then Horner in x**m over
+    the q rows of Q."""
+    m = min(_SERIES_BLOCK, N + 1)
+    q = -(-(N + 1) // m)
+    V = _powers(wn, m)
+    W = _powers(V[-1] * wn, q)
+    c = ((V * wt) @ W.T).T.ravel()  # c[j m + i] = sum_k wt_k w_k**i (w_k**m)**j
+    c[N + 1 :] = 0.0
+    c *= np.arange(1.0, q * m + 1) / math.pi
+    c = c.reshape(q, m)
     x = np.conj(zt)
-    out = np.full(zt.shape, c[N])
-    for n in range(N - 1, -1, -1):
-        out *= x
-        out += c[n]
+    out = np.empty(zt.shape, dtype=complex)
+    for s in range(0, len(x), _ZETA_CHUNK):
+        xs = x[s : s + _ZETA_CHUNK]
+        X = _powers(xs, m)
+        Q = c @ X
+        y = X[-1] * xs
+        acc = Q[-1]
+        for j in range(q - 2, -1, -1):
+            acc *= y
+            acc += Q[j]
+        out[s : s + _ZETA_CHUNK] = acc
     return out
 
 
@@ -529,13 +556,14 @@ def kernel_K_half(z, zeta, p, spec=None):
     At each refinement level the path rule's sum sum_i wt_i B(w_i, zeta)
     is taken through the Bergman series B(w, zeta) = (1/pi) sum_n (n+1)
     (w conj(zeta))**n: path moments c_n = (n+1)/pi sum_i wt_i w_i**n for
-    n <= N in one O(P N) pass over the P path nodes, then sum_n c_n
-    conj(zeta)**n by Horner at O(N) per zeta.  With rho = max|w_i| *
+    n <= N over the P path nodes, then sum_n c_n conj(zeta)**n, both as
+    matrix products over blocks of 16 powers with about N/16 Horner steps
+    in conj(zeta)**16 (_moment_path_sum).  With rho = max|w_i| *
     max|zeta_j| over the batch, N is the smallest integer with
     (N+2) rho**(N+1) / (1-rho)**2 <= 1e-16, which bounds the dropped tail
     sum_{n>N} (n+1) rho**n by the same 1e-16 times sum|wt_i| / pi.  The path
     stays within radius max(1/2, |z|) and Gauss nodes never reach |zeta| = 1,
-    so rho < 1 on the disk rule.  A level with N > 8 P (|z| and |zeta| near
+    so rho < 1 on the disk rule.  A level with N > 24 P (|z| and |zeta| near
     1 on a coarse path rule, or rho >= 1 for a zeta off the disk) forms
     B(w_i, zeta_j) densely instead, which is cheaper there.
     """

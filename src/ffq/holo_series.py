@@ -125,6 +125,8 @@ def principal_power_c(z, alpha):
     zz = np.asarray(z, dtype=complex)
     if np.any(zz == 0):
         raise BranchError("0**alpha is undefined on the principal branch")
+    if alpha == 1.0:  # z**1 = z on every branch
+        return complex(zz) if scalar else zz.copy()
     ang = np.angle(zz)
     neg_axis = (zz.imag == 0.0) & (zz.real < 0.0)
     if np.any(neg_axis):
@@ -133,11 +135,19 @@ def principal_power_c(z, alpha):
     return complex(out) if scalar else out
 
 
+# terms of truncated_exp_c between checks for a sum that can no longer change
+_EXP_CHECK = 64
+
+
 def truncated_exp_c(w, k):
     """Exponential sum of order k, sum_{n<=k} w^n/n!, elementwise over w.
 
     Preserves the input dtype (real in, real out), since the real-line
-    operators feed it real arguments.
+    operators feed it real arguments.  Every _EXP_CHECK terms the sum stops
+    once each entry's term is zero, so that no later term changes it, or
+    its sum is non-finite, which it stays (a later term might only turn an
+    infinity into NaN).  So a huge k costs a few hundred terms on |w| <= 1
+    (the slit disk), where the terms underflow to zero, not k.
     """
     k = check_order(k)
     ww = np.asarray(w)
@@ -149,6 +159,8 @@ def truncated_exp_c(w, k):
         for n in range(1, k + 1):
             term = term * ww / n
             out = out + term
+            if n % _EXP_CHECK == 0 and np.all((term == 0) | ~np.isfinite(out)):
+                break
     if np.isscalar(w) or getattr(w, "ndim", 1) == 0:
         return out[()]
     return out

@@ -12,7 +12,9 @@ Integrands receive flat numpy arrays and may return a stack of values with
 the node axis last; a stack is integrated entrywise in one pass.  Node blocks
 are processed in fixed-size chunks with a fixed accumulation order, so
 results are deterministic for a given spec; a block holds at most _CHUNK
-elements, counting each row of a stack of the given height.
+elements, counting each row of a stack of the given height.  Each block
+yields its nodes z = r e^{i theta} beside r, theta and the weights, formed
+from one row of e^{i theta} per level, so no node takes a sine or cosine.
 
 _CHUNK is 2**19, so a block's complex stack takes at most 8 MiB, and the
 float |Df|**2 stack of dirichlet_norms_quad, whose rows are written without
@@ -24,7 +26,10 @@ and shared by every sigma of the stack, and with several sigmas a scratch
 row or two.  At 2**20 a four-row stack at level 2 of the default rule
 (262,144 nodes) was a single 16 MiB block, and with its per-node arrays it
 set the peak memory of the reproducing suite; the halved blocks cost the
-norms sweep no time.
+norms sweep no time.  A nested integrand that calls kernel_K_half also
+holds, per chunk of _ZETA_CHUNK zetas, m + q complex rows of that length
+for the series in conj(zeta): m = 16 powers of conj(zeta) and
+q = ceil((N+1)/16) partial sums (ff_complex._moment_path_sum).
 """
 
 import cmath
@@ -106,23 +111,28 @@ def _composite(a, b, panels, n):
 
 
 def _polar_blocks(spec, level, height=1):
+    """Node blocks (r, theta, z, weight) of the disk rule at a level, with
+    z = r e^{i theta} formed from one row of e^{i theta} per level: the same
+    bits as r * np.exp(1j * theta) node by node."""
     rn, rw = _composite(0.0, 1.0, spec.panels_r << level, spec.nr)
     tn, tw = _composite(-np.pi, np.pi, spec.panels_theta << level, spec.ntheta)
+    eit = np.exp(1j * tn)
     rows = max(1, _CHUNK // (height * len(tn)))
     for i in range(0, len(rn), rows):
         rb, wb = rn[i : i + rows], rw[i : i + rows]
         yield (
             np.repeat(rb, len(tn)),
             np.tile(tn, len(rb)),
+            (rb[:, None] * eit[None, :]).ravel(),
             (wb[:, None] * tw[None, :]).ravel(),
         )
 
 
 def _polar_estimate(g, spec, level, height=1):
     acc = None
-    for r, t, w in _polar_blocks(spec, level, height):
+    for r, _, z, w in _polar_blocks(spec, level, height):
         w = w * r
-        part = np.asarray(g(r, t)) @ w
+        part = np.asarray(g(z)) @ w
         acc = part if acc is None else acc + part
     return np.asarray(acc)
 
@@ -177,9 +187,7 @@ def integrate_disk(integrand, spec=None, height=1):
     """
     spec = spec or DEFAULT_SPEC
     return _converge(
-        lambda level: _polar_estimate(
-            lambda r, t: integrand(r * np.exp(1j * t)), spec, level, height
-        ),
+        lambda level: _polar_estimate(integrand, spec, level, height),
         spec,
         "disk integral",
         entrywise=True,

@@ -1,5 +1,6 @@
-"""Hostile command lines drawn from the CLI's flag table: every run exits
-0, 2, 3 or 4, and writes strict JSON (or, for --format csv, rectangular CSV)."""
+"""Hostile command lines and --job payloads drawn from the CLI's flag table:
+every run exits 0, 2, 3 or 4, and writes strict JSON (or, for --format csv,
+rectangular CSV)."""
 
 import contextlib
 import csv
@@ -69,9 +70,48 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@settings(max_examples=300, deadline=None)
-@given(command_lines())
-def test_hostile_command_lines_keep_the_exit_code_and_output_contract(argv):
+def _decoded(text):
+    """A flag's text as the JSON value a payload would carry; text that is
+    not JSON arrives as a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+# every flag value above, decoded, for any field: the payload route has no
+# per-flag parser, so a field may get a value of any type
+_ANY = [_decoded(text) for text in _JSON + _NUMBERS + _QUAD_INTS]
+_ANY += [text for texts in _STRINGS.values() for text in texts]
+_ANY += [None, True, -1, 2.5, {"nr": 4}]
+# _COARSE as the quad object of a payload
+_COARSE_QUAD = {FLAGS[flag[2:].replace("-", "_")][0].partition(".")[2]: int(text)
+                for flag, text in zip(_COARSE[::2], _COARSE[1::2])}
+
+
+@st.composite
+def job_payloads(draw):
+    command = draw(st.sampled_from(sorted(_VALID)))
+    valid = _VALID[command]
+    payload = {"command": command}
+    payload.update((flag[2:], json.loads(text)) for flag, text in zip(valid[::2], valid[1::2]))
+    if "max_refine" in COMMANDS[command]:
+        payload["quad"] = dict(_COARSE_QUAD)
+    names = draw(st.lists(st.sampled_from(COMMANDS[command] + ("format", "command", "colour")),
+                          unique=True, max_size=4))
+    for name in names:
+        field = FLAGS[name][0] if name in FLAGS else name
+        head, _, key = field.partition(".")
+        value = draw(st.sampled_from(_ANY))
+        if key:
+            payload.setdefault(head, {})[key] = value
+        else:
+            payload[field] = value
+    return command, draw(st.sampled_from([payload] * 6 + [[payload], "x", 3, None]))
+
+
+def _check_contract(argv, csv_output):
+    """Run argv; the exit code is documented and every output parses."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -80,8 +120,22 @@ def test_hostile_command_lines_keep_the_exit_code_and_output_contract(argv):
         assert "error" in json.loads(err.getvalue(), parse_constant=_reject_constant)
     if not out.getvalue():
         return
-    if "csv" in argv:  # --format csv, the only flag that draws "csv"
+    if csv_output:
         rows = list(csv.reader(io.StringIO(out.getvalue())))
         assert len({len(row) for row in rows}) == 1
     else:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_hostile_command_lines_keep_the_exit_code_and_output_contract(argv):
+    _check_contract(argv, "csv" in argv)  # --format csv, the only flag that draws "csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(job_payloads())
+def test_hostile_job_payloads_keep_the_exit_code_and_output_contract(drawn):
+    command, payload = drawn
+    csv_output = isinstance(payload, dict) and payload.get("format") == "csv"
+    _check_contract([command, "--job", json.dumps(payload)], csv_output)

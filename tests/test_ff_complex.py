@@ -77,6 +77,38 @@ def test_norm_anchors(spec):
     assert abs(v.norm_sq - (0.25 + math.pi)) <= 1e-9
 
 
+def _mp_norm(mpmath, f, p):
+    """alpha |f(1/2)|**2 + int |Df|**2 over the slit disk in mpmath
+    arithmetic: Df from the coefficients of f (beta = 1, finite k), the area
+    integral by tanh-sinh in (r, theta)."""
+    a = [mpmath.mpc(c.real, c.imag) for c in f.coeffs]
+    da = [n * a[n] for n in range(1, len(a))] or [mpmath.mpc(0)]
+
+    def D(z):
+        w = mpmath.power(z, p.alpha)
+        den = p.alpha * w / z * sum(w ** n / mpmath.factorial(n) for n in range(p.k))
+        return (1 - p.sigma) * mpmath.polyval(a[::-1], z) + p.sigma * mpmath.polyval(da[::-1], z) / den
+
+    field = mpmath.quad(lambda r, t: abs(D(r * mpmath.expj(t))) ** 2 * r,
+                        [0, 1], [-mpmath.pi, mpmath.pi], method="tanh-sinh")
+    return p.alpha * abs(mpmath.polyval(a[::-1], mpmath.mpf(1) / 2)) ** 2 + field
+
+
+def test_norm_anchors_against_an_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    from ffq.verify import DEFAULT_SPEC, TOL_ANCHOR
+    with mpmath.workdps(30):
+        cases = [(CPowerSeries([1.0]), FFParams(alpha=1.0, sigma=0.5, k=1),
+                  1 + mpmath.pi / 4),
+                 (CPowerSeries([0.0, 1.0]), FFParams(alpha=1.0, sigma=1.0, k=1),
+                  mpmath.mpf(1) / 4 + mpmath.pi)]
+        for f, p, exact in cases:
+            oracle = _mp_norm(mpmath, f, p)
+            assert abs(oracle - exact) <= mpmath.mpf("1e-25")
+            got = dirichlet_norm_quad(f, p, DEFAULT_SPEC).norm_sq
+            assert abs(got - float(oracle)) <= TOL_ANCHOR
+
+
 def test_inner_product(spec, rng):
     p = FFParams(alpha=1.0, sigma=1.0, k=1)
     got = inner_product_c(CPowerSeries([0, 0, 1]), CPowerSeries([0, 0, 0, 1]),
@@ -259,6 +291,30 @@ def test_moment_form_matches_dense_path_sum():
             dense = ff_complex._dense_path_sum(wn, wt, zt)
             moment = ff_complex._moment_path_sum(wn, wt, zt, N)
             assert np.max(np.abs(moment - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def _plain_moment_path_sum(wn, wt, zt, N):
+    """Reference: one moment per degree, then Horner in conj(zeta)."""
+    c = np.array([np.sum(wt * wn ** n) for n in range(N + 1)])
+    c *= np.arange(1.0, N + 2) / math.pi
+    out = np.full(zt.shape, c[N])
+    for n in range(N - 1, -1, -1):
+        out = out * np.conj(zt) + c[n]
+    return out
+
+
+@pytest.mark.parametrize("N", [0, 15, 16, 17, 264])
+def test_blocked_moment_sum_matches_the_plain_series(N):
+    rng = np.random.default_rng(N)
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    wn, wt = ff_complex._weighted_path_rule(build_slit_path(0.85j), p, 1.0, NESTED_SPEC, 1)
+    n = ff_complex._ZETA_CHUNK + 77  # a full chunk and a short one
+    zetas = 0.9 * np.sqrt(rng.random(n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    for zt in (zetas, zetas[:1]):
+        want = _plain_moment_path_sum(wn, wt, zt, N)
+        got = ff_complex._moment_path_sum(wn, wt, zt, N)
+        assert got.shape == zt.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_moment_order_meets_the_tail_bound():

@@ -60,6 +60,20 @@ def test_principal_power_branch_conventions():
     assert abs(principal_power_c(complex(-1.0, -0.0), 0.5) - 1j) < 1e-15
 
 
+def test_principal_power_at_one_is_z_bit_for_bit():
+    z = np.array([[0.3 + 0.4j, -0.5 + 0.0j, complex(-0.7, -0.0)],
+                  [0.9, 1e-300 - 2e-300j, -0.2 - 0.6j]])
+    for zz in (z, z[0], z[1, 2]):
+        got = principal_power_c(zz, 1.0)
+        assert np.asarray(got).tobytes() == np.asarray(zz).tobytes()
+    scalar = principal_power_c(0.3 + 0.4j, 1.0)
+    assert type(scalar) is complex and scalar == 0.3 + 0.4j
+    assert principal_power_c(z, 1.0) is not z  # a copy, never the input
+    for zero in (0.0, np.array([0.5, 0.0])):
+        with pytest.raises(BranchError):
+            principal_power_c(zero, 1.0)
+
+
 @pytest.mark.parametrize("a,b", [(0.3, 0.5), (0.9, 0.1), (0.25, 0.75)])
 def test_power_addition_law(rng, a, b):
     for _ in range(20):
@@ -107,6 +121,16 @@ def test_fractal_measure_matches_real_line():
 def test_truncated_exp_c_preserves_real_dtype():
     out = truncated_exp_c(np.array([0.5, 1.0]), 3)
     assert out.dtype == np.float64
+
+
+def test_truncated_exp_c_stops_once_no_term_can_change_the_sum():
+    w = np.array([0.3 + 0.4j, -0.99, 1j, 0.0])
+    # every term underflows to zero by degree 200 on |w| <= 1: the same bits
+    assert truncated_exp_c(w, 10 ** 200).tobytes() == truncated_exp_c(w, 200).tobytes()
+    assert truncated_exp_c(0.5, 10 ** 200) == truncated_exp_c(0.5, 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert truncated_exp_c(1e200, 10 ** 200) == math.inf  # overflowed sums stop too
+        assert not np.isfinite(truncated_exp_c(np.array([-1e5, 2.0]), 10 ** 200)[0])
 
 
 def test_exponential_sums_have_no_zero_inside_the_unit_disk():

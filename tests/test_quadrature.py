@@ -5,6 +5,8 @@ import pytest
 
 from ffq import (DomainError, NoConvergence, QuadratureSpec, build_slit_path,
                  in_slit_disk, integrate_disk, path_integral)
+from ffq.quadrature import DEFAULT_SPEC, _polar_blocks
+from ffq.verify import NESTED_SPEC
 
 
 def test_disk_area():
@@ -16,6 +18,14 @@ def test_disk_radial_moment():
     # oracle: int r^3 dr * 2 pi = pi / 2
     res = integrate_disk(lambda z: np.abs(z) ** 2)
     assert abs(res.value - math.pi / 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC])
+@pytest.mark.parametrize("height", [1, 4])
+def test_polar_block_nodes_are_the_nodewise_product(spec, height):
+    for level in range(3):
+        for r, t, z, _ in _polar_blocks(spec, level, height):
+            assert z.tobytes() == (r * np.exp(1j * t)).tobytes()
 
 
 def test_disk_odd_symmetry():
