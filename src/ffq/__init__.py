@@ -20,12 +20,11 @@ from .slice_regular import (QPowerSeries, SplitPair, cullen_derivative,
                             is_intrinsic, join, regular_conjugate,
                             representation_formula, split, star_inverse,
                             star_product, symmetrization)
-from .ff_real import (DEFAULT_STEP, FFParams, FractalMeasure,
-                      ProportionalWeights, beta_fractal_derivative,
-                      default_weights, ff_derivative_real,
-                      ff_family_sigma_alpha2, fractal_derivative,
-                      measure_identity, measure_power, measure_truncated_exp,
-                      proportional_derivative)
+from .ff_real import (DEFAULT_STEP, FFParams, ProportionalWeights,
+                      beta_fractal_derivative, default_weights,
+                      ff_derivative_real, ff_family_sigma_alpha2,
+                      fractal_derivative, measure_identity, measure_power,
+                      measure_truncated_exp, proportional_derivative)
 from .quadrature import (DEFAULT_SPEC, MAX_FINEST_NODES, QuadratureSpec,
                          QuadResult, SlitPath, build_slit_path, integrate_disk,
                          path_integral)

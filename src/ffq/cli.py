@@ -49,9 +49,10 @@ def fmt_float(x):
     return format(float(x), ".17g")
 
 
-def canonical_dumps(obj, indent=0):
+def canonical_dumps(obj):
     """Deterministic JSON text: sorted keys, 17-digit floats, no whitespace
-    variation, so equal payloads serialize to equal bytes."""
+    variation, so equal payloads serialize to equal bytes.  A non-finite
+    float raises OverflowError: a result that overflowed is a domain error."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -62,7 +63,7 @@ def canonical_dumps(obj, indent=0):
         return str(obj)
     if isinstance(obj, float):
         if math.isinf(obj) or math.isnan(obj):
-            raise ValueError("non-finite floats must be encoded upstream")
+            raise OverflowError(f"non-finite result {obj!r}")
         return fmt_float(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_dumps(v) for v in obj) + "]"
@@ -417,7 +418,7 @@ FLAGS = {
     "alpha": ("alpha", float, None),
     "beta": ("beta", float, None),
     "sigma": ("sigma", float, None),
-    "k": ("k", _read_k, "non-negative integer or 'inf'"),
+    "k": ("k", _read_k, "integer >= 1 or 'inf'"),
     "frame": ("frame", _read_json_arg, "two quaternions as JSON [[..4],[..4]]"),
     "z": ("z", _read_json_arg, "complex point as JSON [re, im]"),
     "zeta": ("zeta", _read_json_arg, "complex point as JSON [re, im]"),
@@ -535,7 +536,10 @@ def main(argv=None):
         _error_record("parse", exc)
         return EXIT_PARSE
     try:
-        code, doc = run(job)
+        # numpy's warnings would break the strict-JSON stderr; a result that
+        # overflowed still reaches canonical_dumps as a non-finite float
+        with np.errstate(all="ignore"):
+            code, doc = run(job)
         _emit(doc, job)
         return code
     except NoConvergence as exc:

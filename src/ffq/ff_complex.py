@@ -2,9 +2,9 @@
 the Dirichlet-type norm and inner product it induces, the coefficient-series
 form of that norm, and the reproducing identities.
 
-Weights are fixed to the convex pair chi0 = sigma, chi1 = 1 - sigma here;
-general weights live only in the real-line module.  The derivative of a
-series f is
+Weights are fixed to the convex pair chi0 = sigma, chi1 = 1 - sigma here,
+as in every operator; general weights live only in the real-line
+proportional_derivative.  The derivative of a series f is
 
     D f(z) = (1 - sigma) f(z) + sigma * (f**beta)'(z) / (d/dz e_k(z**alpha)),
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
                      DomainError, INF, NoConvergence)
+from .ff_real import DEFAULT_STEP
 from .holo_series import (fractal_measure_c, fractal_measure_deriv_c,
                           in_slit_disk, truncated_exp_c)
 from .quadrature import (DEFAULT_SPEC, _converge, _path_rule, _polar_blocks,
@@ -40,14 +41,13 @@ _DENSE_COST = 24
 _SERIES_BLOCK = 16
 
 
-def _require_order(p):
-    if p.k != INF and p.k < 1:
-        raise DomainError("the fractal term needs k >= 1 or k = inf")
+def _require_linear(p):
+    if p.beta != 1.0:
+        raise DomainError("norms and inner products are defined on the linear (beta = 1) space")
 
 
-def _stack_nodes(p, z):
+def _stack_nodes(z):
     """z as a complex array of evaluation points, checked for the stack."""
-    _require_order(p)
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     if not np.all(in_slit_disk(zz)):
         raise BranchError("evaluation point outside the slit unit disk")
@@ -117,7 +117,7 @@ def ff_eval_stack(fs, p, z):
     axis at the evaluation points (spot-screened here; the global hypothesis
     is the caller's).
     """
-    zz = _stack_nodes(p, z)
+    zz = _stack_nodes(z)
     out = np.empty((len(fs),) + zz.shape, dtype=complex)
     for _ in _stack_rows(fs, p, (p.sigma,), zz, out):
         pass
@@ -146,7 +146,7 @@ def _abs2_stack(fs, p, z, sigmas):
     """|D f|**2 at z for each (sigma, series) pair, sigma-major, written row
     by row into one float buffer: no complex stack is formed, and the row of
     (s, f) holds the bits of np.abs(ff_eval_stack([f], p with sigma s, z))**2."""
-    zz = _stack_nodes(p, z)
+    zz = _stack_nodes(z)
     out = np.empty((len(sigmas) * len(fs),) + zz.shape)
     for i, row in _stack_rows(fs, p, sigmas, zz):
         np.abs(row, out=out[i])
@@ -183,8 +183,7 @@ def dirichlet_norm_quad(f, p, spec=None):
 
 def inner_product_c(f, g, p, spec=None):
     """Hermitian product alpha f(1/2) conj g(1/2) + int (Df)(conj Dg) dmu."""
-    if p.beta != 1.0:
-        raise DomainError("the inner product is defined on the linear (beta = 1) space")
+    _require_linear(p)
     spec = spec or DEFAULT_SPEC
     point = p.alpha * f(BASE_POINT) * np.conj(g(BASE_POINT))
 
@@ -262,7 +261,6 @@ def coefficient_integrals(p, N, spec=None):
 
     Raises NoConvergence when refinement stops short of the tolerance.
     """
-    _require_order(p)
     if _measure_vanishes(p.alpha, p.k):
         raise DivergentIntegral(
             f"coefficient integrals diverge at alpha = {p.alpha}, k = {p.k}: "
@@ -320,8 +318,7 @@ def _table_gram(p, ci, degree):
     """series_gram from the table ci for series of the given degree, once
     ci is known to serve them: beta = 1, the same (alpha, k), and the
     degree at most ci.N."""
-    if p.beta != 1.0:
-        raise DomainError("the series norm is defined on the linear (beta = 1) space")
+    _require_linear(p)
     if ci.params.alpha != p.alpha or ci.params.k != p.k:
         raise DomainError("coefficient table was computed for different (alpha, k)")
     if degree > ci.N:
@@ -641,21 +638,21 @@ def reproduce_identity_2(f, p, z, spec=None):
     return abs(f(complex(z)) - reproduction_rhs_2(f, p, z, spec))
 
 
-def integrating_factor_residual(f, p, z, h=1e-5):
+def integrating_factor_residual(f, p, z):
     """Residual of the exact-derivative identity behind the whole theory:
 
         d/dz [ exp(lam e_k(z**a)) f(z) ] =
             (1/sigma) exp(lam e_k(z**a)) (d/dz e_k(z**a)) Df(z),
 
     with lam = (1 - sigma)/sigma.  The left side is a central difference with
-    step h, so the residual is O(h**2) on polynomial data.
+    step h = DEFAULT_STEP, so the residual is O(h**2) on polynomial data.
     """
     if not 0.0 < p.sigma <= 1.0:
         raise DomainError("identity needs sigma in (0, 1]")
-    z = complex(z)
+    z, h = complex(z), DEFAULT_STEP
     for w in (z - h, z, z + h):
         if not in_slit_disk(w):
-            raise DomainError(f"{w} leaves the slit disk; shrink h or move z")
+            raise DomainError(f"{w} leaves the slit disk; move z")
     lam = (1.0 - p.sigma) / p.sigma
 
     def weighted(w):

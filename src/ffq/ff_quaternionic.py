@@ -18,7 +18,7 @@ from .errors import BranchError, DomainError, FFQError, NoConvergence
 from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
                          dirichlet_norms_quad, ff_eval_stack,
                          reproduction_rhs_1_stack, reproduction_rhs_2_stack,
-                         _gram_form, _require_finite_field,
+                         _gram_form, _require_finite_field, _require_linear,
                          _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
@@ -69,11 +69,6 @@ class QDirichletValue:
     split_parts: tuple
     frame: object
     method: str
-
-
-def _require_linear(p):
-    if p.beta != 1.0:
-        raise DomainError("module norms are defined on the linear (beta = 1) space")
 
 
 def qdirichlet_norm(f, p, frame, spec=None, method="quad"):

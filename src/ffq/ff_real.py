@@ -3,12 +3,18 @@ their beta-power variant, the proportional derivative, and the combined
 fractal-fractional operator taken against the truncated exponential measure
 e_k(t**alpha), in both limit-quotient and closed form.
 
-Difference quotients use central steps with one Richardson level, which meets
-the 1e-6 agreement targets on smooth data without adaptive machinery.
+A measure is a plain function t -> nu(t).  The combined operator uses the
+convex weights chi0 = sigma, chi1 = 1 - sigma, as every complex and
+quaternionic operator does; general weight pairs enter only through
+proportional_derivative.
+
+Difference quotients use central steps of DEFAULT_STEP with one Richardson
+level, which meets the 1e-6 agreement targets on smooth data without
+adaptive machinery.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DegenerateMeasure, DomainError, INF, check_order
@@ -18,26 +24,18 @@ DEFAULT_STEP = 1e-5
 _MEASURE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class FractalMeasure:
-    """Measure nu(eta, t) against which difference quotients are taken."""
-
-    nu: Callable[[float, float], float]
-    eta: float = 1.0
-
-
 def measure_identity():
-    return FractalMeasure(lambda eta, t: t, 1.0)
+    return lambda t: t
 
 
 def measure_power(eta):
-    return FractalMeasure(lambda e, t: t ** e, eta)
+    return lambda t: t ** eta
 
 
 def measure_truncated_exp(alpha, k):
     """nu(t) = e_k(t**alpha), the measure behind the combined operator."""
     check_order(k)
-    return FractalMeasure(lambda e, t: float(truncated_exp_c(t ** alpha, k)), alpha)
+    return lambda t: float(truncated_exp_c(t ** alpha, k))
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,11 @@ class ProportionalWeights:
     chi1: Callable[[float, float], float]
     sigma: float = 0.5
 
-    def check_limits(self, t_samples=(0.5, 1.0, 2.0), tol=1e-4):
-        """Numerically screen the endpoint limits at sigma = 1e-6, 1 - 1e-6."""
-        lo, hi = 1e-6, 1.0 - 1e-6
-        for t in t_samples:
+    def check_limits(self):
+        """Numerically screen the endpoint limits at sigma = 1e-6, 1 - 1e-6,
+        to 1e-4 at t = 0.5, 1 and 2."""
+        lo, hi, tol = 1e-6, 1.0 - 1e-6, 1e-4
+        for t in (0.5, 1.0, 2.0):
             if abs(self.chi1(lo, t) - 1.0) > tol or abs(self.chi0(lo, t)) > tol:
                 return False
             if abs(self.chi1(hi, t)) > tol or abs(self.chi0(hi, t) - 1.0) > tol:
@@ -70,15 +69,15 @@ class FFParams:
     """Parameter bundle for every fractal-fractional operator.
 
     alpha in (0, 1] is the power inside the measure, beta in [0, 1] the power
-    applied to f, sigma in [0, 1] the proportional weight, k the truncation
-    order (inf allowed).  The weights default to the convex pair.
+    applied to f, sigma in [0, 1] the weight of the convex pair
+    chi0 = sigma, chi1 = 1 - sigma, and k >= 1 the truncation order (inf
+    allowed).  Equal parameters compare and hash equal.
     """
 
     alpha: float
     sigma: float
     k: object = 1
     beta: float = 1.0
-    weights: ProportionalWeights = field(default=None)
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -88,8 +87,8 @@ class FFParams:
         if not 0.0 <= self.sigma <= 1.0:
             raise DomainError(f"sigma must lie in [0, 1], got {self.sigma}")
         object.__setattr__(self, "k", check_order(self.k))
-        if self.weights is None:
-            object.__setattr__(self, "weights", default_weights(self.sigma))
+        if self.k < 1:
+            raise DomainError("the fractal term needs k >= 1 or k = inf")
 
 
 def _richardson(quotient, h):
@@ -113,27 +112,27 @@ def _powered(f, beta):
     return powered
 
 
-def fractal_derivative(f, m, t, h=DEFAULT_STEP, with_error=False):
+def fractal_derivative(f, m, t, with_error=False):
     """Stieltjes difference quotient of f against the measure m at t.
 
-    Matches f'(t)/nu'(eta, t) when both exist.  Raises DegenerateMeasure if
+    Matches f'(t)/nu'(t) when both exist.  Raises DegenerateMeasure if
     the measure increment collapses (non-monotone nu near t).
     """
-    return beta_fractal_derivative(f, m, 1.0, t, h, with_error)
+    return beta_fractal_derivative(f, m, 1.0, t, with_error)
 
 
-def beta_fractal_derivative(f, m, beta, t, h=DEFAULT_STEP, with_error=False):
+def beta_fractal_derivative(f, m, beta, t, with_error=False):
     """Difference quotient of f**beta against the measure m at t; at
     beta = 1 the quotient of f itself, fractal_derivative."""
     g = _powered(f, beta)
 
     def quotient(hh):
-        den = m.nu(m.eta, t + hh) - m.nu(m.eta, t - hh)
+        den = m(t + hh) - m(t - hh)
         if abs(den) <= _MEASURE_FLOOR:
             raise DegenerateMeasure(f"measure increment {den} at t = {t} below floor")
         return (g(t + hh) - g(t - hh)) / den
 
-    val, err = _richardson(quotient, h)
+    val, err = _richardson(quotient, DEFAULT_STEP)
     return (val, err) if with_error else val
 
 
@@ -141,13 +140,13 @@ def _derivative_estimate(f, t, h):
     return _richardson(lambda hh: (f(t + hh) - f(t - hh)) / (2.0 * hh), h)[0]
 
 
-def proportional_derivative(f, w, t, h=DEFAULT_STEP):
+def proportional_derivative(f, w, t):
     """chi1(sigma,t) f(t) + chi0(sigma,t) f'(t) with a central-difference f'."""
     s = w.sigma
-    return w.chi1(s, t) * f(t) + w.chi0(s, t) * _derivative_estimate(f, t, h)
+    return w.chi1(s, t) * f(t) + w.chi0(s, t) * _derivative_estimate(f, t, DEFAULT_STEP)
 
 
-def ff_derivative_real(f, p, t, h=DEFAULT_STEP, method="closed"):
+def ff_derivative_real(f, p, t, method="closed"):
     """Combined operator chi1 f + chi0 * (f**beta)' / (e_k(t**alpha))' at t > 0.
 
     method="closed" uses the closed form
@@ -159,27 +158,23 @@ def ff_derivative_real(f, p, t, h=DEFAULT_STEP, method="closed"):
         raise ValueError(f"unknown method {method!r}")
     if t <= 0.0:
         raise DomainError(f"operator needs t > 0, got t = {t}")
-    if p.k != INF and p.k < 1:
-        raise DomainError("truncation order k must be >= 1 (or inf)")
-    s = p.sigma
-    chi1 = p.weights.chi1(s, t)
-    chi0 = p.weights.chi0(s, t)
+    chi1, chi0 = 1.0 - p.sigma, p.sigma
     if chi0 == 0.0:
         return chi1 * f(t)
     if method == "limit":
-        frac = beta_fractal_derivative(f, measure_truncated_exp(p.alpha, p.k), p.beta, t, h)
+        frac = beta_fractal_derivative(f, measure_truncated_exp(p.alpha, p.k), p.beta, t)
     else:
         ft = f(t)
         if p.beta != 1.0 and ft <= 0.0:
             raise DomainError(f"f(t) = {ft} <= 0; fractional power undefined")
-        fp = _derivative_estimate(f, t, h)
+        fp = _derivative_estimate(f, t, DEFAULT_STEP)
         km1 = INF if p.k == INF else p.k - 1
         den = p.alpha * t ** (p.alpha - 1.0) * float(truncated_exp_c(t ** p.alpha, km1))
         frac = p.beta * ft ** (p.beta - 1.0) * fp / den
     return chi1 * f(t) + chi0 * frac
 
 
-def ff_family_sigma_alpha2(f, alpha, k, beta, t, h=DEFAULT_STEP):
+def ff_family_sigma_alpha2(f, alpha, k, beta, t):
     """The sigma = alpha**2 family: (1 - alpha^2) f + alpha t^(1-alpha) (f^beta)'
     for k = 1, with the extra factor exp(-t^alpha) for k = inf.
 
@@ -198,7 +193,7 @@ def ff_family_sigma_alpha2(f, alpha, k, beta, t, h=DEFAULT_STEP):
         return base
 
     powered = _powered(f, beta)
-    step = min(h, t / 2.0) if t > 0.0 else h
+    step = min(DEFAULT_STEP, t / 2.0) if t > 0.0 else DEFAULT_STEP
     if t == 0.0:
         if alpha < 1.0:
             return base  # t^(1-alpha) = 0 kills the derivative term

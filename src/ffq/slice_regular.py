@@ -244,9 +244,9 @@ def representation_formula(f_on_slice, frame, x, y, target_axis):
 _INTRINSIC_TOL = 1e-12
 
 
-def is_intrinsic(f, tol=_INTRINSIC_TOL):
-    """True when all coefficients are real to within tol."""
-    return f.max_imag_coefficient() <= tol
+def is_intrinsic(f):
+    """True when all coefficients are real to within _INTRINSIC_TOL."""
+    return f.max_imag_coefficient() <= _INTRINSIC_TOL
 
 
 def intrinsic_exp(f, q):

@@ -344,7 +344,6 @@ def factor_identity(n_points=50, seed=DEFAULT_SEED):
     exp(lam e_k) lam**3 and z**(alpha-3), which swamp the 1e-6 target for
     tiny sigma or points hugging the origin.
     """
-    h = 1e-5
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 3, r_range=(0.25, 0.85))
     alphas = (0.3, 0.5, 0.8, 1.0)
@@ -357,7 +356,7 @@ def factor_identity(n_points=50, seed=DEFAULT_SEED):
         deg = int(rng.integers(0, 5))
         f = CPowerSeries(0.5 * (rng.standard_normal(deg + 1)
                                 + 1j * rng.standard_normal(deg + 1)))
-        res = integrating_factor_residual(f, p, z, h)
+        res = integrating_factor_residual(f, p, z)
         rows.append({"variant": "complex", "z": str(z), "alpha": p.alpha,
                      "sigma": p.sigma, "k": _k_label(p.k), "residual": res,
                      "status": _status(res < TOL_FACTOR_IDENTITY)})
@@ -370,8 +369,8 @@ def factor_identity(n_points=50, seed=DEFAULT_SEED):
              for _ in range(int(rng.integers(1, 6)))])
         pair = split(fq, frame)
         res = max(
-            integrating_factor_residual(pair.f1, p, z, h),
-            integrating_factor_residual(pair.f2, p, z, h),
+            integrating_factor_residual(pair.f1, p, z),
+            integrating_factor_residual(pair.f2, p, z),
         )
         rows.append({"variant": "quaternionic-slice", "z": str(z),
                      "alpha": p.alpha, "sigma": p.sigma, "k": _k_label(p.k),

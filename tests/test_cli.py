@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ffq
 from ffq.cli import (EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE,
                      JobSpec, canonical_dumps, fmt_float, main)
 
@@ -235,8 +239,46 @@ def test_non_finite_poly_coefficient_exits_3(capsys):
     assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == "domain"
 
 
+def test_non_finite_result_exits_3(capsys):
+    # the result overflows to a non-finite float; it used to exit 2 from the
+    # JSON encoder with a parse record
+    code, out, err = run_cli(["deriv", "--real-f", "poly",
+                              "--f", "[[1e300,0],[1e300,0]]", "--t", "1e300",
+                              "--alpha", "1", "--sigma", "0.5", "--k", "1"],
+                             capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == "domain"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_intermediate_overflow_keeps_stderr_empty():
+    # e_5(t**0.5) overflows inside numpy on the way to a finite value; its
+    # RuntimeWarning must not reach stderr, which only error records use
+    # (pytest captures warnings in-process, hence the child process)
+    src = os.path.dirname(os.path.dirname(ffq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffq.cli", "deriv", "--real-f", "poly",
+         "--f", "[[1,0],[0.5,0]]", "--t", "1e200", "--k", "5",
+         "--alpha", "0.5", "--sigma", "0.5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == 2.5e199
+
+
+@pytest.mark.parametrize("method", ["direct", "split"])
+def test_qderiv_order_zero_exits_3_on_both_routes(method, capsys):
+    code, out, err = run_cli(["qderiv", "--f", "[[1,0,0,0]]", "--z", "[0.3,0]",
+                              "--sigma", "0", "--k", "0", "--method", method],
+                             capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "k >= 1" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("series", [

@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from ffq import (FFParams, FractalMeasure, INF, DegenerateMeasure, DomainError,
+from ffq import ff_real
+from ffq import (FFParams, INF, DegenerateMeasure, DomainError,
                  ProportionalWeights, beta_fractal_derivative, default_weights,
                  ff_derivative_real, ff_family_sigma_alpha2,
                  fractal_derivative, measure_identity, measure_power,
@@ -30,7 +33,7 @@ def test_fractal_derivative_constant_and_error_estimate():
 
 
 def test_degenerate_measure_rejected():
-    flat = FractalMeasure(lambda eta, t: 1.0, 1.0)
+    flat = lambda t: 1.0
     with pytest.raises(DegenerateMeasure):
         fractal_derivative(lambda t: t, flat, 1.0)
 
@@ -144,8 +147,10 @@ def test_ffparams_validation():
         FFParams(alpha=0.5, sigma=0.5, k=1, beta=2.0)
     with pytest.raises(DomainError):
         FFParams(alpha=0.5, sigma=0.5, k=2.5)
+    with pytest.raises(DomainError, match="k >= 1"):
+        FFParams(alpha=0.5, sigma=0.5, k=0)
     p = FFParams(alpha=0.5, sigma=0.5, k=INF)
-    assert p.k == INF and p.weights.check_limits()
+    assert p.k == INF
 
 
 def test_operator_requires_positive_t():
@@ -157,5 +162,39 @@ def test_operator_requires_positive_t():
 def test_truncated_exp_measure_is_monotone():
     m = measure_truncated_exp(0.6, 2)
     ts = np.linspace(0.1, 2.0, 30)
-    vals = [m.nu(0.6, float(t)) for t in ts]
+    vals = [m(float(t)) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_equal_params_compare_and_hash_equal():
+    a = FFParams(alpha=1.0, sigma=0.5, k=1)
+    b = FFParams(alpha=1.0, sigma=0.5, k=1)
+    assert a == b and hash(a) == hash(b)
+    assert a != FFParams(alpha=1.0, sigma=0.5, k=2)
+
+
+# keyword parameters of the public functions and the fields of FFParams; a
+# step, a tolerance or a weight pair that no caller sets stays out
+KEYWORDS = {
+    "measure_identity": (),
+    "measure_power": (),
+    "measure_truncated_exp": (),
+    "default_weights": ("sigma",),
+    "fractal_derivative": ("with_error",),
+    "beta_fractal_derivative": ("with_error",),
+    "proportional_derivative": (),
+    "ff_derivative_real": ("method",),
+    "ff_family_sigma_alpha2": (),
+}
+
+
+def test_real_line_keyword_parameters_are_pinned():
+    public = {name: fn for name, fn in vars(ff_real).items()
+              if inspect.isfunction(fn) and fn.__module__ == ff_real.__name__
+              and not name.startswith("_")}
+    found = {name: tuple(p.name for p in inspect.signature(fn).parameters.values()
+                         if p.default is not inspect.Parameter.empty)
+             for name, fn in public.items()}
+    assert found == KEYWORDS
+    assert [f.name for f in dataclasses.fields(FFParams)] == ["alpha", "sigma", "k", "beta"]
+    assert list(inspect.signature(ProportionalWeights.check_limits).parameters) == ["self"]

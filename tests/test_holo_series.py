@@ -115,7 +115,7 @@ def test_fractal_measure_matches_real_line():
     for t in (0.1, 0.4, 0.9):
         for alpha, k in ((0.5, 1), (0.8, 3), (1.0, INF)):
             m = measure_truncated_exp(alpha, k)
-            assert abs(fractal_measure_c(t, alpha, k) - m.nu(alpha, t)) <= 1e-14
+            assert abs(fractal_measure_c(t, alpha, k) - m(t)) <= 1e-14
 
 
 def test_truncated_exp_c_preserves_real_dtype():
