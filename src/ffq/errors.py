@@ -37,22 +37,25 @@ class DegreeMismatch(FFQError):
 class NoConvergence(FFQError):
     """Refinement hit its cap above tolerance.
 
-    Carries the last estimate and the last inter-level change so callers can
-    inspect how the refinement was behaving (a roughly constant change per
-    doubling is the signature of a logarithmically divergent integral).
+    Carries the last estimate (value) and the largest last inter-level
+    change (error).  As the quadrature core and dirichlet_norm_quad raise
+    it, it also carries each entry's last change (changes, shaped like
+    value), so callers can see which entries of a stack were still moving
+    at the cap.
     """
 
-    def __init__(self, message, value=None, error=None):
+    def __init__(self, message, value=None, error=None, changes=None):
         super().__init__(message)
         self.value = value
         self.error = error
+        self.changes = changes
 
 
 class DivergentIntegral(NoConvergence):
     """The integral is proven not to exist, so no quadrature was run.
 
-    Carries no estimate (value and error are None); the message names the
-    reason.
+    Carries no estimate (value, error and changes are None); the message
+    names the reason.
     """
 
 

@@ -174,11 +174,13 @@ def dirichlet_norms_quad(fs, p, spec=None, sigmas=None):
 
 def dirichlet_norm_quad(f, p, spec=None):
     """Squared Dirichlet-type norm by direct quadrature of |Df|**2; the
-    NoConvergence it raises carries the last field estimate as a float."""
+    NoConvergence it raises carries the last field estimate and its change
+    as floats."""
     try:
         return dirichlet_norms_quad((f,), p, spec)[0]
     except NoConvergence as exc:
-        raise NoConvergence(str(exc), float(exc.value[0]), exc.error) from None
+        raise NoConvergence(str(exc), float(exc.value[0]), exc.error,
+                            float(exc.changes[0])) from None
 
 
 def inner_product_c(f, g, p, spec=None):
@@ -223,7 +225,10 @@ def _matrix_estimate(p, N, spec, level):
     A = np.zeros((N + 1, N + 1), dtype=complex)
     B = np.zeros((N + 1, N + 1), dtype=complex)
     for r, t, z, w in _polar_blocks(spec, level):
-        e = truncated_exp_c(z ** a, km1)
+        # z**a = r**a e^{i a t} on the principal branch: Gauss nodes never
+        # reach t = +-pi, and this costs no per-node complex power
+        za = r ** a * np.exp(1j * a * t)
+        e = truncated_exp_c(za, km1)
         zp = np.empty((N + 1, len(z)), dtype=complex)
         zp[0] = 1.0
         for n in range(1, N + 1):
@@ -231,7 +236,8 @@ def _matrix_estimate(p, N, spec, level):
         zpc = zp.conj()
         wa = w * r ** (3.0 - 2.0 * a) / np.abs(e) ** 2
         A += (zpc * wa) @ zp.T
-        wb = w * r ** (2.0 - a) * np.exp(1j * t * (1.0 - a)) / e
+        # r**(2-a) e^{i t (1-a)} = r z / z**a on the principal branch
+        wb = w * r * z / (za * e)
         B += (zp * wb) @ zpc.T
     return np.stack([A, B])
 

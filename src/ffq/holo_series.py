@@ -12,9 +12,13 @@ from .errors import BranchError, DomainError, INF, check_order
 
 
 class CPowerSeries:
-    """Polynomial sum a_n z^n held as a complex coefficient vector a_0..a_N."""
+    """Polynomial sum a_n z^n held as a complex coefficient vector a_0..a_N.
 
-    __slots__ = ("coeffs",)
+    Immutable; derivative() is built once and kept, so the integrands that
+    evaluate f' in every node block share one series.
+    """
+
+    __slots__ = ("coeffs", "_derivative")
 
     def __init__(self, coeffs=()):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
@@ -44,10 +48,17 @@ class CPowerSeries:
         return complex(out) if scalar else out
 
     def derivative(self):
+        try:
+            return self._derivative
+        except AttributeError:
+            pass
         if len(self.coeffs) <= 1:
-            return CPowerSeries([])
-        n = np.arange(1, len(self.coeffs))
-        return CPowerSeries(n * self.coeffs[1:])
+            d = CPowerSeries([])
+        else:
+            d = CPowerSeries(np.arange(1, len(self.coeffs)) * self.coeffs[1:])
+        # two threads may both get here; each keeps an equal series
+        object.__setattr__(self, "_derivative", d)
+        return d
 
     def antiderivative(self, c0=0.0):
         if len(self.coeffs) == 0:

@@ -144,6 +144,8 @@ def _converge(estimate, spec, describe, entrywise=False):
     level.  With entrywise=True each entry is an integral of its own: it
     keeps the value and change of the first level at which it agreed, as if
     refined alone, while refinement goes on for the entries that have not.
+    At the cap, NoConvergence carries each entry's change as changes and
+    their maximum as error.
     """
     prev = estimate(0)
     value, change = prev, np.inf
@@ -167,6 +169,7 @@ def _converge(estimate, spec, describe, entrywise=False):
         f"inter-level change {err:.3e} above tolerance",
         value=_unwrap(value),
         error=err,
+        changes=_unwrap(change),
     )
 
 

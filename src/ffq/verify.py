@@ -115,15 +115,17 @@ def random_slit_points(n, seed=DEFAULT_SEED, r_range=(0.1, 0.85)):
     return pts
 
 
-def _divergence_profile(f, p):
-    """Confirm a norm integral genuinely diverges: the refinement estimates
-    must keep growing by a roughly constant increment per doubling (the
-    logarithmic signature) and end in NoConvergence."""
+def _divergence_profiles(fs, p):
+    """The quadrature witness of divergent norms, one stacked integral for
+    the series fs on DIVERGENCE_SPEC: row i is True when its last
+    inter-level change at the refinement cap exceeds 10 rel_tol |estimate|.
+    A row that converges, in the stack or alone, is False."""
     try:
-        dirichlet_norm_quad(f, p, DIVERGENCE_SPEC)
+        dirichlet_norms_quad(fs, p, DIVERGENCE_SPEC)
     except NoConvergence as exc:
-        return exc.error > 10.0 * DIVERGENCE_SPEC.rel_tol * abs(exc.value)
-    return False
+        tol = 10.0 * DIVERGENCE_SPEC.rel_tol
+        return [bool(c > tol * abs(v)) for c, v in zip(exc.changes, exc.value)]
+    return [False] * len(fs)
 
 
 def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
@@ -134,7 +136,8 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
     vanishing on the closed disk makes them log-divergent) are reported
     with status "divergent" after confirming both routes diagnose the
     divergence: the series route decides it up front (DivergentIntegral)
-    and the quadrature route must show the logarithmic growth.  Such
+    and the quadrature route, one stacked witness per cell
+    (_divergence_profiles), must still be refining at its cap.  Such
     functions are simply not members of the space there.  The quadrature
     norms of one (alpha, k) are one stacked integral over every sigma,
     which forms each function's f and f'/den once per node block.
@@ -150,9 +153,11 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
             except NoConvergence:
                 ci = None
             finite = [ci is not None or f.degree <= 0 for _, f in functions]
-            # the divergent field term scales with sigma**2, so one profile
-            # per function settles every sigma
-            profiles = {}
+            # the divergent field term scales with sigma**2, so one witness
+            # at sigma = 1/2 settles every sigma
+            infinite = [(label, f) for (label, f), fin in zip(functions, finite) if not fin]
+            profiles = dict(zip([label for label, _ in infinite],
+                                _divergence_profiles([f for _, f in infinite], base)))
             quads = iter(dirichlet_norms_quad(
                 [f for (_, f), fin in zip(functions, finite) if fin],
                 base, DEFAULT_SPEC, sigmas=sigmas))
@@ -162,8 +167,6 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                     row = {"f": label, "alpha": alpha, "sigma": sigma,
                            "k": _k_label(k)}
                     if not fin:
-                        if label not in profiles:
-                            profiles[label] = _divergence_profile(f, base)
                         row.update(series="", quadrature="", rel_diff="",
                                    status="divergent" if profiles[label] else "fail")
                     else:

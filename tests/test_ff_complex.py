@@ -684,10 +684,66 @@ def test_measure_derivative_once_per_node_block(spec, rng, monkeypatch):
 
 
 def test_quadrature_route_still_refines_as_the_witness():
-    from ffq.verify import DIVERGENCE_SPEC, _divergence_profile
+    from ffq.verify import DIVERGENCE_SPEC, _divergence_profiles
     p = FFParams(alpha=1.0, sigma=0.5, k=2)
     with pytest.raises(NoConvergence) as info:
         dirichlet_norm_quad(CPowerSeries([0, 1]), p, DIVERGENCE_SPEC)
     assert not isinstance(info.value, DivergentIntegral)
     assert type(info.value.value) is float and info.value.error > 0.1
-    assert _divergence_profile(CPowerSeries([0, 1]), p)
+    assert info.value.changes == info.value.error
+    assert _divergence_profiles([CPowerSeries([0, 1])], p) == [True]
+
+
+def test_stacked_witness_gives_each_row_its_own_verdict():
+    # f'(-1) = 0 for z^2 + 2z and (1 + z)^3: those rows converge inside the
+    # stack while the others refine to the cap
+    from ffq.ff_complex import _field_diverges
+    from ffq.verify import DIVERGENCE_SPEC, _divergence_profiles
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    fs = [CPowerSeries([0, 1]), CPowerSeries([0, 2, 1]), CPowerSeries([0, 0, 0, 1]),
+          CPowerSeries([1, 3, 3, 1])]
+    verdicts = _divergence_profiles(fs, p)
+    assert verdicts == [True, False, True, False]
+    assert all(type(v) is bool for v in verdicts)
+    assert verdicts == [_field_diverges(f, p) for f in fs]
+    for f, verdict in zip(fs, verdicts):
+        try:
+            dirichlet_norm_quad(f, p, DIVERGENCE_SPEC)
+            alone = False
+        except NoConvergence as exc:
+            alone = exc.changes > 10.0 * DIVERGENCE_SPEC.rel_tol * abs(exc.value)
+        assert alone == verdict
+    assert _divergence_profiles([], p) == []
+
+
+def _reference_matrix_estimate(p, N, spec, level):
+    # the table as first written: a complex power z**a per node and the cross
+    # weight r**(2 - a) e^{i t (1 - a)} / e
+    from ffq.holo_series import truncated_exp_c
+    from ffq.quadrature import _polar_blocks
+    a = p.alpha
+    km1 = INF if p.k == INF else p.k - 1
+    A = np.zeros((N + 1, N + 1), dtype=complex)
+    B = np.zeros((N + 1, N + 1), dtype=complex)
+    for r, t, z, w in _polar_blocks(spec, level):
+        e = truncated_exp_c(z ** a, km1)
+        zp = np.empty((N + 1, len(z)), dtype=complex)
+        zp[0] = 1.0
+        for n in range(1, N + 1):
+            zp[n] = zp[n - 1] * z
+        zpc = zp.conj()
+        A += (zpc * (w * r ** (3.0 - 2.0 * a) / np.abs(e) ** 2)) @ zp.T
+        B += (zp * (w * r ** (2.0 - a) * np.exp(1j * t * (1.0 - a)) / e)) @ zpc.T
+    return np.stack([A, B])
+
+
+# every (alpha, k) but the divergent (1, 2), where no table is formed
+@pytest.mark.parametrize("alpha, k", [(a, k) for a in (0.3, 0.5, 0.7, 1.0)
+                                      for k in (1, 2, 3, INF) if (a, k) != (1.0, 2)])
+def test_matrix_estimate_matches_the_complex_power_formula(alpha, k):
+    from ffq.ff_complex import _matrix_estimate
+    p = FFParams(alpha=alpha, sigma=0.5, k=k)
+    for level in range(3):
+        got = _matrix_estimate(p, 4, NESTED_SPEC, level)
+        ref = _reference_matrix_estimate(p, 4, NESTED_SPEC, level)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -34,6 +34,19 @@ def test_derivative_examples():
     assert CPowerSeries([1, 1, 0.5]).derivative() == CPowerSeries([1, 1])
 
 
+def test_derivative_is_built_once():
+    f = CPowerSeries([2.0, 1j, 0.5, -3.0])
+    d = f.derivative()
+    assert d is f.derivative()
+    assert d.coeffs.tolist() == [1j, 1.0, -9.0]
+    assert CPowerSeries([5.0]).derivative().degree == -1
+    with pytest.raises(AttributeError):
+        f.coeffs = np.zeros(2)
+    with pytest.raises(AttributeError):
+        f._derivative = CPowerSeries([1.0])
+    assert f.derivative() is d
+
+
 @given(coeff_lists)
 def test_derivative_antiderivative_round_trip(coeffs):
     # a/(n+1)*(n+1) double-rounds (and numpy divides via the reciprocal),

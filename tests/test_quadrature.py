@@ -60,6 +60,19 @@ def test_refinement_is_monotone_for_divergent_integrand():
         integrate_disk(lambda z: 1.0 / np.abs(1 + z) ** 2, spec)
 
 
+def test_no_convergence_carries_each_entrys_change():
+    from ffq.verify import DIVERGENCE_SPEC
+    tol = DIVERGENCE_SPEC.rel_tol
+    with pytest.raises(NoConvergence) as info:
+        integrate_disk(lambda z: np.stack([np.ones(z.shape), 1.0 / np.abs(1 + z) ** 2]),
+                       DIVERGENCE_SPEC, 2)
+    exc = info.value
+    assert exc.changes.shape == exc.value.shape == (2,)
+    assert exc.changes[0] <= tol * abs(exc.value[0])
+    assert exc.changes[1] > 10.0 * tol * abs(exc.value[1])
+    assert type(exc.error) is float and exc.error == max(exc.changes)
+
+
 def test_batched_integrands_integrate_entrywise():
     res = integrate_disk(lambda z: np.stack([np.ones_like(z, dtype=float),
                                              np.abs(z) ** 2]))
