@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import DomainError, FFQError, INF, NoConvergence
+from .errors import DivergentIntegral, DomainError, FFQError, INF, NoConvergence
 from .ff_complex import (dirichlet_norm, ff_eval_c, inner_product_c,
                          kernel_K_half)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
@@ -320,7 +320,9 @@ def run(job):
         rows, ok = verify_mod.run_suite(job.suite, quaternionic=True)
         return (EXIT_OK if ok else EXIT_TOLERANCE), rows
     if job.command == "table":
-        return EXIT_OK, _table(job, spec, method)
+        rows = _table(job, spec, method)
+        ok = all(row["status"] != "no_convergence" for row in rows)
+        return (EXIT_OK if ok else EXIT_TOLERANCE), rows
     raise DomainError(f"unknown command {job.command!r}")
 
 
@@ -335,7 +337,9 @@ def _k_sort_key(k):
 
 def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
-    lexicographic parameter order."""
+    lexicographic parameter order.  A cell whose norm is proven infinite
+    has status "divergent", one whose refinement stopped short of the
+    tolerance "no_convergence"."""
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
@@ -351,9 +355,10 @@ def _table(job, spec, method):
                     row.update(norm_sq=val.norm_sq, point_term=val.point_term,
                                field_term=val.field_term, method=val.method,
                                status="ok")
-                except NoConvergence:
-                    row.update(norm_sq="", point_term="", field_term="",
-                               method=method, status="divergent")
+                except NoConvergence as exc:
+                    row.update(norm_sq="", point_term="", field_term="", method=method,
+                               status="divergent" if isinstance(exc, DivergentIntegral)
+                               else "no_convergence")
                 rows.append(row)
     return rows
 

@@ -38,10 +38,10 @@ class NoConvergence(FFQError):
     """Refinement hit its cap above tolerance.
 
     Carries the last estimate (value) and the largest last inter-level
-    change (error).  As the quadrature core and dirichlet_norm_quad raise
-    it, it also carries each entry's last change (changes, shaped like
-    value), so callers can see which entries of a stack were still moving
-    at the cap.
+    change (error).  As the quadrature core and the norm and kernel routes
+    raise it, it also carries each entry's last change (changes, shaped
+    like value), so callers can see which entries of a stack were still
+    moving at the cap.
     """
 
     def __init__(self, message, value=None, error=None, changes=None):

@@ -54,63 +54,52 @@ def _stack_nodes(z):
     return zz
 
 
-def _stack_rows(fs, p, sigmas, zz, out=None):
+def _stack_rows(fs, p, sigmas, zz):
     """Generate (i, row) with row = D f at zz for each (sigma, series) pair,
-    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].  The row is
-    out[i], or, without out, one scratch row that the next row overwrites.
+    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].
 
     The sigma-free parts are formed once per series: f(zz), f'(zz), the
     measure derivative (once for the stack, only if some sigma > 0) and
     frac = beta f**(beta-1) f' / den.  Each sigma's row is then
-    (1 - s) f + s frac with every operation in that order, or f itself at
-    s = 0, so it holds the bits a one-sigma stack gives it.
+    (1 - s) f + s frac, or f itself at s = 0, so it holds the bits a
+    one-sigma stack gives it.
     """
     n = len(fs)
-    scratch = None if out is not None else np.empty(zz.shape, dtype=complex)
     fractal = any(s != 0.0 for s in sigmas)
     if fractal:
         den = fractal_measure_deriv_c(zz, p.alpha, p.k)
-        # no product writes over one of its own operands: numpy may take a
-        # different complex-multiply loop then, which rounds differently
-        frac = np.empty(zz.shape, dtype=complex)
-        # frac must outlive every sigma but the last, which may overwrite it
-        tmp = np.empty(zz.shape, dtype=complex) if len(sigmas) > 1 else frac
     for m, f in enumerate(fs):
         fv = f(zz)
         if fractal:
             fp = f.derivative()(zz)
             if p.beta == 1.0:
-                np.divide(fp, den, out=frac)
+                frac = fp / den
             else:
                 if np.any(fv == 0):
                     raise DomainError("f vanishes at an evaluation point; f**beta undefined")
                 if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
                     raise BranchError("f(z) on the negative real axis; principal power undefined")
-                power = fv ** (p.beta - 1.0)
-                np.multiply(p.beta, power, out=frac)
-                np.multiply(frac, fp, out=power)
-                np.divide(power, den, out=frac)
+                frac = p.beta * fv ** (p.beta - 1.0) * fp / den
         for j, s in enumerate(sigmas):
-            i = j * n + m
-            row = scratch if out is None else out[i]
-            if s == 0.0:
-                row[...] = fv
-            else:
-                part = frac if j == len(sigmas) - 1 else tmp
-                np.multiply(s, frac, out=row)
-                np.multiply(1.0 - s, fv, out=part)
-                np.add(part, row, out=row)
-            yield i, row
+            row = fv
+            if s != 0.0:
+                # (1 - s) f + s frac with the sum taken in the fresh product:
+                # the same bits, one row-sized temporary fewer
+                row = (1.0 - s) * fv
+                row += s * frac
+            yield j * n + m, row
+            # held here, the row would stay alive through the next series'
+            # f and f' and raise the peak memory by a row
+            del row
 
 
 def ff_eval_stack(fs, p, z):
     """Apply the derivative D to each series of fs at z (an array): one row
     per series, with the measure derivative computed once for the stack.
 
-    The (len(fs),) + z.shape output is allocated once and each row is filled
-    in place, (1 - s) f + s (beta f**(beta-1) f') / den with every operation
-    in that order, so the temporaries stay a few rows deep whatever the
-    stack's height.
+    The (len(fs),) + z.shape output is allocated once and each row is
+    copied into it as it is formed, (1 - s) f + s (beta f**(beta-1) f') / den,
+    so the temporaries stay a few rows deep whatever the stack's height.
 
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
@@ -119,8 +108,9 @@ def ff_eval_stack(fs, p, z):
     """
     zz = _stack_nodes(z)
     out = np.empty((len(fs),) + zz.shape, dtype=complex)
-    for _ in _stack_rows(fs, p, (p.sigma,), zz, out):
-        pass
+    for i, row in _stack_rows(fs, p, (p.sigma,), zz):
+        out[i] = row
+        del row  # as in _stack_rows: dropped before the next row is formed
     return out
 
 
@@ -323,13 +313,19 @@ def _series_value(f, p, G, method):
 def _table_gram(p, ci, degree):
     """series_gram from the table ci for series of the given degree, once
     ci is known to serve them: beta = 1, the same (alpha, k), and the
-    degree at most ci.N."""
+    degree at most ci.N.  The G of a constant reads no table entry, so
+    ci=None serves series of degree 0 or less."""
     _require_linear(p)
-    if ci.params.alpha != p.alpha or ci.params.k != p.k:
-        raise DomainError("coefficient table was computed for different (alpha, k)")
-    if degree > ci.N:
-        raise DegreeMismatch(f"series degree {degree} exceeds table degree {ci.N}")
-    return series_gram(p, ci.alpha_mn, ci.beta_mn, max(degree, 0))
+    if ci is None:
+        A = B = np.zeros((0, 1))
+        N = 0
+    else:
+        if ci.params.alpha != p.alpha or ci.params.k != p.k:
+            raise DomainError("coefficient table was computed for different (alpha, k)")
+        A, B, N = ci.alpha_mn, ci.beta_mn, ci.N
+    if degree > N:
+        raise DegreeMismatch(f"series degree {degree} exceeds table degree {N}")
+    return series_gram(p, A, B, max(degree, 0))
 
 
 def dirichlet_norm_series(f, p, ci):
@@ -353,12 +349,26 @@ def closed_k1_matrices(alpha, N):
     return A, B
 
 
+def _method_gram(p, degree, spec, method):
+    """The G of series of the given degree by a series method: "series"
+    from a coefficient table sized to them (none for a constant),
+    "closed-k1" from closed_k1_matrices (k = 1 only).  beta = 1 is checked
+    before any table is built."""
+    _require_linear(p)
+    if method == "series":
+        ci = coefficient_integrals(p, degree, spec) if degree > 0 else None
+    elif method == "closed-k1":
+        if p.k != 1:
+            raise DomainError("closed form available only for k = 1")
+        ci = CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(degree, 0)), p, 0.0)
+    else:
+        raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
+    return _table_gram(p, ci, degree)
+
+
 def dirichlet_norm_closed_k1(f, p):
     """Closed-form fast path for k = 1; no quadrature involved."""
-    if p.k != 1:
-        raise DomainError("closed form available only for k = 1")
-    ci = CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(f.degree, 0)), p, 0.0)
-    return _series_value(f, p, _table_gram(p, ci, f.degree), "closed-k1")
+    return _series_value(f, p, _method_gram(p, f.degree, None, "closed-k1"), "closed-k1")
 
 
 def _field_diverges(f, p):
@@ -386,20 +396,15 @@ def _require_finite_field(f, p):
 
 def dirichlet_norm(f, p, spec=None, method="quad"):
     """Squared norm by the named method: "quad" (dirichlet_norm_quad),
-    "series" (a coefficient table sized to f, then dirichlet_norm_series) or
-    "closed-k1" (dirichlet_norm_closed_k1).
+    "series" (a coefficient table sized to f, none for a constant, then
+    dirichlet_norm_series) or "closed-k1" (dirichlet_norm_closed_k1).
 
     "quad" raises DivergentIntegral without integrating where the norm is
     proven infinite; dirichlet_norm_quad itself always integrates."""
     if method == "quad":
         _require_finite_field(f, p)
         return dirichlet_norm_quad(f, p, spec)
-    if method == "series":
-        ci = coefficient_integrals(p, max(f.degree, 0), spec)
-        return dirichlet_norm_series(f, p, ci)
-    if method == "closed-k1":
-        return dirichlet_norm_closed_k1(f, p)
-    raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
+    return _series_value(f, p, _method_gram(p, f.degree, spec, method), method)
 
 
 def bergman_kernel(z, zeta):
@@ -431,7 +436,6 @@ def reproduction_rhs_1_stack(fs, p, z, spec=None):
     spec = spec or DEFAULT_SPEC
     if not fs:
         return np.empty(0, dtype=complex)
-    scalar = np.ndim(z) == 0
     zs = np.broadcast_to(np.asarray(z, dtype=complex), (len(fs),))
     outside = ~np.asarray(in_slit_disk(zs))
     if np.any(outside):
@@ -440,11 +444,8 @@ def reproduction_rhs_1_stack(fs, p, z, spec=None):
 
     def integrand(zeta):
         field = ff_eval_stack(fs, p, zeta)
-        if scalar:
-            field *= bergman_kernel(zs[0], zeta)
-        else:
-            for row, w in zip(field, zs):
-                row *= bergman_kernel(w, zeta)
+        for row, w in zip(field, zs):
+            row *= bergman_kernel(w, zeta)
         return field
 
     projected = integrate_disk(integrand, spec, len(fs)).value
@@ -554,7 +555,8 @@ def kernel_K_half(z, zeta, p, spec=None):
     (1/sigma) exp(lam e_k(w**a)) (d/dw e_k(w**a)) B(w, zeta), lam = (1-s)/s.
     The integrand is holomorphic in w on the slit disk, so the value is
     path-independent.  zeta may be a scalar or an array; refinement
-    convergence is taken over the whole batch at once.
+    convergence is taken over the whole batch at once, and a NoConvergence
+    carries the changes of the scaled values, shaped like them.
 
     At each refinement level the path rule's sum sum_i wt_i B(w_i, zeta)
     is taken through the Bergman series B(w, zeta) = (1/pi) sum_n (n+1)
@@ -599,8 +601,9 @@ def kernel_K_half(z, zeta, p, spec=None):
     try:
         return finish(_converge(estimate, spec, "kernel path integral").value)
     except NoConvergence as exc:
-        raise NoConvergence(str(exc), finish(exc.value),
-                            float(exc.error * abs(outer))) from None
+        changes = exc.changes * abs(outer)
+        raise NoConvergence(str(exc), finish(exc.value), float(exc.error * abs(outer)),
+                            float(changes[0]) if scalar else changes) from None
 
 
 def reproduction_rhs_2_stack(fs, p, z, spec=None):

@@ -15,11 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchError, DomainError, FFQError, NoConvergence
-from .ff_complex import (BASE_POINT, coefficient_integrals, dirichlet_norm,
-                         dirichlet_norms_quad, ff_eval_stack,
+from .ff_complex import (BASE_POINT, dirichlet_norms_quad, ff_eval_stack,
                          reproduction_rhs_1_stack, reproduction_rhs_2_stack,
-                         _gram_form, _require_finite_field, _require_linear,
-                         _require_sigma_interior, _table_gram)
+                         _gram_form, _method_gram, _require_finite_field,
+                         _require_linear, _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
 from .quaternion import (Quaternion, as_quaternion, embed_complex,
@@ -72,29 +71,27 @@ class QDirichletValue:
 
 
 def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
-    """Squared norm as the sum of the split components' complex norms, each
-    by dirichlet_norm's method; "series" assembles the quaternionic series
-    form from one coefficient table instead.
+    """Squared norm by the named method of dirichlet_norm.
 
-    "quad" checks each component for a proven divergence first, then
-    integrates the pair as one stack, so each node block builds one measure
-    derivative for both; its NoConvergence carries the sum of the two
-    field estimates as a float."""
+    "quad" is the sum of the split components' complex norms: it checks
+    each component for a proven divergence first, then integrates the pair
+    as one stack, so each node block builds one measure derivative for
+    both.  Its NoConvergence carries the sum of the two field estimates and
+    the sum of their two changes as floats; that sum bounds the change of
+    the summed value.  "series" and "closed-k1" form the frame-free
+    quaternionic series norm (qdirichlet_norm_series) from the G that
+    dirichlet_norm's method builds."""
     _require_linear(p)
-    if method == "series":
-        ci = coefficient_integrals(p, max(f.degree, 0), spec)
-        return qdirichlet_norm_series(f, p, frame, ci)
+    if method != "quad":
+        return _qseries_value(f, frame, _method_gram(p, f.degree, spec, method), method)
     pair = split(f, frame)
-    if method == "quad":
-        for part in (pair.f1, pair.f2):
-            _require_finite_field(part, p)
-        try:
-            n1, n2 = dirichlet_norms_quad((pair.f1, pair.f2), p, spec)
-        except NoConvergence as exc:
-            raise NoConvergence(str(exc), float(np.sum(exc.value)), exc.error) from None
-    else:
-        n1 = dirichlet_norm(pair.f1, p, spec, method)
-        n2 = dirichlet_norm(pair.f2, p, spec, method)
+    for part in (pair.f1, pair.f2):
+        _require_finite_field(part, p)
+    try:
+        n1, n2 = dirichlet_norms_quad((pair.f1, pair.f2), p, spec)
+    except NoConvergence as exc:
+        raise NoConvergence(str(exc), float(np.sum(exc.value)), exc.error,
+                            float(np.sum(exc.changes))) from None
     return QDirichletValue(
         n1.norm_sq + n2.norm_sq, (n1.norm_sq, n2.norm_sq), frame, method
     )
@@ -133,12 +130,14 @@ def qdirichlet_norm_series(f, p, frame, ci):
     frame.  split_parts records the complex norms a1^H G a1 and a2^H G a2
     of the frame's split components, whose sum must match to rounding.
     """
-    G = _table_gram(p, ci, f.degree)
+    return _qseries_value(f, frame, _table_gram(p, ci, f.degree), "series")
+
+
+def _qseries_value(f, frame, G, method):
     P = f.parts.view(float)
     G = G[: len(P), : len(P)]
     parts = tuple(_gram_form(G, c) for c in frame_coords(P, frame))
-    norm_sq = float(np.sum(P * (G @ P)))
-    return QDirichletValue(norm_sq, parts, frame, "series")
+    return QDirichletValue(float(np.sum(P * (G @ P))), parts, frame, method)
 
 
 SLICE_BOUND = 8.0

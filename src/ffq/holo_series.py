@@ -105,14 +105,6 @@ class CPowerSeries:
     def __repr__(self):
         return f"CPowerSeries({list(self.coeffs)!r})"
 
-    def to_pairs(self):
-        """JSON form: list of [re, im] pairs."""
-        return [[float(a.real), float(a.imag)] for a in self.coeffs]
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls([complex(p[0], p[1]) for p in pairs])
-
 
 def in_slit_disk(z):
     """True where |z| < 1 and z is not on the removed segment (-1, 0].

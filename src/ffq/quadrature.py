@@ -22,8 +22,8 @@ any complex stack, at most 4 MiB.  Beside it a block holds its per-node
 arrays (r, theta and the weights at 8 bytes a node, z and the measure
 derivative at 16) and, while the stack is filled row by row, a few
 row-sized complex temporaries: f, f' and f'/den, formed once per series
-and shared by every sigma of the stack, and with several sigmas a scratch
-row or two.  At 2**20 a four-row stack at level 2 of the default rule
+and shared by every sigma of the stack, and the row being formed with its
+partial products.  At 2**20 a four-row stack at level 2 of the default rule
 (262,144 nodes) was a single 16 MiB block, and with its per-node arrays it
 set the peak memory of the reproducing suite; the halved blocks cost the
 norms sweep no time.  A nested integrand that calls kernel_K_half also

@@ -101,14 +101,6 @@ class QPowerSeries:
     def __repr__(self):
         return f"QPowerSeries({list(self.coeffs)!r})"
 
-    def to_arrays(self):
-        """JSON form: list of [w, x, y, z] component arrays."""
-        return self.parts.view(float).tolist()
-
-    @classmethod
-    def from_arrays(cls, arrays):
-        return cls([Quaternion(*a) for a in arrays])
-
     def max_imag_coefficient(self):
         """Largest imaginary component over all coefficients (0 when empty)."""
         return float(np.max(np.abs(self.parts.view(float)[:, 1:]), initial=0.0))

@@ -18,7 +18,7 @@ from .ff_complex import (bergman_kernel, coefficient_integrals,
                          dirichlet_norm_closed_k1, dirichlet_norm_quad,
                          dirichlet_norms_quad, dirichlet_norm_series, ff_eval_c,
                          integrating_factor_residual, reproduce_identity_2,
-                         reproduction_rhs_1_stack, series_gram, _gram_form)
+                         reproduction_rhs_1_stack)
 from .ff_quaternionic import (SLICE_BOUND, q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
@@ -170,13 +170,8 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                         row.update(series="", quadrature="", rel_diff="",
                                    status="divergent" if profiles[label] else "fail")
                     else:
-                        if ci is None:
-                            # constants never touch the matrices: the
-                            # degree-0 block of G reads no table entry
-                            empty = np.zeros((0, 1))
-                            ns = _gram_form(series_gram(p, empty, empty, 0), f.coeffs)
-                        else:
-                            ns = dirichlet_norm_series(f, p, ci).norm_sq
+                        # a constant needs no table (ci may be None)
+                        ns = dirichlet_norm_series(f, p, ci).norm_sq
                         nq = next(quads).norm_sq
                         rel = abs(ns - nq) / max(abs(nq), 1e-300)
                         row.update(series=ns, quadrature=nq, rel_diff=rel,

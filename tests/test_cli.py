@@ -327,6 +327,15 @@ def test_divergent_cell_is_decided_without_quadrature(method, no_quadrature, cap
     assert "z = -1" in record["error"]["message"]
 
 
+def test_series_norm_of_a_constant_at_the_divergent_member(no_quadrature, capsys):
+    want = 1.0 + math.pi / 4.0
+    for command, f in (("norm", "[[1,0]]"), ("qnorm", "[[1,0,0,0]]")):
+        code, out, err = run_cli([command, "--f", f, "--alpha", "1", "--k", "2",
+                                  "--method", "series"], capsys)
+        assert code == EXIT_OK, err
+        assert abs(json.loads(out)["norm_sq"] - want) <= 1e-12 * want
+
+
 def test_norm_with_vanishing_derivative_at_minus_one_is_integrated(capsys):
     # f = 2z + z**2 has f'(-1) = 0, so D f is a polynomial at (alpha=1, k=2)
     code, out, err = run_cli(["norm", "--f", "[[0,0],[2,0],[1,0]]", "--alpha", "1",
@@ -351,6 +360,20 @@ def test_divergent_cell_record_has_null_value_and_change(no_quadrature, capsys):
 _CAPPED = ["--rel-tol", "1e-300", "--abs-tol", "0", "--max-refine", "1",
            "--quad-nr", "4", "--quad-ntheta", "4", "--quad-panels-r", "1",
            "--quad-panels-theta", "1"]
+
+
+def test_table_tells_a_capped_cell_from_a_divergent_one(capsys):
+    code, out, _ = run_cli(["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.5,1.0]",
+                            "--ks", "[1,2]"] + _CAPPED, capsys)
+    assert code == EXIT_TOLERANCE
+    statuses = {(row["alpha"], row["k"]): row["status"] for row in json.loads(out)}
+    assert statuses == {(0.5, 1): "no_convergence", (0.5, 2): "no_convergence",
+                        (1.0, 1): "no_convergence", (1.0, 2): "divergent"}
+    # a norm proven infinite is a finding, not a failure
+    code, out, _ = run_cli(["table", "--f", "[[0,0],[1,0]]", "--alphas", "[1.0]",
+                            "--ks", "[2]"] + _CAPPED, capsys)
+    assert code == EXIT_OK
+    assert [row["status"] for row in json.loads(out)] == ["divergent"]
 
 
 def test_capped_norm_record_has_numeric_value(capsys):

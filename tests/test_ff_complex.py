@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffq import (CPowerSeries, FFParams, INF, BranchError, DivergentIntegral,
-                 DomainError, NoConvergence, QuadratureSpec, bergman_kernel,
-                 coefficient_integrals, dirichlet_norm, dirichlet_norm_closed_k1,
-                 dirichlet_norm_quad, dirichlet_norms_quad,
+from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
+                 DivergentIntegral, DomainError, NoConvergence, QuadratureSpec,
+                 bergman_kernel, coefficient_integrals, dirichlet_norm,
+                 dirichlet_norm_closed_k1, dirichlet_norm_quad, dirichlet_norms_quad,
                  dirichlet_norm_series, ff_eval_c, ff_eval_stack,
                  inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
@@ -201,6 +201,27 @@ def test_closed_k1(spec, rng):
         dirichlet_norm_closed_k1(f, FFParams(alpha=0.5, sigma=0.5, k=2))
 
 
+def test_series_norm_of_a_constant_needs_no_table(no_quadrature):
+    # a constant belongs to every member, (1, 2) included: the degree-0
+    # block of G reads no table entry
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    v = dirichlet_norm(CPowerSeries([1.0]), p, method="series")
+    assert abs(v.norm_sq - (1.0 + math.pi / 4.0)) <= 1e-12 * (1.0 + math.pi / 4.0)
+    assert v.method == "series"
+    assert dirichlet_norm_series(CPowerSeries([1.0]), p, None) == v
+    with pytest.raises(DegreeMismatch):
+        dirichlet_norm_series(CPowerSeries([1.0, 1.0]), p, None)
+
+
+def test_series_norm_rejects_beta_below_one_before_any_table(no_quadrature):
+    # at (1, 2) too, where a table would have been refused as divergent
+    for alpha in (0.7, 1.0):
+        p = FFParams(alpha=alpha, sigma=0.5, k=2, beta=0.5)
+        for coeffs in ([1.0], [0.0, 1.0]):
+            with pytest.raises(DomainError, match="beta = 1"):
+                dirichlet_norm(CPowerSeries(coeffs), p, method="series")
+
+
 def test_dirichlet_norm_dispatch(spec):
     p = FFParams(alpha=0.6, sigma=0.3, k=1)
     f = CPowerSeries([0.0, 1.0, 0.5 + 0.5j])
@@ -361,6 +382,23 @@ def test_kernel_rejects_non_finite_zeta():
     assert np.isfinite(far)
 
 
+def test_kernel_no_convergence_carries_scaled_changes():
+    capped = QuadratureSpec(nr=4, ntheta=4, panels_r=1, panels_theta=1,
+                            rel_tol=1e-300, abs_tol=0.0, max_refine=1)
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    zetas = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.6j])
+    with pytest.raises(NoConvergence) as info:
+        kernel_K_half(0.5j, zetas, p, capped)
+    changes = info.value.changes
+    assert changes.shape == info.value.value.shape == zetas.shape
+    assert np.all(changes > 0) and np.max(changes) == info.value.error
+    with pytest.raises(NoConvergence) as one:
+        kernel_K_half(0.5j, zetas[1], p, capped)
+    assert type(one.value.changes) is float
+    assert one.value.changes == one.value.error
+    assert abs(one.value.changes - changes[1]) <= 1e-9 * changes[1]
+
+
 def test_stacked_right_hand_sides_match_one_series():
     p = FFParams(alpha=1.0, sigma=0.4, k=INF)
     pair = (CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.3j, 0.0, 1.0]))
@@ -390,8 +428,8 @@ def test_stacked_rhs_1_takes_one_point_per_series():
 
 
 def _stacked_formula(fs, p, z):
-    """ff_eval_stack as it was written before its rows were filled in place:
-    whole-stack arrays, the same operations in the same order."""
+    """ff_eval_stack as whole-stack arrays: the same operations in the same
+    order as each row's."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     s = p.sigma
     fv = np.stack([f(zz) for f in fs])
@@ -406,8 +444,14 @@ def _stacked_formula(fs, p, z):
     return (1.0 - s) * fv + s * frac
 
 
+def _large_nodes(rng, n=40_000):
+    """Nodes enough that a complex row passes numpy's 256 KiB threshold for
+    reusing a temporary operand as the output."""
+    return rng.uniform(0.05, 0.95, n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+
+
 @pytest.mark.parametrize("beta", [1.0, 0.5])
-@pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5, 1.0])
 def test_eval_stack_rows_are_the_stacked_formula_bit_for_bit(beta, sigma, rng):
     p = FFParams(alpha=0.7, sigma=sigma, k=2, beta=beta)
     if beta == 1.0:
@@ -417,7 +461,8 @@ def test_eval_stack_rows_are_the_stacked_formula_bit_for_bit(beta, sigma, rng):
         # nonvanishing, off the negative axis on |z| < 1
         fs = [CPowerSeries([3.0, 0.5 - 0.5j, 0.25j]), CPowerSeries([2.0 - 1.0j])]
     z = rng.uniform(0.05, 0.95, (7, 13)) * np.exp(1j * rng.uniform(-3.0, 3.0, (7, 13)))
-    for zeta in (z, z.ravel(), z[0, 0]):
+    zetas = (z, z.ravel(), z[0, 0]) + ((_large_nodes(rng),) if sigma in (0.3, 1.0) else ())
+    for zeta in zetas:
         got = ff_eval_stack(fs, p, zeta)
         want = _stacked_formula(fs, p, zeta)
         assert got.shape == want.shape == (len(fs),) + np.atleast_1d(zeta).shape
@@ -455,9 +500,9 @@ def test_multi_sigma_rows_are_the_one_sigma_rows_bit_for_bit(beta, rng):
     else:
         fs = [CPowerSeries([3.0, 0.5 - 0.5j, 0.25j]), CPowerSeries([2.0 - 1.0j])]
     z = rng.uniform(0.05, 0.95, (7, 13)) * np.exp(1j * rng.uniform(-3.0, 3.0, (7, 13)))
-    for zeta in (z, z.ravel(), z[0, 0]):
+    for zeta in (z, z.ravel(), z[0, 0], _large_nodes(rng)):
         zz = np.atleast_1d(zeta).astype(complex)
-        # the rows dirichlet_norms_quad squares, one scratch row at a time
+        # the rows dirichlet_norms_quad squares
         got = np.full((len(sigmas) * len(fs),) + zz.shape, np.nan, dtype=complex)
         for i, row in ff_complex._stack_rows(fs, p, sigmas, zz):
             got[i] = row

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ffq import (E1, E2, E3, CPowerSeries, DivergentIntegral, DomainError, FFParams,
-                 INF, NoConvergence, QPowerSeries, Quaternion, QuadratureSpec,
-                 SliceFrame, STANDARD_FRAME, coefficient_integrals,
-                 dirichlet_norm_quad, ff_eval_c, ff_eval_q, q_reproduce,
-                 qdirichlet_inner_product, qdirichlet_norm, qdirichlet_norm_series,
-                 random_frame, reproduce_identity_1, reproduce_identity_2,
-                 slice_norm_compare, split)
+from ffq import (E1, E2, E3, CoefficientIntegrals, CPowerSeries, DivergentIntegral,
+                 DomainError, FFParams, INF, NoConvergence, QPowerSeries, Quaternion,
+                 QuadratureSpec, SliceFrame, STANDARD_FRAME, closed_k1_matrices,
+                 coefficient_integrals, dirichlet_norm_quad, dirichlet_norms_quad,
+                 ff_eval_c, ff_eval_q, q_reproduce, qdirichlet_inner_product,
+                 qdirichlet_norm, qdirichlet_norm_series, random_frame,
+                 reproduce_identity_1, reproduce_identity_2, slice_norm_compare, split)
 
 from conftest import qdist, random_quaternion
 
@@ -165,6 +165,27 @@ def test_qnorm_methods_share_the_complex_dispatch(spec, rng):
         qdirichlet_norm(f, p, STANDARD_FRAME, spec, "bogus")
 
 
+def test_closed_k1_qnorm_is_the_series_form_on_the_closed_tables(rng):
+    p = FFParams(alpha=0.6, sigma=0.45, k=1)
+    for degree in (0, 3):
+        f = QPowerSeries([random_quaternion(rng) for _ in range(degree + 1)])
+        frame = random_frame(rng)
+        ci = CoefficientIntegrals(*closed_k1_matrices(p.alpha, degree), p, 0.0)
+        closed = qdirichlet_norm(f, p, frame, method="closed-k1")
+        series = qdirichlet_norm_series(f, p, frame, ci)
+        assert closed.method == "closed-k1"
+        assert closed.norm_sq == series.norm_sq
+        assert closed.split_parts == series.split_parts
+
+
+def test_series_norm_of_a_constant_needs_no_table(no_quadrature):
+    p = FFParams(alpha=1.0, sigma=0.5, k=2)
+    want = 1.0 + math.pi / 4.0
+    for c in (1.0, E2):
+        v = qdirichlet_norm(QPowerSeries([c]), p, STANDARD_FRAME, method="series")
+        assert abs(v.norm_sq - want) <= 1e-12 * want
+
+
 def test_frame_covariance_for_intrinsic_functions(spec, rng):
     p = FFParams(alpha=0.75, sigma=0.4, k=1)
     f = QPowerSeries([0.3, -1.0, 0.0, 0.7])
@@ -273,3 +294,8 @@ def test_quad_norm_no_convergence_carries_the_field_sum():
             dirichlet_norm_quad(part, p, capped)
         fields.append(alone.value.value)
     assert abs(info.value.value - sum(fields)) <= 1e-13 * abs(sum(fields))
+    # the sum of the two changes, which bounds the change of the sum
+    with pytest.raises(NoConvergence) as stack:
+        dirichlet_norms_quad((pair.f1, pair.f2), p, capped)
+    assert info.value.changes == float(np.sum(stack.value.changes))
+    assert info.value.changes >= info.value.error

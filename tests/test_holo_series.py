@@ -161,8 +161,3 @@ def test_exponential_sums_have_no_zero_inside_the_unit_disk():
 def test_coefficient_integrals_reject_order_zero():
     with pytest.raises(DomainError):
         coefficient_integrals(FFParams(alpha=0.5, sigma=0.5, k=0), 2)
-
-
-def test_series_json_round_trip():
-    f = CPowerSeries([1 + 2j, -0.5, 3j])
-    assert CPowerSeries.from_pairs(f.to_pairs()) == f

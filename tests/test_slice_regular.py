@@ -275,8 +275,3 @@ def test_intrinsic_exp():
     assert qdist(intrinsic_exp(ident, E1 * math.pi), -ONE) < 1e-14
     with pytest.raises(IntrinsicError):
         intrinsic_exp(QPowerSeries([E1]), Quaternion(0.2))
-
-
-def test_qpower_series_json_round_trip(rng):
-    f = QPowerSeries([random_quaternion(rng) for _ in range(3)])
-    assert QPowerSeries.from_arrays(f.to_arrays()) == f
