@@ -29,7 +29,8 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import DivergentIntegral, DomainError, FFQError, INF, NoConvergence
 from .ff_complex import (dirichlet_norm, ff_eval_c, inner_product_c,
-                         kernel_K_half)
+                         kernel_K_half, _method_table, _series_value,
+                         _table_gram)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
                               qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
@@ -339,11 +340,27 @@ def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
     lexicographic parameter order.  A cell whose norm is proven infinite
     has status "divergent", one whose refinement stopped short of the
-    tolerance "no_convergence"."""
+    tolerance "no_convergence".  A series method builds one table per
+    (alpha, k), which every sigma reads."""
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
     ks = sorted(job.ks or [job.k], key=_k_sort_key)
+    tables = {}  # (alpha, k) -> the table, or the NoConvergence building it raised
+
+    def norm(p):
+        if method == "quad":
+            return dirichlet_norm(f, p, spec, method)
+        key = (p.alpha, p.k)
+        if key not in tables:
+            try:
+                tables[key] = _method_table(p, f.degree, spec, method)
+            except NoConvergence as exc:
+                tables[key] = exc
+        if isinstance(tables[key], NoConvergence):
+            raise tables[key]
+        return _series_value(f, p, _table_gram(p, tables[key], f.degree), method)
+
     rows = []
     for alpha in alphas:
         for sigma in sigmas:
@@ -351,7 +368,7 @@ def _table(job, spec, method):
                 p = FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
                 row = {"alpha": alpha, "sigma": sigma, "k": encode_k(k)}
                 try:
-                    val = dirichlet_norm(f, p, spec, method)
+                    val = norm(p)
                     row.update(norm_sq=val.norm_sq, point_term=val.point_term,
                                field_term=val.field_term, method=val.method,
                                status="ok")

@@ -349,21 +349,25 @@ def closed_k1_matrices(alpha, N):
     return A, B
 
 
-def _method_gram(p, degree, spec, method):
-    """The G of series of the given degree by a series method: "series"
-    from a coefficient table sized to them (none for a constant),
-    "closed-k1" from closed_k1_matrices (k = 1 only).  beta = 1 is checked
-    before any table is built."""
+def _method_table(p, degree, spec, method):
+    """The table a series method reads for series of the given degree:
+    "series" builds a coefficient table sized to them (none for a
+    constant), "closed-k1" forms closed_k1_matrices (k = 1 only).  beta = 1
+    is checked before any table is built.  The table depends on (alpha, k)
+    and not on sigma."""
     _require_linear(p)
     if method == "series":
-        ci = coefficient_integrals(p, degree, spec) if degree > 0 else None
-    elif method == "closed-k1":
+        return coefficient_integrals(p, degree, spec) if degree > 0 else None
+    if method == "closed-k1":
         if p.k != 1:
             raise DomainError("closed form available only for k = 1")
-        ci = CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(degree, 0)), p, 0.0)
-    else:
-        raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
-    return _table_gram(p, ci, degree)
+        return CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(degree, 0)), p, 0.0)
+    raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
+
+
+def _method_gram(p, degree, spec, method):
+    """The G of series of the given degree by a series method."""
+    return _table_gram(p, _method_table(p, degree, spec, method), degree)
 
 
 def dirichlet_norm_closed_k1(f, p):

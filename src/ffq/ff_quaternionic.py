@@ -26,7 +26,7 @@ from .quaternion import (Quaternion, as_quaternion, embed_complex,
 from .slice_regular import _two_point, cullen_derivative, eval_q, split
 
 
-def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
+def ff_eval_q(f, p, frame, z, method="split"):
     """Slice derivative of f at the point z of the slice plane C(frame.i).
 
     method="split" applies the complex operator to both split components;
@@ -34,8 +34,9 @@ def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
     at the quaternion point, where the intrinsic star factor reduces to a
     pointwise complex scalar on the slice.  The two agree to rounding.
 
-    beta < 1 needs the slice-regular power supplied as f_beta (splitting
-    does not commute with fractional powers) and forces the direct path.
+    Both methods take beta = 1 only (DomainError otherwise): splitting does
+    not commute with the fractional power f**beta, and no slice-regular
+    power of a quaternionic series is built here.
     """
     if method not in ("split", "direct"):
         raise ValueError(f"unknown method {method!r}")
@@ -43,9 +44,7 @@ def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
     if not in_slit_disk(z):
         raise BranchError(f"{z} is not in the slit slice disk")
     if p.beta != 1.0:
-        if f_beta is None:
-            raise DomainError("beta < 1 requires the slice-regular power f_beta")
-        method = "direct"
+        raise DomainError("the quaternionic slice derivative takes beta = 1 only")
     if method == "split":
         pair = split(f, frame)
         d1, d2 = ff_eval_stack((pair.f1, pair.f2), p, z)[:, 0]
@@ -53,8 +52,7 @@ def ff_eval_q(f, p, frame, z, method="split", f_beta=None):
     qz = embed_complex(z, frame.i)
     value = eval_q(f, qz) * (1.0 - p.sigma)
     if p.sigma != 0.0:
-        g = f if p.beta == 1.0 else f_beta
-        fp = eval_q(cullen_derivative(g), qz)
+        fp = eval_q(cullen_derivative(f), qz)
         scale = p.sigma / fractal_measure_deriv_c(z, p.alpha, p.k)
         value = value + embed_complex(scale, frame.i) * fp
     return value

@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, DomainError, FrameError, INF, check_order
+from .errors import BranchError, DomainError, FrameError
+from .holo_series import principal_power_c, truncated_exp_c
 
 
 class Quaternion:
@@ -176,39 +177,25 @@ def embed_complex(c, axis):
 
 
 def principal_power(q, beta):
-    """Principal-branch power q**beta computed inside the slice plane of q.
-
-    Undefined (BranchError) at 0 and on the closed negative real axis, where
+    """Principal-branch power q**beta: an intrinsic function maps each slice
+    into itself, so it is principal_power_c at x + y i placed on the axis
+    of q.  Undefined (BranchError) at 0 and on the negative real axis, where
     the principal logarithm has no slice to live in.
     """
     sp = slice_decompose(q)
-    if sp.mod == 0.0:
-        raise BranchError("0**beta is not defined on the principal branch")
     if sp.y == 0.0 and sp.x < 0.0:
         raise BranchError("principal power undefined on the negative real axis")
-    r = sp.mod ** beta
-    ang = beta * sp.arg
-    return embed_complex(complex(r * math.cos(ang), r * math.sin(ang)), sp.axis)
+    return embed_complex(principal_power_c(complex(sp.x, sp.y), beta), sp.axis)
 
 
 def truncated_exp(q, k):
     """Exponential sum of order k: sum_{n<=k} q^n/n!; k=inf is the full exp.
 
-    The infinite order reduces to scalar exp/cos/sin on the slice of q, so it
-    carries no truncation error.
+    The sum is truncated_exp_c at x + y i placed on the axis of q, so a huge
+    k stops as early there as in the complex sum.
     """
-    q = as_quaternion(q)
-    k = check_order(k)
-    if k == INF:
-        sp = slice_decompose(q)
-        ew = math.exp(sp.x)
-        return embed_complex(complex(ew * math.cos(sp.y), ew * math.sin(sp.y)), sp.axis)
-    total = ONE
-    term = ONE
-    for n in range(1, k + 1):
-        term = term * q * (1.0 / n)
-        total = total + term
-    return total
+    sp = slice_decompose(q)
+    return embed_complex(truncated_exp_c(complex(sp.x, sp.y), k), sp.axis)
 
 
 _FRAME_TOL = 1e-9

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntrinsicError, INF
+from .errors import DomainError, IntrinsicError
 from .holo_series import CPowerSeries
 from .quaternion import (ONE, Quaternion, SliceFrame, as_quaternion,
                          embed_complex, frame_coords, frame_embed,
-                         slice_decompose, truncated_exp)
+                         slice_decompose)
 
 
 def _qmul(a, b, op):
@@ -114,14 +114,14 @@ def _series(parts):
     return f
 
 
-def eval_q(f, q, check_domain=True):
+def eval_q(f, q):
     """Evaluate the series at a quaternion of the open unit ball.
 
     With q = x + y I and z = x + y i, q^n = Re(z^n) + Im(z^n) I, so
     f(q) = A + I B with A = sum Re(z^n) a_n and B = sum Im(z^n) a_n.
     """
     q = as_quaternion(q)
-    if check_domain and q.norm() >= 1.0:
+    if q.norm() >= 1.0:
         raise DomainError(f"|q| = {q.norm()} is outside the open unit ball")
     sp = slice_decompose(q)
     zn = complex(sp.x, sp.y) ** np.arange(f.degree + 1)
@@ -244,10 +244,12 @@ def is_intrinsic(f):
 def intrinsic_exp(f, q):
     """exp(f(q)) for an intrinsic (real-coefficient) series.
 
-    The value f(q) stays in the slice plane of q, so the exponential is the
-    scalar one there.  Polynomials are entire, so q is not restricted to the
-    ball here.
+    f and exp map the slice plane of q = x + y I into itself, so the value
+    is the complex exp of the real-part series at x + y i placed on I.
+    Polynomials are entire, so q is not restricted to the ball here.
     """
     if not is_intrinsic(f):
         raise IntrinsicError("series coefficients are not real")
-    return truncated_exp(eval_q(f, q, check_domain=False), INF)
+    sp = slice_decompose(q)
+    w = CPowerSeries(f.parts[:, 0].real)(complex(sp.x, sp.y))
+    return embed_complex(np.exp(w), sp.axis)

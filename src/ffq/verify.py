@@ -19,7 +19,7 @@ from .ff_complex import (bergman_kernel, coefficient_integrals,
                          dirichlet_norms_quad, dirichlet_norm_series, ff_eval_c,
                          integrating_factor_residual, reproduce_identity_2,
                          reproduction_rhs_1_stack)
-from .ff_quaternionic import (SLICE_BOUND, q_reproduce, qdirichlet_norm,
+from .ff_quaternionic import (q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
 from .holo_series import (CPowerSeries, fractal_measure_c,
@@ -44,7 +44,7 @@ TOL_QSERIES = 1e-6
 TOL_LIMIT_RATIO = 0.1
 TOL_REAL_CLOSED_FORMS = 1e-6
 TOL_CLOSED_K1 = 1e-6
-TOL_SLICE_BOUND = 1e-9
+TOL_SLICE_RATIO = 1e-9
 
 GRID_ALPHAS = (0.3, 0.7, 1.0)
 GRID_SIGMAS = (0.2, 0.5, 0.8)
@@ -514,36 +514,24 @@ def quaternionic_series():
     return _verdict(rows)
 
 
-def quaternionic_bound(n_polys=200):
-    """Monte Carlo over the slice-comparison bound; the empirical maximum
-    ratio is reported.  On the series route the ratio is exactly 1: with
-    real coefficient integrals the series norm does not depend on the
-    frame.  Five lower-degree polynomials are checked on the quadrature
-    route as well, where it is 1 to quadrature tolerance."""
+def quaternionic_bound():
+    """The slice-comparison ratio on the quadrature route for five random
+    polynomials and frame pairs.  The paper bounds it by 8, past which
+    slice_norm_compare raises, and the summary row reports the maximum; as
+    the squared norm does not depend on the slice (its series form is
+    frame-free), each ratio is checked at |ratio - 1| <= TOL_SLICE_RATIO."""
     rng = np.random.default_rng(DEFAULT_SEED)
     p = FFParams(alpha=0.7, sigma=0.4, k=2)
-    ci = coefficient_integrals(p, 4, DEFAULT_SPEC)
-    bound = SLICE_BOUND + TOL_SLICE_BOUND
     rows = []
-    max_ratio = 0.0
-    for label, f in random_qpolys(n_polys, max_degree=4, seed=DEFAULT_SEED + 5):
-        fr1 = random_frame(rng)
-        fr2 = random_frame(rng)
-        ratio = slice_norm_compare(f, p, fr1, fr2, ci=ci)
-        max_ratio = max(max_ratio, ratio)
-        if ratio > bound:
-            rows.append({"record": "bound", "f": label, "ratio": ratio,
-                         "status": "fail"})
     for label, f in random_qpolys(5, max_degree=3, seed=DEFAULT_SEED + 6):
-        fr1 = random_frame(rng)
-        fr2 = random_frame(rng)
-        ratio = slice_norm_compare(f, p, fr1, fr2, spec=DEFAULT_SPEC)
-        max_ratio = max(max_ratio, ratio)
-        rows.append({"record": "bound_quadrature_check", "f": label,
-                     "ratio": ratio, "status": _status(ratio <= bound)})
+        ratio = slice_norm_compare(f, p, random_frame(rng), random_frame(rng),
+                                   spec=DEFAULT_SPEC)
+        rows.append({"record": "bound_quadrature_check", "f": label, "ratio": ratio,
+                     "status": _status(abs(ratio - 1.0) <= TOL_SLICE_RATIO)})
     _, ok = _verdict(rows)
-    rows.insert(0, {"record": "bound_summary", "f": f"{n_polys} polynomials",
-                    "ratio": max_ratio, "status": _status(ok)})
+    rows.insert(0, {"record": "bound_summary", "f": f"{len(rows)} polynomials",
+                    "ratio": max(row["ratio"] for row in rows),
+                    "status": _status(ok)})
     return rows, ok
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -374,6 +375,51 @@ def test_table_tells_a_capped_cell_from_a_divergent_one(capsys):
                             "--ks", "[2]"] + _CAPPED, capsys)
     assert code == EXIT_OK
     assert [row["status"] for row in json.loads(out)] == ["divergent"]
+
+
+@pytest.mark.parametrize("extra, status, exit_code",
+                         [([], "ok", EXIT_OK),
+                          (_CAPPED, "no_convergence", EXIT_TOLERANCE)])
+def test_series_table_builds_one_table_per_alpha_k(extra, status, exit_code,
+                                                   capsys, monkeypatch):
+    # the table depends on (alpha, k) only, so three sigmas read one; a
+    # table whose refinement is capped is built once as well
+    calls = []
+    build = ffq.ff_complex.coefficient_integrals
+
+    def counted(p, N, spec=None):
+        calls.append((p.alpha, p.k))
+        return build(p, N, spec)
+
+    monkeypatch.setattr(ffq.ff_complex, "coefficient_integrals", counted)
+    code, out, _ = run_cli(["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.5]",
+                            "--sigmas", "[0.2,0.5,0.8]", "--ks", "[1]",
+                            "--method", "series"] + extra, capsys)
+    assert code == exit_code
+    assert calls == [(0.5, 1)]
+    rows = json.loads(out)
+    assert [(row["sigma"], row["status"]) for row in rows] == [
+        (0.2, status), (0.5, status), (0.8, status)]
+    if status == "ok":
+        f = ffq.CPowerSeries([0, 1])
+        for row in rows:
+            p = ffq.FFParams(alpha=0.5, sigma=row["sigma"], k=1)
+            assert row["norm_sq"] == ffq.dirichlet_norm(f, p, None, "series").norm_sq
+
+
+def test_qverify_bound_fails_on_a_frame_dependent_norm(capsys, monkeypatch):
+    # a norm that moves with the slice by 1e-6 is far inside the bound of 8
+    # but not a frame-free norm
+    norm = ffq.ff_quaternionic.qdirichlet_norm
+
+    def planted(f, p, frame, *args):
+        val = norm(f, p, frame, *args)
+        return dataclasses.replace(val, norm_sq=val.norm_sq * (1.0 + 1e-6 * frame.i.x))
+
+    monkeypatch.setattr(ffq.ff_quaternionic, "qdirichlet_norm", planted)
+    code, out, _ = run_cli(["qverify", "--suite", "bound"], capsys)
+    assert code == EXIT_TOLERANCE
+    assert "fail" in [row["status"] for row in json.loads(out)]
 
 
 def test_capped_norm_record_has_numeric_value(capsys):

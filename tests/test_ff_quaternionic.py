@@ -242,6 +242,16 @@ def test_q_reproduce_off_slice(spec):
     assert res.identity2 < 1e-5
 
 
+@pytest.mark.parametrize("method", ["split", "direct"])
+def test_ff_eval_q_takes_beta_one_only(method):
+    p = FFParams(alpha=0.5, sigma=0.5, k=1, beta=0.5)
+    f = QPowerSeries([Quaternion(1.0), Quaternion(0.0, 1.0, 0.5)])
+    with pytest.raises(DomainError):
+        ff_eval_q(f, p, STANDARD_FRAME, 0.3 + 0.2j, method=method)
+    with pytest.raises(TypeError):
+        ff_eval_q(f, p, STANDARD_FRAME, 0.3 + 0.2j, method=method, f_beta=f)
+
+
 def test_qnorm_rejects_fractional_beta(spec):
     p = FFParams(alpha=0.5, sigma=0.5, k=1, beta=0.5)
     with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from ffq import (E1, E2, E3, INF, ONE, BranchError, DomainError, FrameError,
                  Quaternion, SliceFrame, dot4, embed_complex, frame_coords,
                  frame_embed, principal_power, random_frame,
                  slice_decompose, truncated_exp)
+from ffq.holo_series import principal_power_c, truncated_exp_c
 
 from conftest import qdist
 
@@ -168,6 +169,32 @@ def test_truncated_exp_order_validation():
         truncated_exp(ONE, -1)
     with pytest.raises(DomainError):
         truncated_exp(ONE, 1.5)
+
+
+def test_truncated_exp_huge_order_stops_early():
+    # the complex sum's early stop: 10**200 terms cost what 200 do
+    q = Quaternion(0.3, 0.1, -0.2, 0.4)
+    assert truncated_exp(q, 10 ** 200) == truncated_exp(q, 200)
+
+
+def test_intrinsic_functions_are_slice_reductions_bit_for_bit(rng):
+    # e_k and q**beta at q = x + y I are the complex functions at x + y i
+    # placed on I; one draw has a subnormal imaginary part
+    qs = [Quaternion(*rng.standard_normal(4)) for _ in range(30)]
+    qs += [Quaternion(0.4, 3e-320, -1e-321, 0.0), Quaternion(0.3), Quaternion(-0.6, 0.0, 0.2)]
+
+    def bits(value):
+        return np.array(value.components).tobytes()
+
+    for q in qs:
+        sp = slice_decompose(q)
+        z = complex(sp.x, sp.y)
+        for k in (0, 1, 3, 40, INF):
+            assert bits(truncated_exp(q, k)) == bits(embed_complex(truncated_exp_c(z, k),
+                                                                   sp.axis))
+        for beta in (0.5, 1.0, 2.0, 0.3):
+            assert bits(principal_power(q, beta)) == bits(
+                embed_complex(principal_power_c(z, beta), sp.axis))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 9])

@@ -21,7 +21,7 @@ KEYWORDS = {
     "star_suite": ("seed", "n_twist"),
     "quaternionic_split": (),
     "quaternionic_series": (),
-    "quaternionic_bound": ("n_polys",),
+    "quaternionic_bound": (),
     "quaternionic_kernel": ("seed", "n_points"),
     "run_suite": ("quaternionic",),
 }
