@@ -28,9 +28,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import DivergentIntegral, DomainError, FFQError, INF, NoConvergence
-from .ff_complex import (dirichlet_norm, ff_eval_c, inner_product_c,
-                         kernel_K_half, _method_table, _series_value,
-                         _table_gram)
+from .ff_complex import (dirichlet_norm, dirichlet_norm_series, ff_eval_c,
+                         inner_product_c, kernel_K_half, _method_table)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
                               qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
@@ -338,10 +337,11 @@ def _k_sort_key(k):
 
 def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
-    lexicographic parameter order.  A cell whose norm is proven infinite
-    has status "divergent", one whose refinement stopped short of the
-    tolerance "no_convergence".  A series method builds one table per
-    (alpha, k), which every sigma reads."""
+    lexicographic parameter order, each naming the method given.  A cell
+    whose norm is proven infinite has status "divergent", one whose
+    refinement stopped short of the tolerance "no_convergence".  A series
+    method builds one table per (alpha, k), which every sigma reads through
+    dirichlet_norm_series."""
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
@@ -359,24 +359,24 @@ def _table(job, spec, method):
                 tables[key] = exc
         if isinstance(tables[key], NoConvergence):
             raise tables[key]
-        return _series_value(f, p, _table_gram(p, tables[key], f.degree), method)
+        return dirichlet_norm_series(f, p, tables[key])
 
     rows = []
     for alpha in alphas:
         for sigma in sigmas:
             for k in ks:
                 p = FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
-                row = {"alpha": alpha, "sigma": sigma, "k": encode_k(k)}
                 try:
                     val = norm(p)
-                    row.update(norm_sq=val.norm_sq, point_term=val.point_term,
-                               field_term=val.field_term, method=val.method,
-                               status="ok")
+                    norm_sq, point, field = val.norm_sq, val.point_term, val.field_term
+                    status = "ok"
                 except NoConvergence as exc:
-                    row.update(norm_sq="", point_term="", field_term="", method=method,
-                               status="divergent" if isinstance(exc, DivergentIntegral)
-                               else "no_convergence")
-                rows.append(row)
+                    norm_sq = point = field = ""
+                    status = ("divergent" if isinstance(exc, DivergentIntegral)
+                              else "no_convergence")
+                rows.append({"alpha": alpha, "sigma": sigma, "k": encode_k(k),
+                             "norm_sq": norm_sq, "point_term": point,
+                             "field_term": field, "method": method, "status": status})
     return rows
 
 

@@ -158,7 +158,7 @@ def dirichlet_norms_quad(fs, p, spec=None, sigmas=None):
     points = [p.alpha * abs(f(BASE_POINT)) ** 2 for f in fs]
     fields = integrate_disk(lambda zeta: _abs2_stack(fs, p, zeta, sigmas),
                             spec, len(sigmas) * len(fs)).value
-    return [DirichletValue(point + float(field), point, float(field), "quadrature")
+    return [DirichletValue(point + float(field), point, float(field), "quad")
             for point, field in zip(points * len(sigmas), fields)]
 
 
@@ -303,13 +303,6 @@ def _gram_form(G, a):
     return float(np.vdot(a, G[: len(a), : len(a)] @ a).real)
 
 
-def _series_value(f, p, G, method):
-    # the field term is what the norm adds to the point term alpha |f(1/2)|**2
-    norm_sq = _gram_form(G, f.coeffs)
-    point = p.alpha * abs(f(BASE_POINT)) ** 2
-    return DirichletValue(norm_sq, point, norm_sq - point, method)
-
-
 def _table_gram(p, ci, degree):
     """series_gram from the table ci for series of the given degree, once
     ci is known to serve them: beta = 1, the same (alpha, k), and the
@@ -330,8 +323,11 @@ def _table_gram(p, ci, degree):
 
 def dirichlet_norm_series(f, p, ci):
     """Squared norm a^H G a from the coefficient matrices; must agree with
-    dirichlet_norm_quad to the quadrature tolerance."""
-    return _series_value(f, p, _table_gram(p, ci, f.degree), "series")
+    dirichlet_norm_quad to the quadrature tolerance.  The field term is
+    what the norm adds to the point term alpha |f(1/2)|**2."""
+    norm_sq = _gram_form(_table_gram(p, ci, f.degree), f.coeffs)
+    point = p.alpha * abs(f(BASE_POINT)) ** 2
+    return DirichletValue(norm_sq, point, norm_sq - point, "series")
 
 
 def closed_k1_matrices(alpha, N):
@@ -365,14 +361,9 @@ def _method_table(p, degree, spec, method):
     raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
 
 
-def _method_gram(p, degree, spec, method):
-    """The G of series of the given degree by a series method."""
-    return _table_gram(p, _method_table(p, degree, spec, method), degree)
-
-
 def dirichlet_norm_closed_k1(f, p):
     """Closed-form fast path for k = 1; no quadrature involved."""
-    return _series_value(f, p, _method_gram(p, f.degree, None, "closed-k1"), "closed-k1")
+    return dirichlet_norm(f, p, method="closed-k1")
 
 
 def _field_diverges(f, p):
@@ -399,16 +390,17 @@ def _require_finite_field(f, p):
 
 
 def dirichlet_norm(f, p, spec=None, method="quad"):
-    """Squared norm by the named method: "quad" (dirichlet_norm_quad),
-    "series" (a coefficient table sized to f, none for a constant, then
-    dirichlet_norm_series) or "closed-k1" (dirichlet_norm_closed_k1).
+    """Squared norm by the named method, which the value's method names:
+    "quad" (dirichlet_norm_quad), or dirichlet_norm_series on the table of
+    "series" (sized to f, none for a constant) or "closed-k1" (k = 1 only).
 
     "quad" raises DivergentIntegral without integrating where the norm is
     proven infinite; dirichlet_norm_quad itself always integrates."""
     if method == "quad":
         _require_finite_field(f, p)
         return dirichlet_norm_quad(f, p, spec)
-    return _series_value(f, p, _method_gram(p, f.degree, spec, method), method)
+    val = dirichlet_norm_series(f, p, _method_table(p, f.degree, spec, method))
+    return replace(val, method=method)
 
 
 def bergman_kernel(z, zeta):

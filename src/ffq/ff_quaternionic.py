@@ -3,13 +3,15 @@ slice splitting, its coefficient-series form, the 8x slice-comparison bound
 and the quaternionic reproducing identities.
 
 The primary computation path splits a slice-regular series into two complex
-component series on the chosen slice and reuses the complex engine; the
-squared norm is exactly the sum of the two complex squared norms.  The
-direct slice formula (intrinsic star factors reducing to pointwise scalars
-on the slice) is kept as an independent cross-check.
+component series on the chosen slice and reuses the complex engine.  The
+squared norm is the sum of the two complex squared norms: by construction
+on the quadrature route, to rounding on the series route, whose norm is
+frame-free (qdirichlet_norm_series).  The direct slice formula (intrinsic
+star factors reducing to pointwise scalars on the slice) is kept as an
+independent cross-check.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import BranchError, DomainError, FFQError, NoConvergence
 from .ff_complex import (BASE_POINT, dirichlet_norms_quad, ff_eval_stack,
                          reproduction_rhs_1_stack, reproduction_rhs_2_stack,
-                         _gram_form, _method_gram, _require_finite_field,
+                         _gram_form, _method_table, _require_finite_field,
                          _require_linear, _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
@@ -64,24 +66,25 @@ class QDirichletValue:
 
     norm_sq: float
     split_parts: tuple
-    frame: object
     method: str
 
 
 def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
-    """Squared norm by the named method of dirichlet_norm.
+    """Squared norm by the named method of dirichlet_norm; the value's
+    method is the name given.
 
     "quad" is the sum of the split components' complex norms: it checks
     each component for a proven divergence first, then integrates the pair
     as one stack, so each node block builds one measure derivative for
     both.  Its NoConvergence carries the sum of the two field estimates and
     the sum of their two changes as floats; that sum bounds the change of
-    the summed value.  "series" and "closed-k1" form the frame-free
-    quaternionic series norm (qdirichlet_norm_series) from the G that
-    dirichlet_norm's method builds."""
+    the summed value.  "series" and "closed-k1" pass the table that
+    dirichlet_norm's method reads to qdirichlet_norm_series, whose norm is
+    frame-free and whose split_parts are formed apart from it."""
     _require_linear(p)
     if method != "quad":
-        return _qseries_value(f, frame, _method_gram(p, f.degree, spec, method), method)
+        ci = _method_table(p, f.degree, spec, method)
+        return replace(qdirichlet_norm_series(f, p, frame, ci), method=method)
     pair = split(f, frame)
     for part in (pair.f1, pair.f2):
         _require_finite_field(part, p)
@@ -90,9 +93,7 @@ def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
     except NoConvergence as exc:
         raise NoConvergence(str(exc), float(np.sum(exc.value)), exc.error,
                             float(np.sum(exc.changes))) from None
-    return QDirichletValue(
-        n1.norm_sq + n2.norm_sq, (n1.norm_sq, n2.norm_sq), frame, method
-    )
+    return QDirichletValue(n1.norm_sq + n2.norm_sq, (n1.norm_sq, n2.norm_sq), method)
 
 
 def qdirichlet_inner_product(f, g, p, frame, spec=None):
@@ -126,16 +127,13 @@ def qdirichlet_norm_series(f, p, frame, ci):
     columns, the squared norm is sum(P * (G P)), which equals Re tr(G gram),
     gram[n, m] the C(i) part of a_n conj(a_m), and does not depend on the
     frame.  split_parts records the complex norms a1^H G a1 and a2^H G a2
-    of the frame's split components, whose sum must match to rounding.
+    of the frame's split components, whose sum must match to rounding (the
+    splitting-norm identity).  ci is as in dirichlet_norm_series.
     """
-    return _qseries_value(f, frame, _table_gram(p, ci, f.degree), "series")
-
-
-def _qseries_value(f, frame, G, method):
     P = f.parts.view(float)
-    G = G[: len(P), : len(P)]
+    G = _table_gram(p, ci, f.degree)[: len(P), : len(P)]
     parts = tuple(_gram_form(G, c) for c in frame_coords(P, frame))
-    return QDirichletValue(float(np.sum(P * (G @ P))), parts, frame, method)
+    return QDirichletValue(float(np.sum(P * (G @ P))), parts, "series")
 
 
 SLICE_BOUND = 8.0

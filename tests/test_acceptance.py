@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ffq import (E1, E2, INF, FFParams, QPowerSeries, Quaternion,
-                 QuadratureSpec, SliceFrame, coefficient_integrals, eval_q,
+                 SliceFrame, coefficient_integrals, eval_q,
                  extend_from_slice, random_frame, regular_conjugate,
                  representation_formula, slice_decompose, slice_norm_compare,
                  split, star_inverse, star_product)
@@ -129,20 +129,6 @@ def test_criterion_7_series_ratio_is_one_to_rounding():
                   f"200 random polynomials and frame pairs, ratios "
                   f"{min(ratios)!r}..{max(ratios)!r} (== 1.0)")
     assert all(r == 1.0 for r in ratios)
-
-
-def test_criterion_7_quadrature_ratio_is_one_to_tolerance():
-    # the same slice independence on the quadrature route, where each norm
-    # is a sum of two disk integrals converged to rel_tol 1e-9
-    p = FFParams(alpha=0.7, sigma=0.4, k=2)
-    rng = np.random.default_rng(verify.DEFAULT_SEED)
-    worst = max(
-        abs(slice_norm_compare(f, p, random_frame(rng), random_frame(rng),
-                               spec=QuadratureSpec()) - 1.0)
-        for _, f in verify.random_qpolys(5, max_degree=3, seed=verify.DEFAULT_SEED + 6))
-    assert report(7, "quadrature slice ratio", worst <= 1e-9,
-                  f"5 random polynomials and frame pairs, max |ratio - 1| "
-                  f"{worst:.2e} (<= 1e-9)")
 
 
 def test_criterion_8_star_algebra_suite():

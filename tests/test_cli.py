@@ -343,7 +343,7 @@ def test_norm_with_vanishing_derivative_at_minus_one_is_integrated(capsys):
                               "--k", "2"], capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["method"] == "quadrature"
+    assert doc["method"] == "quad"
     # D f = 1 + z + z**2 / 2: |f(1/2)|**2 + pi (1 + 1/2 + 1/12)
     assert abs(doc["norm_sq"] - (1.5625 + 19.0 * math.pi / 12.0)) < 1e-9
 
@@ -420,6 +420,46 @@ def test_qverify_bound_fails_on_a_frame_dependent_norm(capsys, monkeypatch):
     code, out, _ = run_cli(["qverify", "--suite", "bound"], capsys)
     assert code == EXIT_TOLERANCE
     assert "fail" in [row["status"] for row in json.loads(out)]
+
+
+def test_qverify_split_fails_on_a_scaled_split_part(capsys, monkeypatch):
+    # one split part off by 1e-9 relative is a thousand times the identity's
+    # tolerance
+    norm = ffq.verify.qdirichlet_norm
+
+    def planted(*args, **kwargs):
+        val = norm(*args, **kwargs)
+        n1, n2 = val.split_parts
+        return dataclasses.replace(val, split_parts=(n1 * (1.0 + 1e-9), n2))
+
+    monkeypatch.setattr(ffq.verify, "qdirichlet_norm", planted)
+    code, out, _ = run_cli(["qverify", "--suite", "split"], capsys)
+    assert code == EXIT_TOLERANCE
+    assert "fail" in [row["status"] for row in json.loads(out)]
+
+
+@pytest.mark.parametrize("method, ks", [("quad", "[1,2]"), ("series", "[1,2]"),
+                                        ("closed-k1", "[1]")])
+def test_every_norm_record_names_the_method_given(method, ks, capsys):
+    k = json.loads(ks)[0]
+    for argv in (["norm", "--f", "[[0,0],[1,0]]"],
+                 ["qnorm", "--f", "[[0,0,0,0],[0,0,0,1]]"]):
+        code, out, err = run_cli(argv + ["--alpha", "0.5", "--k", str(k),
+                                         "--method", method], capsys)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["method"] == method
+    # f = z is divergent at (alpha, k) = (1, 2): that row names the method too
+    code, out, err = run_cli(["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.5,1]",
+                              "--sigmas", "[0.5]", "--ks", ks, "--method", method,
+                              "--format", "csv"], capsys)
+    assert code == EXIT_OK, err
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == ["alpha", "sigma", "k", "norm_sq", "point_term",
+                                 "field_term", "method", "status"]
+    rows = list(reader)
+    assert [row["method"] for row in rows] == [method] * len(rows)
+    want = ["ok", "ok", "ok", "divergent"] if ks == "[1,2]" else ["ok", "ok"]
+    assert [row["status"] for row in rows] == want
 
 
 def test_capped_norm_record_has_numeric_value(capsys):
