@@ -29,7 +29,8 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import DivergentIntegral, DomainError, FFQError, INF, NoConvergence
 from .ff_complex import (dirichlet_norm, dirichlet_norm_series, ff_eval_c,
-                         inner_product_c, kernel_K_half, _method_table)
+                         inner_product_c, kernel_K_half, _method_table,
+                         _require_finite_field, _require_norm_method)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
                               qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
@@ -341,7 +342,8 @@ def _table(job, spec, method):
     whose norm is proven infinite has status "divergent", one whose
     refinement stopped short of the tolerance "no_convergence".  A series
     method builds one table per (alpha, k), which every sigma reads through
-    dirichlet_norm_series."""
+    dirichlet_norm_series once the cell's norm is known to be finite."""
+    _require_norm_method(method)
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
@@ -351,6 +353,7 @@ def _table(job, spec, method):
     def norm(p):
         if method == "quad":
             return dirichlet_norm(f, p, spec, method)
+        _require_finite_field(f, p)
         key = (p.alpha, p.k)
         if key not in tables:
             try:

@@ -219,10 +219,7 @@ def _matrix_estimate(p, N, spec, level):
         # reach t = +-pi, and this costs no per-node complex power
         za = r ** a * np.exp(1j * a * t)
         e = truncated_exp_c(za, km1)
-        zp = np.empty((N + 1, len(z)), dtype=complex)
-        zp[0] = 1.0
-        for n in range(1, N + 1):
-            zp[n] = zp[n - 1] * z
+        zp = _powers(z, N + 1)
         zpc = zp.conj()
         wa = w * r ** (3.0 - 2.0 * a) / np.abs(e) ** 2
         A += (zpc * wa) @ zp.T
@@ -345,20 +342,27 @@ def closed_k1_matrices(alpha, N):
     return A, B
 
 
+def _require_norm_method(method):
+    """Raise ValueError for an unknown norm method, before any verdict."""
+    if method not in ("quad", "series", "closed-k1"):
+        raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
+
+
 def _method_table(p, degree, spec, method):
-    """The table a series method reads for series of the given degree:
-    "series" builds a coefficient table sized to them (none for a
-    constant), "closed-k1" forms closed_k1_matrices (k = 1 only).  beta = 1
-    is checked before any table is built.  The table depends on (alpha, k)
-    and not on sigma."""
+    """The table "series" (sized to the degree, none for a constant) or
+    "closed-k1" (k = 1 only) reads; beta = 1 is checked first.  It depends
+    on (alpha, k), not on sigma.  Where e_{k-1}(z**alpha) vanishes none
+    exists: "series" raises DomainError for degree > 0, since the callers
+    have proven the norm finite (_require_finite_field), which "quad" gives."""
     _require_linear(p)
     if method == "series":
+        if degree > 0 and _measure_vanishes(p.alpha, p.k):
+            raise DomainError(f"no coefficient table exists at alpha = {p.alpha}, k = {p.k}, "
+                              "where this norm is finite: use method quad")
         return coefficient_integrals(p, degree, spec) if degree > 0 else None
-    if method == "closed-k1":
-        if p.k != 1:
-            raise DomainError("closed form available only for k = 1")
-        return CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(degree, 0)), p, 0.0)
-    raise ValueError(f"unknown norm method {method!r}; choose quad, series or closed-k1")
+    if p.k != 1:
+        raise DomainError("closed form available only for k = 1")
+    return CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(degree, 0)), p, 0.0)
 
 
 def dirichlet_norm_closed_k1(f, p):
@@ -394,10 +398,12 @@ def dirichlet_norm(f, p, spec=None, method="quad"):
     "quad" (dirichlet_norm_quad), or dirichlet_norm_series on the table of
     "series" (sized to f, none for a constant) or "closed-k1" (k = 1 only).
 
-    "quad" raises DivergentIntegral without integrating where the norm is
-    proven infinite; dirichlet_norm_quad itself always integrates."""
+    Every method raises DivergentIntegral, before any table or quadrature,
+    where _field_diverges proves the norm infinite; dirichlet_norm_quad
+    itself always integrates."""
+    _require_norm_method(method)
+    _require_finite_field(f, p)
     if method == "quad":
-        _require_finite_field(f, p)
         return dirichlet_norm_quad(f, p, spec)
     val = dirichlet_norm_series(f, p, _method_table(p, f.degree, spec, method))
     return replace(val, method=method)
@@ -465,13 +471,15 @@ def reproduce_identity_1(f, p, z, spec=None):
     return abs(f(complex(z)) - reproduction_rhs_1(f, p, z, spec))
 
 
-def _weighted_path_rule(path, p, lam, spec, level):
-    """Path nodes with the scalar kernel weight folded into the quadrature
-    weights, so evaluating the kernel at a zeta batch is one matrix-vector
-    product per refinement level."""
-    wn, cw = _path_rule(path, spec, level)
-    return wn, cw * ((1.0 / p.sigma) * np.exp(lam * fractal_measure_c(wn, p.alpha, p.k))
-                     * fractal_measure_deriv_c(wn, p.alpha, p.k))
+def _integrating_factor(w, p):
+    """F(w) = exp(lam e_k(w**a)), lam = (1 - sigma)/sigma: (F f)' = _kernel_weight Df."""
+    lam = (1.0 - p.sigma) / p.sigma
+    return np.exp(lam * fractal_measure_c(w, p.alpha, p.k))
+
+
+def _kernel_weight(w, p):
+    """(1/sigma) F(w) (d/dw e_k(w**a)), the path kernel's weight."""
+    return (1.0 / p.sigma) * _integrating_factor(w, p) * fractal_measure_deriv_c(w, p.alpha, p.k)
 
 
 def _moment_order(rho):
@@ -547,12 +555,12 @@ def _moment_path_sum(wn, wt, zt, N):
 def kernel_K_half(z, zeta, p, spec=None):
     """Path kernel tying values at z back to the base point 1/2.
 
-    exp(-lam e_k(z**a)) times the slit-path integral from 1/2 to z of
-    (1/sigma) exp(lam e_k(w**a)) (d/dw e_k(w**a)) B(w, zeta), lam = (1-s)/s.
-    The integrand is holomorphic in w on the slit disk, so the value is
-    path-independent.  zeta may be a scalar or an array; refinement
-    convergence is taken over the whole batch at once, and a NoConvergence
-    carries the changes of the scaled values, shaped like them.
+    1 / _integrating_factor(z) times the slit-path integral from 1/2 to z of
+    _kernel_weight(w) B(w, zeta), whose weights wt_i are the path rule's
+    times _kernel_weight at its nodes w_i.  The integrand is holomorphic in
+    w on the slit disk, so the value is path-independent.  zeta may be a
+    scalar or an array; convergence is taken over the whole batch at once,
+    and a NoConvergence carries the scaled values' changes, shaped like them.
 
     At each refinement level the path rule's sum sum_i wt_i B(w_i, zeta)
     is taken through the Bergman series B(w, zeta) = (1/pi) sum_n (n+1)
@@ -572,12 +580,11 @@ def kernel_K_half(z, zeta, p, spec=None):
     spec = spec or DEFAULT_SPEC
     z = complex(z)
     path = build_slit_path(z)
-    lam = (1.0 - p.sigma) / p.sigma
     scalar = np.isscalar(zeta) or getattr(zeta, "ndim", 1) == 0
     zt = np.atleast_1d(np.asarray(zeta, dtype=complex))
     if not np.all(np.isfinite(zt)):
         raise DomainError("zeta must be finite")
-    outer = np.exp(-lam * fractal_measure_c(z, p.alpha, p.k))
+    outer = 1.0 / _integrating_factor(z, p)
 
     def finish(vals):
         out = outer * vals
@@ -588,7 +595,8 @@ def kernel_K_half(z, zeta, p, spec=None):
     zeta_max = float(np.max(np.abs(zt)))
 
     def estimate(level):
-        wn, wt = _weighted_path_rule(path, p, lam, spec, level)
+        wn, cw = _path_rule(path, spec, level)
+        wt = cw * _kernel_weight(wn, p)
         N = _moment_order(float(np.max(np.abs(wn))) * zeta_max)
         if N > _DENSE_COST * len(wn):
             return _dense_path_sum(wn, wt, zt)
@@ -605,8 +613,8 @@ def kernel_K_half(z, zeta, p, spec=None):
 def reproduction_rhs_2_stack(fs, p, z, spec=None):
     """Right-hand side of the second reproducing identity at z for each
     series of fs, one kernel field for the stack:
-    exp(lam (e_k((1/2)**a) - e_k(z**a))) f(1/2) + int K_1/2(z, .) Df dmu,
-    lam = (1-s)/s.
+    (F(1/2) / F(z)) f(1/2) + int K_1/2(z, .) Df dmu, with F the
+    _integrating_factor exp(lam e_k(z**a)), lam = (1-s)/s.
 
     Nested quadrature: the outer disk integral runs at rel_tol 1e-7 and the
     inner path integral at 1e-9 (tighter caller specs are not loosened
@@ -617,14 +625,7 @@ def reproduction_rhs_2_stack(fs, p, z, spec=None):
     z = complex(z)
     outer_spec = replace(spec, rel_tol=max(spec.rel_tol, 1e-7))
     inner_spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-9))
-    lam = (1.0 - p.sigma) / p.sigma
-    prefactor = np.exp(
-        lam
-        * (
-            fractal_measure_c(BASE_POINT, p.alpha, p.k)
-            - fractal_measure_c(z, p.alpha, p.k)
-        )
-    )
+    prefactor = _integrating_factor(BASE_POINT, p) / _integrating_factor(z, p)
     integral = integrate_disk(
         lambda zeta: kernel_K_half(z, zeta, p, inner_spec) * ff_eval_stack(fs, p, zeta),
         outer_spec,
@@ -649,25 +650,14 @@ def integrating_factor_residual(f, p, z):
         d/dz [ exp(lam e_k(z**a)) f(z) ] =
             (1/sigma) exp(lam e_k(z**a)) (d/dz e_k(z**a)) Df(z),
 
-    with lam = (1 - sigma)/sigma.  The left side is a central difference with
-    step h = DEFAULT_STEP, so the residual is O(h**2) on polynomial data.
+    lam = (1 - sigma)/sigma, from _integrating_factor and _kernel_weight.  The
+    left side is a central difference with step h = DEFAULT_STEP, so the
+    residual is O(h**2) on polynomial data; a step off the disk raises
+    BranchError, a DomainError, in the factor.
     """
     if not 0.0 < p.sigma <= 1.0:
         raise DomainError("identity needs sigma in (0, 1]")
     z, h = complex(z), DEFAULT_STEP
-    for w in (z - h, z, z + h):
-        if not in_slit_disk(w):
-            raise DomainError(f"{w} leaves the slit disk; move z")
-    lam = (1.0 - p.sigma) / p.sigma
-
-    def weighted(w):
-        return np.exp(lam * fractal_measure_c(w, p.alpha, p.k)) * f(w)
-
-    lhs = (weighted(z + h) - weighted(z - h)) / (2.0 * h)
-    rhs = (
-        (1.0 / p.sigma)
-        * np.exp(lam * fractal_measure_c(z, p.alpha, p.k))
-        * fractal_measure_deriv_c(z, p.alpha, p.k)
-        * ff_eval_c(f, p, z)
-    )
-    return abs(lhs - rhs)
+    lhs = (_integrating_factor(z + h, p) * f(z + h)
+           - _integrating_factor(z - h, p) * f(z - h)) / (2.0 * h)
+    return abs(lhs - _kernel_weight(z, p) * ff_eval_c(f, p, z))

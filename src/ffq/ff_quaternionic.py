@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import BranchError, DomainError, FFQError, NoConvergence
 from .ff_complex import (BASE_POINT, dirichlet_norms_quad, ff_eval_stack,
-                         reproduction_rhs_1_stack, reproduction_rhs_2_stack,
-                         _gram_form, _method_table, _require_finite_field,
-                         _require_linear, _require_sigma_interior, _table_gram)
+                         reproduction_rhs_1_stack, reproduction_rhs_2_stack, _gram_form,
+                         _method_table, _require_finite_field, _require_linear,
+                         _require_norm_method, _require_sigma_interior, _table_gram)
 from .holo_series import fractal_measure_deriv_c, in_slit_disk
 from .quadrature import DEFAULT_SPEC, integrate_disk
 from .quaternion import (Quaternion, as_quaternion, embed_complex,
@@ -70,24 +70,24 @@ class QDirichletValue:
 
 
 def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
-    """Squared norm by the named method of dirichlet_norm; the value's
-    method is the name given.
+    """Squared norm by the named method of dirichlet_norm, which the value
+    names; every method first checks each split component for divergence.
 
-    "quad" is the sum of the split components' complex norms: it checks
-    each component for a proven divergence first, then integrates the pair
-    as one stack, so each node block builds one measure derivative for
-    both.  Its NoConvergence carries the sum of the two field estimates and
-    the sum of their two changes as floats; that sum bounds the change of
-    the summed value.  "series" and "closed-k1" pass the table that
+    "quad" is the sum of the split components' complex norms, integrated
+    as one stack, so each node block builds one measure derivative for both.
+    Its NoConvergence carries the sum of the two field estimates and the
+    sum of their two changes as floats; that sum bounds the change of the
+    summed value.  "series" and "closed-k1" pass the table that
     dirichlet_norm's method reads to qdirichlet_norm_series, whose norm is
     frame-free and whose split_parts are formed apart from it."""
+    _require_norm_method(method)
     _require_linear(p)
-    if method != "quad":
-        ci = _method_table(p, f.degree, spec, method)
-        return replace(qdirichlet_norm_series(f, p, frame, ci), method=method)
     pair = split(f, frame)
     for part in (pair.f1, pair.f2):
         _require_finite_field(part, p)
+    if method != "quad":
+        ci = _method_table(p, f.degree, spec, method)
+        return replace(qdirichlet_norm_series(f, p, frame, ci), method=method)
     try:
         n1, n2 = dirichlet_norms_quad((pair.f1, pair.f2), p, spec)
     except NoConvergence as exc:

@@ -178,6 +178,10 @@ def test_kernel_command(capsys):
     ["norm", "--f", "[[1,0]]"],
     ["qnorm", "--f", "[[1,0,0,0]]"],
     ["table", "--f", "[[1,0]]"],
+    # the method is checked before the verdict on a norm proven infinite
+    ["norm", "--f", "[[1,0],[1,0]]", "--alpha", "1", "--k", "2"],
+    ["qnorm", "--f", "[[1,0,0,0],[1,0,0,0]]", "--alpha", "1", "--k", "2"],
+    ["table", "--f", "[[1,0],[1,0]]", "--alphas", "[1]", "--ks", "[2]"],
     ["deriv", "--real-f", "exp", "--t", "0.5"],
     ["deriv", "--real-f", "exp", "--t", "0.5", "--sigma", "0"],
     ["qderiv", "--f", "[[1,0,0,0],[0,1,0,0]]", "--z", "[0.3,0.1]"],
@@ -325,6 +329,8 @@ def test_divergent_cell_is_decided_without_quadrature(method, no_quadrature, cap
     assert out == ""
     record = json.loads(err, parse_constant=_reject_constant)
     assert record["error"]["type"] == "no_convergence"
+    # one rule, with one message, decides an infinite norm on every method
+    assert record["error"]["message"].startswith("the norm diverges")
     assert "z = -1" in record["error"]["message"]
 
 
@@ -346,6 +352,24 @@ def test_norm_with_vanishing_derivative_at_minus_one_is_integrated(capsys):
     assert doc["method"] == "quad"
     # D f = 1 + z + z**2 / 2: |f(1/2)|**2 + pi (1 + 1/2 + 1/12)
     assert abs(doc["norm_sq"] - (1.5625 + 19.0 * math.pi / 12.0)) < 1e-9
+
+
+def test_series_method_exits_3_on_a_finite_norm_at_the_vanishing_cell(
+        no_quadrature, capsys):
+    # f = 2z + z**2 has f'(-1) = 0 and f = z at sigma = 0 has D f = f: both
+    # norms are finite at (alpha=1, k=2), which quad computes, but no
+    # coefficient table exists there for the series method
+    for argv in (["norm", "--f", "[[0,0],[2,0],[1,0]]"],
+                 ["qnorm", "--f", "[[0,0,0,0],[2,0,0,0],[1,0,0,0]]"],
+                 ["table", "--f", "[[0,0],[1,0]]", "--alphas", "[1]", "--ks", "[2]",
+                  "--sigmas", "[0,0.5]"]):
+        code, out, err = run_cli(argv + ["--alpha", "1", "--k", "2",
+                                         "--method", "series"], capsys)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        record = json.loads(err, parse_constant=_reject_constant)["error"]
+        assert record["type"] == "domain"
+        assert "quad" in record["message"]
 
 
 def test_divergent_cell_record_has_null_value_and_change(no_quadrature, capsys):

@@ -15,7 +15,7 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  reproduction_rhs_2, reproduction_rhs_2_stack)
 from ffq import ff_complex
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
-from ffq.quadrature import _composite, build_slit_path
+from ffq.quadrature import _composite, _path_rule, build_slit_path
 from ffq.verify import NESTED_SPEC
 
 
@@ -307,7 +307,8 @@ def test_moment_form_matches_dense_path_sum():
     for z in MOMENT_POINTS:
         path = build_slit_path(z)
         for level in range(NESTED_SPEC.max_refine + 1):
-            wn, wt = ff_complex._weighted_path_rule(path, p, 1.0, NESTED_SPEC, level)
+            wn, cw = _path_rule(path, NESTED_SPEC, level)
+            wt = cw * ff_complex._kernel_weight(wn, p)
             N = ff_complex._moment_order(np.max(np.abs(wn)) * np.max(np.abs(zt)))
             dense = ff_complex._dense_path_sum(wn, wt, zt)
             moment = ff_complex._moment_path_sum(wn, wt, zt, N)
@@ -328,7 +329,8 @@ def _plain_moment_path_sum(wn, wt, zt, N):
 def test_blocked_moment_sum_matches_the_plain_series(N):
     rng = np.random.default_rng(N)
     p = FFParams(alpha=1.0, sigma=0.5, k=1)
-    wn, wt = ff_complex._weighted_path_rule(build_slit_path(0.85j), p, 1.0, NESTED_SPEC, 1)
+    wn, cw = _path_rule(build_slit_path(0.85j), NESTED_SPEC, 1)
+    wt = cw * ff_complex._kernel_weight(wn, p)
     n = ff_complex._ZETA_CHUNK + 77  # a full chunk and a short one
     zetas = 0.9 * np.sqrt(rng.random(n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
     for zt in (zetas, zetas[:1]):
@@ -574,6 +576,31 @@ def test_integrating_factor_identity(spec):
     res = integrating_factor_residual(CPowerSeries([0, 0, 0, 1]), p,
                                       0.5 + 0.1j)
     assert res < 1e-6
+
+
+def test_integrating_factor_residual_rejects_a_step_off_the_disk():
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    f = CPowerSeries([1.0, 0.5])
+    # z is in the slit disk, but z - h lands on the cut or z + h beyond |z| = 1
+    for z in (0.5e-5, 1.0 - 0.5e-5):
+        with pytest.raises(DomainError):
+            integrating_factor_residual(f, p, z)
+
+
+def test_factor_and_weight_are_the_written_out_formulas_bit_for_bit(rng):
+    w = rng.uniform(0.05, 0.95, 64) * np.exp(1j * rng.uniform(-3.0, 3.0, 64))
+    for alpha in (0.3, 0.7, 1.0):
+        for sigma in (0.2, 0.5, 0.8, 1.0):
+            for k in (1, 2, INF):
+                p = FFParams(alpha=alpha, sigma=sigma, k=k)
+                lam = (1.0 - sigma) / sigma
+                for x in (w, complex(w[0])):
+                    factor = np.exp(lam * fractal_measure_c(x, alpha, k))
+                    weight = (1.0 / sigma) * factor * fractal_measure_deriv_c(x, alpha, k)
+                    got = (ff_complex._integrating_factor(x, p), ff_complex._kernel_weight(x, p))
+                    for value, want in zip(got, (factor, weight)):
+                        assert np.shape(value) == np.shape(want)
+                        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
 def test_integrating_factor_sign_is_forced():

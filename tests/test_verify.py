@@ -86,3 +86,38 @@ def test_reproducing_rows_are_the_per_point_residuals(offset):
         assert type(row["residual"]) is float
         assert abs(row["residual"] - res) <= 1e-13
         assert row["status"] == ("pass" if res < verify.TOL_REPRODUCE_1 else "fail")
+
+
+def test_kernel_and_factor_suites_fail_on_a_planted_kernel_weight(monkeypatch):
+    # the kernel, the second identity's integrand and the derivative identity
+    # all read _kernel_weight; a 1e-4 relative error in it must show
+    from ffq import ff_complex
+    weight = ff_complex._kernel_weight
+
+    def planted(w, p):
+        return weight(w, p) * (1.0 + 1e-4)
+
+    monkeypatch.setattr(ff_complex, "_kernel_weight", planted)
+    monkeypatch.setattr(verify, "_kernel_weight", planted)
+    for suite in (verify.kernel_reproducing, verify.factor_identity):
+        _, ok = suite()
+        assert not ok
+
+
+def test_discrepancy_suite_fails_on_a_planted_closed_form(monkeypatch):
+    # the suite's degree-4 norm rows never read A[4, 4]; its diagonal rows must
+    from ffq import ff_complex
+    closed = ff_complex.closed_k1_matrices
+
+    def planted(alpha, N):
+        A, B = closed(alpha, N)
+        if N >= 4:
+            A[4, 4] *= 1.0 + 1e-5
+        return A, B
+
+    monkeypatch.setattr(ff_complex, "closed_k1_matrices", planted)
+    monkeypatch.setattr(verify, "closed_k1_matrices", planted)
+    rows, ok = verify.closed_k1_discrepancy()
+    assert not ok
+    assert [(row["record"], row["n"]) for row in rows
+            if row["status"] == "fail"] == [("diagonal", 4)] * 2
