@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from ffq import (FFParams, INF, default_weights, ff_derivative_real,
-                 ff_family_sigma_alpha2, fractal_derivative, measure_identity,
+from ffq import (FFParams, INF, beta_fractal_derivative, default_weights,
+                 ff_derivative_real, ff_family_sigma_alpha2, measure_identity,
                  measure_power, measure_truncated_exp,
                  proportional_derivative)
 
@@ -20,12 +20,12 @@ fp = math.cos
 t = 0.9
 
 print("== fractal (Stieltjes) derivatives ==")
-print("measure t      ->", fractal_derivative(f, measure_identity(), t),
+print("measure t      ->", beta_fractal_derivative(f, measure_identity(), 1.0, t),
       " (ordinary f' =", fp(t), ")")
-print("measure t^0.5  ->", fractal_derivative(f, measure_power(0.5), t),
+print("measure t^0.5  ->", beta_fractal_derivative(f, measure_power(0.5), 1.0, t),
       " (= f'/(0.5 t^-0.5) =", fp(t) / (0.5 * t ** -0.5), ")")
 m = measure_truncated_exp(0.6, 2)
-print("measure e_2(t^0.6) ->", fractal_derivative(f, m, t))
+print("measure e_2(t^0.6) ->", beta_fractal_derivative(f, m, 1.0, t))
 
 print("\n== proportional derivative: a dial between f and f' ==")
 for sigma in (0.0, 0.25, 0.5, 0.75, 1.0):

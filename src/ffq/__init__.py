@@ -23,8 +23,8 @@ from .slice_regular import (QPowerSeries, SplitPair, cullen_derivative,
 from .ff_real import (DEFAULT_STEP, FFParams, ProportionalWeights,
                       beta_fractal_derivative, default_weights,
                       ff_derivative_real, ff_family_sigma_alpha2,
-                      fractal_derivative, measure_identity, measure_power,
-                      measure_truncated_exp, proportional_derivative)
+                      measure_identity, measure_power, measure_truncated_exp,
+                      proportional_derivative)
 from .quadrature import (DEFAULT_SPEC, MAX_FINEST_NODES, QuadratureSpec,
                          QuadResult, SlitPath, build_slit_path, integrate_disk,
                          path_integral)
@@ -36,8 +36,7 @@ from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          ff_eval_c, ff_eval_stack, inner_product_c,
                          integrating_factor_residual, kernel_K_half,
                          reproduce_identity_1, reproduce_identity_2,
-                         reproduction_rhs_1, reproduction_rhs_1_stack,
-                         reproduction_rhs_2, reproduction_rhs_2_stack)
+                         reproduction_rhs_1_stack, reproduction_rhs_2_stack)
 from .ff_quaternionic import (QDirichletValue, QReproduceResult, SLICE_BOUND,
                               ff_eval_q, q_reproduce, qdirichlet_inner_product,
                               qdirichlet_norm, qdirichlet_norm_series,

@@ -30,7 +30,8 @@ from . import verify as verify_mod
 from .errors import DivergentIntegral, DomainError, FFQError, INF, NoConvergence
 from .ff_complex import (dirichlet_norm, dirichlet_norm_series, ff_eval_c,
                          inner_product_c, kernel_K_half, _method_table,
-                         _require_finite_field, _require_norm_method)
+                         _require_finite_field, _require_linear,
+                         _require_norm_method)
 from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
                               qdirichlet_norm)
 from .ff_real import FFParams, ff_derivative_real
@@ -322,8 +323,10 @@ def run(job):
         return (EXIT_OK if ok else EXIT_TOLERANCE), rows
     if job.command == "table":
         rows = _table(job, spec, method)
-        ok = all(row["status"] != "no_convergence" for row in rows)
-        return (EXIT_OK if ok else EXIT_TOLERANCE), rows
+        statuses = {row["status"] for row in rows}
+        if "domain" in statuses:
+            return EXIT_DOMAIN, rows
+        return (EXIT_TOLERANCE if "no_convergence" in statuses else EXIT_OK), rows
     raise DomainError(f"unknown command {job.command!r}")
 
 
@@ -339,15 +342,23 @@ def _k_sort_key(k):
 def _table(job, spec, method):
     """Cartesian sweep over (alpha, sigma, k); one row per cell, rows in
     lexicographic parameter order, each naming the method given.  A cell
-    whose norm is proven infinite has status "divergent", one whose
-    refinement stopped short of the tolerance "no_convergence".  A series
-    method builds one table per (alpha, k), which every sigma reads through
-    dirichlet_norm_series once the cell's norm is known to be finite."""
+    whose norm is proven infinite has status "divergent", one its method
+    cannot compute (a DomainError, such as a finite norm where no table
+    exists) "domain", and one whose refinement stopped short of the
+    tolerance "no_convergence"; these rows leave the norm fields empty.
+    Every cell's parameters and beta = 1 are checked before the first norm,
+    so bad input fails the whole command.  A series method builds one table
+    per (alpha, k), which every sigma reads through dirichlet_norm_series
+    once the cell's norm is known to be finite."""
     _require_norm_method(method)
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
     sigmas = sorted(job.sigmas or [job.sigma])
     ks = sorted(job.ks or [job.k], key=_k_sort_key)
+    cells = [FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
+             for alpha in alphas for sigma in sigmas for k in ks]
+    if cells:
+        _require_linear(cells[0])  # every cell shares beta
     tables = {}  # (alpha, k) -> the table, or the NoConvergence building it raised
 
     def norm(p):
@@ -365,21 +376,19 @@ def _table(job, spec, method):
         return dirichlet_norm_series(f, p, tables[key])
 
     rows = []
-    for alpha in alphas:
-        for sigma in sigmas:
-            for k in ks:
-                p = FFParams(alpha=alpha, sigma=sigma, k=k, beta=job.beta)
-                try:
-                    val = norm(p)
-                    norm_sq, point, field = val.norm_sq, val.point_term, val.field_term
-                    status = "ok"
-                except NoConvergence as exc:
-                    norm_sq = point = field = ""
-                    status = ("divergent" if isinstance(exc, DivergentIntegral)
-                              else "no_convergence")
-                rows.append({"alpha": alpha, "sigma": sigma, "k": encode_k(k),
-                             "norm_sq": norm_sq, "point_term": point,
-                             "field_term": field, "method": method, "status": status})
+    for p in cells:
+        try:
+            val = norm(p)
+            norm_sq, point, field = val.norm_sq, val.point_term, val.field_term
+            status = "ok"
+        except (NoConvergence, DomainError) as exc:
+            norm_sq = point = field = ""
+            status = ("domain" if isinstance(exc, DomainError)
+                      else "divergent" if isinstance(exc, DivergentIntegral)
+                      else "no_convergence")
+        rows.append({"alpha": p.alpha, "sigma": p.sigma, "k": encode_k(p.k),
+                     "norm_sq": norm_sq, "point_term": point,
+                     "field_term": field, "method": method, "status": status})
     return rows
 
 

@@ -149,7 +149,8 @@ def dirichlet_norms_quad(fs, p, spec=None, sigmas=None):
     the stacked |Df|**2: one value per (sigma, series) pair, sigma-major,
     for sigma in sigmas (default (p.sigma,)).  Each entry converges on its
     own, to within rounding of the value dirichlet_norm_quad gives it
-    alone."""
+    alone.  Like every norm route it raises DomainError for beta != 1."""
+    _require_linear(p)
     # each sigma is checked as FFParams checks it, before any quadrature
     sigmas = (p.sigma,) if sigmas is None else tuple(replace(p, sigma=s).sigma
                                                      for s in sigmas)
@@ -456,19 +457,15 @@ def reproduction_rhs_1_stack(fs, p, z, spec=None):
     return -s / (1.0 - s) * fractal + projected / (1.0 - s)
 
 
-def reproduction_rhs_1(f, p, z, spec=None):
-    """reproduction_rhs_1_stack for the one series f."""
-    return complex(reproduction_rhs_1_stack((f,), p, z, spec)[0])
-
-
 def reproduce_identity_1(f, p, z, spec=None):
     """Residual of the pointwise reproduction of f from Df via the disk kernel.
 
     Exact (up to quadrature error) whenever Df extends holomorphically and
     square-integrably to the whole disk, e.g. alpha = 1 with k in {1, inf}
-    on polynomial data, or constant f for any parameters.
+    on polynomial data, or constant f for any parameters.  The right-hand
+    side is reproduction_rhs_1_stack's row for the one series f.
     """
-    return abs(f(complex(z)) - reproduction_rhs_1(f, p, z, spec))
+    return abs(f(complex(z)) - complex(reproduction_rhs_1_stack((f,), p, z, spec)[0]))
 
 
 def _integrating_factor(w, p):
@@ -634,14 +631,10 @@ def reproduction_rhs_2_stack(fs, p, z, spec=None):
     return prefactor * np.array([f(BASE_POINT) for f in fs]) + integral
 
 
-def reproduction_rhs_2(f, p, z, spec=None):
-    """reproduction_rhs_2_stack for the one series f."""
-    return complex(reproduction_rhs_2_stack((f,), p, z, spec)[0])
-
-
 def reproduce_identity_2(f, p, z, spec=None):
-    """Residual of the base-point reproduction of f via the path kernel."""
-    return abs(f(complex(z)) - reproduction_rhs_2(f, p, z, spec))
+    """Residual of the base-point reproduction of f via the path kernel; the
+    right-hand side is reproduction_rhs_2_stack's row for the one series f."""
+    return abs(f(complex(z)) - complex(reproduction_rhs_2_stack((f,), p, z, spec)[0]))
 
 
 def integrating_factor_residual(f, p, z):

@@ -81,7 +81,6 @@ def qdirichlet_norm(f, p, frame, spec=None, method="quad"):
     dirichlet_norm's method reads to qdirichlet_norm_series, whose norm is
     frame-free and whose split_parts are formed apart from it."""
     _require_norm_method(method)
-    _require_linear(p)
     pair = split(f, frame)
     for part in (pair.f1, pair.f2):
         _require_finite_field(part, p)

@@ -1,7 +1,7 @@
-"""Real-line derivative hierarchy: fractal (Stieltjes) difference quotients,
-their beta-power variant, the proportional derivative, and the combined
-fractal-fractional operator taken against the truncated exponential measure
-e_k(t**alpha), in both limit-quotient and closed form.
+"""Real-line derivative hierarchy: the fractal (Stieltjes) difference quotient
+of f**beta, the proportional derivative, and the combined fractal-fractional
+operator taken against the truncated exponential measure e_k(t**alpha), in
+both limit-quotient and closed form.
 
 A measure is a plain function t -> nu(t).  The combined operator uses the
 convex weights chi0 = sigma, chi1 = 1 - sigma, as every complex and
@@ -94,8 +94,7 @@ class FFParams:
 def _richardson(quotient, h):
     # quotient(h) has an O(h^2) error; one extrapolation level kills it
     d1 = quotient(h)
-    d2 = quotient(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
+    return (4.0 * quotient(h / 2.0) - d1) / 3.0
 
 
 def _powered(f, beta):
@@ -112,18 +111,13 @@ def _powered(f, beta):
     return powered
 
 
-def fractal_derivative(f, m, t, with_error=False):
-    """Stieltjes difference quotient of f against the measure m at t.
+def beta_fractal_derivative(f, m, beta, t):
+    """Stieltjes difference quotient of f**beta against the measure m at t.
 
-    Matches f'(t)/nu'(t) when both exist.  Raises DegenerateMeasure if
-    the measure increment collapses (non-monotone nu near t).
+    Matches (f**beta)'(t)/nu'(t) when both exist; beta = 1 gives the plain
+    fractal derivative of f.  Raises DegenerateMeasure if the measure
+    increment collapses (non-monotone nu near t).
     """
-    return beta_fractal_derivative(f, m, 1.0, t, with_error)
-
-
-def beta_fractal_derivative(f, m, beta, t, with_error=False):
-    """Difference quotient of f**beta against the measure m at t; at
-    beta = 1 the quotient of f itself, fractal_derivative."""
     g = _powered(f, beta)
 
     def quotient(hh):
@@ -132,12 +126,11 @@ def beta_fractal_derivative(f, m, beta, t, with_error=False):
             raise DegenerateMeasure(f"measure increment {den} at t = {t} below floor")
         return (g(t + hh) - g(t - hh)) / den
 
-    val, err = _richardson(quotient, DEFAULT_STEP)
-    return (val, err) if with_error else val
+    return _richardson(quotient, DEFAULT_STEP)
 
 
 def _derivative_estimate(f, t, h):
-    return _richardson(lambda hh: (f(t + hh) - f(t - hh)) / (2.0 * hh), h)[0]
+    return _richardson(lambda hh: (f(t + hh) - f(t - hh)) / (2.0 * hh), h)
 
 
 def proportional_derivative(f, w, t):

@@ -60,12 +60,6 @@ class CPowerSeries:
         object.__setattr__(self, "_derivative", d)
         return d
 
-    def antiderivative(self, c0=0.0):
-        if len(self.coeffs) == 0:
-            return CPowerSeries([c0])
-        n = np.arange(1, len(self.coeffs) + 1)
-        return CPowerSeries(np.concatenate(([complex(c0)], self.coeffs / n)))
-
     def _binary(self, other, op):
         if isinstance(other, CPowerSeries):
             n = max(len(self.coeffs), len(other.coeffs), 1)

@@ -232,13 +232,6 @@ class SlitPath:
     start: complex
     end: complex
 
-    def sample(self, n=1000):
-        """n points per segment, for domain checks."""
-        s = (np.arange(n) + 0.5) / n
-        if not self.segments:
-            return np.asarray([self.start])
-        return np.concatenate([seg.point(s) for seg in self.segments])
-
 
 def build_slit_path(z, arc_first=False):
     """Two-segment path from 1/2 to z inside the slit disk.

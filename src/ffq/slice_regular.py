@@ -58,12 +58,6 @@ class QPowerSeries:
     def degree(self):
         return len(self.parts) - 1
 
-    def __call__(self, q):
-        return eval_q(self, q)
-
-    def derivative(self):
-        return cullen_derivative(self)
-
     def __add__(self, other):
         if isinstance(other, QPowerSeries):
             n = max(self.degree, other.degree) + 1

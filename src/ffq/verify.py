@@ -329,9 +329,9 @@ def kernel_reproducing(n_points=10, seed=DEFAULT_SEED):
     return _verdict(rows)
 
 
-def factor_identity(n_points=50, seed=DEFAULT_SEED):
-    """Integrating-factor differential identity, complex and quaternionic
-    (via slice) variants, central differences with step h = 1e-5.
+def factor_identity(seed=DEFAULT_SEED):
+    """Integrating-factor differential identity at 50 points, complex and
+    quaternionic (via slice) variants, central differences with step h = 1e-5.
 
     Points keep |z| >= 0.25 and sigma >= 0.4: the identity itself is exact,
     but the central difference's h**2 truncation error carries the factors
@@ -339,7 +339,7 @@ def factor_identity(n_points=50, seed=DEFAULT_SEED):
     tiny sigma or points hugging the origin.
     """
     rng = np.random.default_rng(seed)
-    points = random_slit_points(n_points, seed=seed + 3, r_range=(0.25, 0.85))
+    points = random_slit_points(50, seed=seed + 3, r_range=(0.25, 0.85))
     alphas = (0.3, 0.5, 0.8, 1.0)
     sigmas = (0.4, 0.5, 0.8, 1.0)
     ks = (1, 2, INF)
@@ -420,9 +420,10 @@ def operator_limits(seed=DEFAULT_SEED):
     return _verdict(rows)
 
 
-def star_suite(seed=DEFAULT_SEED, n_twist=50):
+def star_suite(seed=DEFAULT_SEED):
     """Star-algebra acceptance: star inverse to degree 8, the evaluation
-    twist formula, and split/extension plus representation round trips."""
+    twist formula on 50 draws, and split/extension plus representation round
+    trips."""
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -443,7 +444,7 @@ def star_suite(seed=DEFAULT_SEED, n_twist=50):
         rows.append({"record": "star_inverse", "trial": trial, "residual": err,
                      "status": _status(err <= TOL_STAR_INVERSE)})
     worst = 0.0
-    for _ in range(n_twist):
+    for _ in range(50):
         f = QPowerSeries([rand_q() for _ in range(4)])
         g = QPowerSeries([rand_q() for _ in range(4)])
         q = rand_q(0.2)
@@ -453,7 +454,7 @@ def star_suite(seed=DEFAULT_SEED, n_twist=50):
         lhs = eval_q(star_product(f, g), q)
         rhs = fq * eval_q(g, fq.inverse() * q * fq)
         worst = max(worst, (lhs - rhs).norm())
-    rows.append({"record": "twist", "trial": n_twist, "residual": worst,
+    rows.append({"record": "twist", "trial": 50, "residual": worst,
                  "status": _status(worst <= TOL_TWIST)})
     worst = 0.0
     for _ in range(20):

@@ -81,7 +81,7 @@ def test_criterion_4_reproducing_identity_2_and_path_independence():
 
 
 def test_criterion_5_differential_identity():
-    rows, ok = verify.factor_identity(n_points=50)
+    rows, ok = verify.factor_identity()
     worst = max(r["residual"] for r in rows)
     n_c = sum(r["variant"] == "complex" for r in rows)
     n_q = sum(r["variant"] == "quaternionic-slice" for r in rows)
@@ -132,7 +132,7 @@ def test_criterion_7_series_ratio_is_one_to_rounding():
 
 
 def test_criterion_8_star_algebra_suite():
-    rows, ok = verify.star_suite(n_twist=50)
+    rows, ok = verify.star_suite()
     by = {r["record"]: r for r in rows if r["record"] != "star_inverse"}
     worst_inv = max(r["residual"] for r in rows if r["record"] == "star_inverse")
 

@@ -356,13 +356,11 @@ def test_norm_with_vanishing_derivative_at_minus_one_is_integrated(capsys):
 
 def test_series_method_exits_3_on_a_finite_norm_at_the_vanishing_cell(
         no_quadrature, capsys):
-    # f = 2z + z**2 has f'(-1) = 0 and f = z at sigma = 0 has D f = f: both
-    # norms are finite at (alpha=1, k=2), which quad computes, but no
-    # coefficient table exists there for the series method
+    # f = 2z + z**2 has f'(-1) = 0: its norm is finite at (alpha=1, k=2),
+    # which quad computes, but no coefficient table exists there for the
+    # series method
     for argv in (["norm", "--f", "[[0,0],[2,0],[1,0]]"],
-                 ["qnorm", "--f", "[[0,0,0,0],[2,0,0,0],[1,0,0,0]]"],
-                 ["table", "--f", "[[0,0],[1,0]]", "--alphas", "[1]", "--ks", "[2]",
-                  "--sigmas", "[0,0.5]"]):
+                 ["qnorm", "--f", "[[0,0,0,0],[2,0,0,0],[1,0,0,0]]"]):
         code, out, err = run_cli(argv + ["--alpha", "1", "--k", "2",
                                          "--method", "series"], capsys)
         assert code == EXIT_DOMAIN
@@ -399,6 +397,74 @@ def test_table_tells_a_capped_cell_from_a_divergent_one(capsys):
                             "--ks", "[2]"] + _CAPPED, capsys)
     assert code == EXIT_OK
     assert [row["status"] for row in json.loads(out)] == ["divergent"]
+
+
+_SWEEP = ["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.5,1]", "--ks", "[1,2]",
+          "--sigmas", "[0,0.5]"]
+
+
+@pytest.mark.parametrize("method, extra, statuses", [
+    # f = z at sigma = 0 has D f = f, a finite norm at (alpha=1, k=2) where
+    # no coefficient table exists; at sigma = 0.5 that norm diverges
+    ("series", [], ["ok"] * 5 + ["domain", "ok", "divergent"]),
+    ("closed-k1", [], ["ok", "domain"] * 3 + ["ok", "divergent"]),
+    # a domain row outranks a no_convergence row in the exit code
+    ("series", _CAPPED, ["no_convergence"] * 5
+     + ["domain", "no_convergence", "divergent"]),
+])
+def test_table_keeps_every_row_when_its_method_cannot_compute_a_cell(
+        method, extra, statuses, capsys):
+    code, out, err = run_cli(_SWEEP + ["--method", method] + extra, capsys)
+    assert code == EXIT_DOMAIN
+    assert err == ""
+    rows = json.loads(out)
+    assert [(row["alpha"], row["sigma"], row["k"]) for row in rows] == [
+        (a, s, k) for a in (0.5, 1) for s in (0, 0.5) for k in (1, 2)]
+    assert [row["status"] for row in rows] == statuses
+    f = ffq.CPowerSeries([0, 1])
+    for row in rows:
+        if row["status"] == "ok":
+            p = ffq.FFParams(alpha=row["alpha"], sigma=row["sigma"], k=row["k"])
+            assert row["norm_sq"] == ffq.dirichlet_norm(f, p, None, method).norm_sq
+        else:
+            assert row["norm_sq"] == row["point_term"] == row["field_term"] == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "[[1,2,3]]"],    # a coefficient of three components
+    # norms live on the linear (beta = 1) space, on every route
+    ["norm", "--f", "[[1,0],[0.5,0]]", "--alpha", "0.5", "--beta", "0.5"],
+    ["norm", "--f", "[[1,0],[0.5,0]]", "--beta", "0.5", "--method", "series"],
+    ["qnorm", "--f", "[[1,0,0,0],[0.5,0,0,0]]", "--beta", "0.5"],
+    ["table", "--f", "[[1,0],[0.5,0]]", "--alphas", "[0.5,1]", "--beta", "0.5"],
+])
+def test_domain_input_exits_3_before_any_quadrature(argv, no_quadrature, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    record = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert record["type"] == "domain"
+
+
+def test_series_flag_reads_a_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text("[[0,0],[1,0],[0.5,0.5]]")
+    tail = ["--alpha", "0.6", "--sigma", "0.3", "--k", "1", "--method", "closed-k1"]
+    code, out, _ = run_cli(["norm", "--f", "@" + str(path)] + tail, capsys)
+    assert code == EXIT_OK
+    assert out == run_cli(["norm", "--f", "[[0,0],[1,0],[0.5,0.5]]"] + tail, capsys)[1]
+
+
+def test_qnorm_inner_product_via_g_flag(capsys):
+    f, g = [[0.5, 0, 1, 0], [0, 0.3, 0, -1]], [[1, 0, 0, 0.2], [0, 1, 0.5, 0]]
+    code, out, _ = run_cli(["qnorm", "--f", json.dumps(f), "--g", json.dumps(g),
+                            "--alpha", "0.7", "--sigma", "0.3", "--k", "2"], capsys)
+    assert code == EXIT_OK
+    q = ffq.qdirichlet_inner_product(
+        ffq.QPowerSeries([ffq.Quaternion(*c) for c in f]),
+        ffq.QPowerSeries([ffq.Quaternion(*c) for c in g]),
+        ffq.FFParams(alpha=0.7, sigma=0.3, k=2), ffq.STANDARD_FRAME)
+    assert json.loads(out)["inner_product"] == list(q.components)
 
 
 @pytest.mark.parametrize("extra, status, exit_code",

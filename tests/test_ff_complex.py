@@ -11,8 +11,7 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  dirichlet_norm_series, ff_eval_c, ff_eval_stack,
                  inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
-                 reproduction_rhs_1, reproduction_rhs_1_stack,
-                 reproduction_rhs_2, reproduction_rhs_2_stack)
+                 reproduction_rhs_1_stack, reproduction_rhs_2_stack)
 from ffq import ff_complex
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
 from ffq.quadrature import _composite, _path_rule, build_slit_path
@@ -405,11 +404,10 @@ def test_stacked_right_hand_sides_match_one_series():
     p = FFParams(alpha=1.0, sigma=0.4, k=INF)
     pair = (CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.3j, 0.0, 1.0]))
     z = 0.3 + 0.4j
-    for stack, one in ((reproduction_rhs_1_stack, reproduction_rhs_1),
-                       (reproduction_rhs_2_stack, reproduction_rhs_2)):
+    for stack in (reproduction_rhs_1_stack, reproduction_rhs_2_stack):
         got = stack(pair, p, z, NESTED_SPEC)
         for f, value in zip(pair, got):
-            alone = one(f, p, z, NESTED_SPEC)
+            alone = complex(stack((f,), p, z, NESTED_SPEC)[0])
             assert abs(value - alone) <= 1e-13 * abs(alone)
 
 
@@ -421,7 +419,7 @@ def test_stacked_rhs_1_takes_one_point_per_series():
     got = reproduction_rhs_1_stack(fs, p, zs, NESTED_SPEC)
     assert got.shape == (len(fs),)
     for f, z, value in zip(fs, zs, got):
-        alone = reproduction_rhs_1(f, p, z, NESTED_SPEC)
+        alone = complex(reproduction_rhs_1_stack((f,), p, z, NESTED_SPEC)[0])
         assert abs(value - alone) <= 1e-13 * abs(alone)
     with pytest.raises(DomainError):
         reproduction_rhs_1_stack(fs, p, (0.3, -0.5, 0.2, 0.1j), NESTED_SPEC)
@@ -703,14 +701,17 @@ def test_up_front_verdicts_run_no_quadrature(no_quadrature):
         for method in ("quad", "series"):
             with pytest.raises(DivergentIntegral):
                 dirichlet_norm(CPowerSeries(coeffs), p, method=method)
-    # f'(-1) = 0 (or sigma = 0, or beta < 1) leaves the quadrature route open
+    # f'(-1) = 0 (or sigma = 0) leaves the quadrature route open
     for f, q in ((CPowerSeries([0, 2, 1]), p),
                  (CPowerSeries([1.0]), p),
-                 (CPowerSeries([0, 1]), FFParams(alpha=1.0, sigma=0.0, k=2)),
-                 (CPowerSeries([1, 1]), FFParams(alpha=1.0, sigma=0.5, k=2,
-                                                 beta=0.5))):
+                 (CPowerSeries([0, 1]), FFParams(alpha=1.0, sigma=0.0, k=2))):
         with pytest.raises(AssertionError, match="quadrature ran"):
             dirichlet_norm(f, q)
+    # beta < 1 is outside the norm's linear space on every route
+    for method in ("quad", "series"):
+        with pytest.raises(DomainError, match="beta = 1"):
+            dirichlet_norm(CPowerSeries([1, 1]),
+                           FFParams(alpha=1.0, sigma=0.5, k=2, beta=0.5), method=method)
 
 
 def test_stacked_norms_match_one_at_a_time(spec, rng):

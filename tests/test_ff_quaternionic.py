@@ -11,6 +11,8 @@ from ffq import (E1, E2, E3, CoefficientIntegrals, CPowerSeries, DivergentIntegr
                  qdirichlet_norm, qdirichlet_norm_series, random_frame,
                  reproduce_identity_1, reproduce_identity_2, slice_norm_compare, split)
 
+from ffq.verify import TOL_NORM_AGREEMENT
+
 from conftest import qdist, random_quaternion
 
 
@@ -117,6 +119,22 @@ def test_norm_right_homogeneity(spec, rng):
     na = qdirichlet_norm(f * a, p, STANDARD_FRAME, spec).norm_sq
     n = qdirichlet_norm(f, p, STANDARD_FRAME, spec).norm_sq
     assert abs(math.sqrt(na) - math.sqrt(n) * a.norm()) <= 1e-10 * math.sqrt(na)
+
+
+def test_right_module_operations(spec, rng):
+    p = FFParams(alpha=0.8, sigma=0.3, k=2)
+    f = QPowerSeries([random_quaternion(rng) for _ in range(4)])
+    g = QPowerSeries([random_quaternion(rng) for _ in range(6)])
+    back = (f + g) - g
+    assert back.degree == g.degree and not np.any(back.parts[f.degree + 1:])
+    assert np.max(np.abs(back.parts[: f.degree + 1] - f.parts)) <= 1e-14
+    assert np.array_equal((-f).parts, -f.parts) and -(-f) == f
+    a = Quaternion(1.2, 0.5, -0.7, 0.1)
+    for method, tol in (("series", 1e-14), ("quad", TOL_NORM_AGREEMENT)):
+        n = qdirichlet_norm(f, p, STANDARD_FRAME, spec, method).norm_sq
+        na = qdirichlet_norm(f * a, p, STANDARD_FRAME, spec, method).norm_sq
+        assert abs(na - a.norm() ** 2 * n) <= tol * na
+        assert qdirichlet_norm(-f, p, STANDARD_FRAME, spec, method).norm_sq == n
 
 
 def test_series_reduces_to_complex_for_real_coefficients(spec):

@@ -8,42 +8,34 @@ import pytest
 from ffq import ff_real
 from ffq import (FFParams, INF, DegenerateMeasure, DomainError,
                  ProportionalWeights, beta_fractal_derivative, default_weights,
-                 ff_derivative_real, ff_family_sigma_alpha2,
-                 fractal_derivative, measure_identity, measure_power,
-                 measure_truncated_exp, proportional_derivative)
+                 ff_derivative_real, ff_family_sigma_alpha2, measure_identity,
+                 measure_power, measure_truncated_exp, proportional_derivative)
 
 
 def test_fractal_derivative_reduces_to_ordinary():
     # nu(t) = t gives the plain derivative
-    got = fractal_derivative(lambda t: t * t, measure_identity(), 1.0)
+    got = beta_fractal_derivative(lambda t: t * t, measure_identity(), 1.0, 1.0)
     assert abs(got - 2.0) < 1e-9
 
 
 def test_fractal_derivative_power_measure():
     # oracle: f'/nu' = 1/(eta t^(eta-1)) = 2 at t = 1, eta = 1/2
-    got = fractal_derivative(lambda t: t, measure_power(0.5), 1.0)
+    got = beta_fractal_derivative(lambda t: t, measure_power(0.5), 1.0, 1.0)
     assert abs(got - 2.0) < 1e-9
 
 
-def test_fractal_derivative_constant_and_error_estimate():
-    val, err = fractal_derivative(lambda t: 3.25, measure_power(0.7), 0.8,
-                                  with_error=True)
-    assert val == 0.0
-    assert err >= 0.0
+def test_fractal_derivative_of_a_constant_is_zero():
+    assert beta_fractal_derivative(lambda t: 3.25, measure_power(0.7), 1.0, 0.8) == 0.0
 
 
 def test_degenerate_measure_rejected():
     flat = lambda t: 1.0
     with pytest.raises(DegenerateMeasure):
-        fractal_derivative(lambda t: t, flat, 1.0)
+        beta_fractal_derivative(lambda t: t, flat, 1.0, 1.0)
 
 
 def test_beta_fractal_derivative():
     m = measure_identity()
-    # beta = 1 reduction
-    a = beta_fractal_derivative(lambda t: math.sin(t) + 2, m, 1.0, 0.7)
-    b = fractal_derivative(lambda t: math.sin(t) + 2, m, 0.7)
-    assert a == b
     # oracle: chain rule beta f^(beta-1) f' at f(t) = t, t = 1
     got = beta_fractal_derivative(lambda t: t, m, 0.5, 1.0)
     assert abs(got - 0.5) < 1e-9
@@ -180,8 +172,7 @@ KEYWORDS = {
     "measure_power": (),
     "measure_truncated_exp": (),
     "default_weights": ("sigma",),
-    "fractal_derivative": ("with_error",),
-    "beta_fractal_derivative": ("with_error",),
+    "beta_fractal_derivative": (),
     "proportional_derivative": (),
     "ff_derivative_real": ("method",),
     "ff_family_sigma_alpha2": (),

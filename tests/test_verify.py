@@ -16,9 +16,9 @@ KEYWORDS = {
     "closed_k1_discrepancy": (),
     "reproducing": ("n_points", "seed"),
     "kernel_reproducing": ("n_points", "seed"),
-    "factor_identity": ("n_points", "seed"),
+    "factor_identity": ("seed",),
     "operator_limits": ("seed",),
-    "star_suite": ("seed", "n_twist"),
+    "star_suite": ("seed",),
     "quaternionic_split": (),
     "quaternionic_series": (),
     "quaternionic_bound": (),
