@@ -29,10 +29,10 @@ from .quadrature import (DEFAULT_SPEC, MAX_FINEST_NODES, QuadratureSpec,
                          QuadResult, SlitPath, build_slit_path, integrate_disk,
                          path_integral)
 from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
-                         bergman_kernel, closed_k1_matrices,
-                         coefficient_integrals, dirichlet_norm,
-                         dirichlet_norm_closed_k1, dirichlet_norm_quad,
-                         dirichlet_norms_quad, dirichlet_norm_series,
+                         bergman_kernel, coefficient_integrals,
+                         dirichlet_norm, dirichlet_norm_closed_k1,
+                         dirichlet_norm_quad, dirichlet_norms_quad,
+                         dirichlet_norm_series, exact_coefficient_integrals,
                          ff_eval_c, ff_eval_stack, inner_product_c,
                          integrating_factor_residual, kernel_K_half,
                          reproduce_identity_1, reproduce_identity_2,

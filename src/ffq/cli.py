@@ -346,6 +346,8 @@ def _table(job, spec, method):
     cannot compute (a DomainError, such as a finite norm where no table
     exists) "domain", and one whose refinement stopped short of the
     tolerance "no_convergence"; these rows leave the norm fields empty.
+    A "domain" row's reason is its DomainError's message, which names the
+    methods that compute the cell; every other row's reason is empty.
     Every cell's parameters and beta = 1 are checked before the first norm,
     so bad input fails the whole command.  A series method builds one table
     per (alpha, k), which every sigma reads through dirichlet_norm_series
@@ -377,18 +379,22 @@ def _table(job, spec, method):
 
     rows = []
     for p in cells:
+        reason = ""
         try:
             val = norm(p)
             norm_sq, point, field = val.norm_sq, val.point_term, val.field_term
             status = "ok"
         except (NoConvergence, DomainError) as exc:
             norm_sq = point = field = ""
-            status = ("domain" if isinstance(exc, DomainError)
-                      else "divergent" if isinstance(exc, DivergentIntegral)
-                      else "no_convergence")
+            if isinstance(exc, DomainError):
+                status, reason = "domain", str(exc)
+            else:
+                status = ("divergent" if isinstance(exc, DivergentIntegral)
+                          else "no_convergence")
         rows.append({"alpha": p.alpha, "sigma": p.sigma, "k": encode_k(p.k),
                      "norm_sq": norm_sq, "point_term": point,
-                     "field_term": field, "method": method, "status": status})
+                     "field_term": field, "method": method, "status": status,
+                     "reason": reason})
     return rows
 
 

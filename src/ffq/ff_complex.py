@@ -197,7 +197,8 @@ class CoefficientIntegrals:
     with plain dr dtheta (the r-powers already carry the Jacobian).  The slit
     disk and e_{k-1}(z**a) are symmetric under th -> -th, so both integrals
     are real, and alpha_mn is symmetric.  Valid for series of degree up to
-    N = alpha_mn.shape[0] - 1.
+    N = alpha_mn.shape[0] - 1.  exact_coefficient_integrals sums them, and
+    coefficient_integrals integrates them; error bounds what either left out.
     """
 
     alpha_mn: np.ndarray
@@ -239,8 +240,11 @@ def _measure_vanishes(alpha, k):
 def coefficient_integrals(p, N, spec=None):
     """Compute both coefficient matrices up to index N in one refined pass.
 
-    All entries share the quadrature nodes, so the whole table costs little
-    more than a single integral.  Raises DivergentIntegral, before any
+    This is the quadrature oracle of the tables.  The series norms read
+    exact_coefficient_integrals wherever it exists, and this only at k = 2,
+    so elsewhere the two are independent checks of each other.  All entries
+    share the quadrature nodes, so the whole table costs little more than a
+    single integral.  Raises DivergentIntegral, before any
     quadrature, exactly when e_{k-1}(z**alpha) has a zero on the closed slit
     disk: 1/|e_{k-1}|**2 then has a non-integrable pole and the alpha_mn
     integrals diverge logarithmically.  For alpha in (0, 1] that happens
@@ -328,19 +332,105 @@ def dirichlet_norm_series(f, p, ci):
     return DirichletValue(norm_sq, point, norm_sq - point, "series")
 
 
-def closed_k1_matrices(alpha, N):
-    """Analytic coefficient matrices for k = 1 (where e_0 is constant 1).
+def _reciprocal_measure_coeffs(k):
+    """Taylor coefficients c_0, ..., c_{J-1} of 1/e_{k-1}(w), k >= 3 or inf,
+    and an a-priori bound on the dropped tail sum_{j>=J} |c_j|.
 
-    The diagonal entries are 2 pi / (2n + 4 - 2 alpha); the cross matrix is
-    2 sin(pi c)/c / (n + m + 3 - alpha) with c = m + 1 - n - alpha, i.e. the
-    full (-pi, pi) angular integral.
+    c_0 = 1 and c_j = -sum_{i=1}^{min(k-1, j)} c_{j-i} / i!, which is
+    (-1)**j / j! at k = inf.  The bound: with t(w) = e**w - e_{k-1}(w),
+    1/e_{k-1} = e**-w sum_n (t e**-w)**n, so each |c_j| is at most the
+    coefficient of x**j in e**x / (1 - q(x)), q(x) = e**x sum_{i>=k} x**i/i!,
+    at any x with q(x) < 1; hence the tail is at most x**-J e**x / (1 - q)
+    for x > 1.  The sum in q is at most its first term over 1 - x/(k+1), and
+    it only grows as k falls, so k above 1024 is bounded as 1024, where the
+    term underflows on the grid of x in (1, 64).  J is the least length
+    whose bound, minimised over that grid, is at most _TAIL_EPS.
     """
+    kq = min(k, 1024)
+    best = None
+    for x in 2.0 ** (np.arange(1, 97) / 16.0):
+        if x >= kq + 1:
+            break
+        q = math.exp(x + kq * math.log(x) - math.lgamma(kq + 1)) / (1.0 - x / (kq + 1))
+        if q >= 1.0:
+            break
+        log_scale = x - math.log1p(-q)
+        J = math.ceil((log_scale - math.log(_TAIL_EPS)) / math.log(x))
+        if best is None or J < best[0]:
+            best = J, x, log_scale
+    J, x, log_scale = best
+    r = min(k - 1, J - 1)
+    inv = np.ones(r + 1)  # 1/i!, i <= r
+    for i in range(1, r + 1):
+        inv[i] = inv[i - 1] / i
+    c = np.empty(J)
+    c[0] = 1.0
+    for j in range(1, J):
+        i = min(r, j)
+        c[j] = -(c[j - i : j][::-1] @ inv[1 : i + 1])
+    return c, math.exp(log_scale - J * math.log(x))
+
+
+def exact_coefficient_integrals(p, N):
+    """Both coefficient matrices up to index N as exact sums, for k = 1,
+    k >= 3 and k = inf; None at k = 2.
+
+    With c_j the Taylor coefficients of 1/e_{k-1}(w) (_reciprocal_measure_coeffs),
+    expanding 1/|e_{k-1}|**2 and 1/e_{k-1} in w = z**alpha makes every term
+    a monomial integral over the slit disk:
+
+        A_mn = 2 pi sum_{j,l} c_j c_l sinc(n - m + a (j - l)) / (n + m + 4 - 2a + a (j + l)),
+        B_mn = 2 pi sum_j c_j sinc(m + 1 - n - a + a j) / (n + m + 3 - a + a j),
+
+    with numpy's normalized sinc: 2 pi sinc(x) is the full (-pi, pi) angular
+    integral of e^(i th x).  The sums converge absolutely because every zero
+    of e_{k-1} for k >= 3 lies outside the closed unit disk
+    (Enestrom-Kakeya), and k = inf has none.  A is summed over
+    s = j + l and d = j - l: one matrix product over s, then one sum over d.
+    The error is the bound on what the dropped terms add to an entry:
+    |sinc| <= 1 and each denominator is at least 2, so A moves by at most
+    pi T (2 S + T) and B by pi T, with T the tail bound and S the sum of
+    the kept |c_j|.
+
+    At k = 1, e_0 = 1 and c = (1,): A is diagonal, 2 pi / (2n + 4 - 2 alpha),
+    and B is 2 pi sinc(c) / (n + m + 3 - alpha) with c = m + 1 - n - alpha,
+    both exact (error 0).  At k = 2, c_j = (-1)**j and the sums converge
+    only conditionally on |w| = 1; coefficient_integrals integrates those
+    tables (or proves them divergent at alpha = 1).
+    """
+    alpha, k = p.alpha, p.k
+    if k == 2:
+        return None
     m = np.arange(N + 1)[:, None]
     n = np.arange(N + 1)[None, :]
-    A = np.where(m == n, 2.0 * math.pi / (n + m + 4.0 - 2.0 * alpha), 0.0)
-    c = m + 1.0 - n - alpha
-    B = 2.0 * math.pi * np.sinc(c) / (n + m + 3.0 - alpha)
-    return A, B
+    if k == 1:
+        A = np.where(m == n, 2.0 * math.pi / (n + m + 4.0 - 2.0 * alpha), 0.0)
+        c = m + 1.0 - n - alpha
+        B = 2.0 * math.pi * np.sinc(c) / (n + m + 3.0 - alpha)
+        return CoefficientIntegrals(A, B, p, 0.0)
+    c, tail = _reciprocal_measure_coeffs(k)
+    J = len(c)
+    j = np.arange(J)
+    # P[s, d + J - 1] = c_j c_l over j + l = s, j - l = d
+    P = np.zeros((2 * J - 1, 2 * J - 1))
+    P[j[:, None] + j, j[:, None] - j + J - 1] = np.outer(c, c)
+    s = alpha * np.arange(2 * J - 1)
+    radial = (1.0 / (np.arange(2 * N + 1)[:, None] + 4.0 - 2.0 * alpha + s)) @ P
+    angular = np.sinc((n - m)[..., None] + alpha * np.arange(1 - J, J))
+    A = 2.0 * math.pi * np.einsum("mnd,mnd->mn", angular, radial[n + m])
+    x = alpha * j
+    B = 2.0 * math.pi * (np.sinc((m + 1.0 - n - alpha)[..., None] + x)
+                         / ((n + m + 3.0 - alpha)[..., None] + x)) @ c
+    error = math.pi * tail * (2.0 * float(np.sum(np.abs(c))) + tail)
+    return CoefficientIntegrals(A, B, p, error)
+
+
+def _series_table(p, N, spec):
+    """The table a series norm reads: the exact one, or at k = 2, where none
+    exists, the one coefficient_integrals integrates (raising
+    DivergentIntegral at alpha = 1)."""
+    exact = exact_coefficient_integrals(p, N)
+    return exact if exact is not None else coefficient_integrals(p, N, spec)
 
 
 def _require_norm_method(method):
@@ -352,18 +442,22 @@ def _require_norm_method(method):
 def _method_table(p, degree, spec, method):
     """The table "series" (sized to the degree, none for a constant) or
     "closed-k1" (k = 1 only) reads; beta = 1 is checked first.  It depends
-    on (alpha, k), not on sigma.  Where e_{k-1}(z**alpha) vanishes none
+    on (alpha, k), not on sigma.  Both read exact_coefficient_integrals;
+    "series" integrates a table by coefficient_integrals only at k = 2,
+    where no exact one exists.  Where e_{k-1}(z**alpha) vanishes no table
     exists: "series" raises DomainError for degree > 0, since the callers
     have proven the norm finite (_require_finite_field), which "quad" gives."""
     _require_linear(p)
     if method == "series":
-        if degree > 0 and _measure_vanishes(p.alpha, p.k):
+        if degree <= 0:
+            return None
+        if _measure_vanishes(p.alpha, p.k):
             raise DomainError(f"no coefficient table exists at alpha = {p.alpha}, k = {p.k}, "
                               "where this norm is finite: use method quad")
-        return coefficient_integrals(p, degree, spec) if degree > 0 else None
+        return _series_table(p, degree, spec)
     if p.k != 1:
-        raise DomainError("closed form available only for k = 1")
-    return CoefficientIntegrals(*closed_k1_matrices(p.alpha, max(degree, 0)), p, 0.0)
+        raise DomainError("closed form available only for k = 1: use method series or quad")
+    return exact_coefficient_integrals(p, max(degree, 0))
 
 
 def dirichlet_norm_closed_k1(f, p):

@@ -14,11 +14,12 @@ import math
 import numpy as np
 
 from .errors import INF, NoConvergence
-from .ff_complex import (bergman_kernel, closed_k1_matrices, coefficient_integrals,
+from .ff_complex import (bergman_kernel, coefficient_integrals,
                          dirichlet_norm_closed_k1, dirichlet_norm_quad,
-                         dirichlet_norms_quad, dirichlet_norm_series, ff_eval_c,
+                         dirichlet_norms_quad, dirichlet_norm_series,
+                         exact_coefficient_integrals, ff_eval_c,
                          integrating_factor_residual, reproduce_identity_2,
-                         reproduction_rhs_1_stack, _kernel_weight)
+                         reproduction_rhs_1_stack, _kernel_weight, _series_table)
 from .ff_quaternionic import (q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
@@ -131,15 +132,18 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                    ks=GRID_KS):
     """Series-vs-quadrature sweep of the squared Dirichlet-type norm.
 
-    Parameter pairs whose coefficient integrals do not exist (e_{k-1}
-    vanishing on the closed disk makes them log-divergent) are reported
-    with status "divergent" after confirming both routes diagnose the
-    divergence: the series route decides it up front (DivergentIntegral)
-    and the quadrature route, one stacked witness per cell
-    (_divergence_profiles), must still be refining at its cap.  Such
-    functions are simply not members of the space there.  The quadrature
-    norms of one (alpha, k) are one stacked integral over every sigma,
-    which forms each function's f and f'/den once per node block.
+    The series norms read exact_coefficient_integrals, exact sums at
+    k = 1, k >= 3 and k = inf, so there they are checked against a
+    quadrature that shares no rule with them; only k = 2 reads a table
+    integrated by coefficient_integrals.  Parameter pairs whose coefficient
+    integrals do not exist (e_{k-1} vanishing on the closed disk makes them
+    log-divergent) are reported with status "divergent" after confirming
+    both routes diagnose the divergence: the series route decides it up
+    front (DivergentIntegral) and the quadrature route, one stacked witness
+    per cell (_divergence_profiles), must still be refining at its cap.
+    Such functions are simply not members of the space there.  The
+    quadrature norms of one (alpha, k) are one stacked integral over every
+    sigma, which forms each function's f and f'/den once per node block.
     """
     functions = functions or sweep_functions()
     max_deg = max(f.degree for _, f in functions)
@@ -148,7 +152,7 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
         for k in ks:
             base = FFParams(alpha=alpha, sigma=0.5, k=k)
             try:
-                ci = coefficient_integrals(base, max_deg, DEFAULT_SPEC)
+                ci = _series_table(base, max_deg, DEFAULT_SPEC)
             except NoConvergence:
                 ci = None
             finite = [ci is not None or f.degree <= 0 for _, f in functions]
@@ -203,14 +207,15 @@ def closed_k1_discrepancy():
     term and phrases the cross term through a full-turn (0, 2 pi) angular
     phase.  The quadrature oracle must match the implemented closed form
     and reject the variant (diagonal ratio 2 pi); the implemented diagonal
-    is closed_k1_matrices', the closed form dirichlet_norm ships."""
+    is exact_coefficient_integrals' at k = 1, the closed form
+    dirichlet_norm ships."""
     n_max = 4
     rng = np.random.default_rng(DEFAULT_SEED)
     rows = []
     for alpha in (0.3, 0.7):
         p = FFParams(alpha=alpha, sigma=0.5, k=1)
         ci = coefficient_integrals(p, n_max, DEFAULT_SPEC)
-        closed = closed_k1_matrices(alpha, n_max)[0]
+        closed = exact_coefficient_integrals(p, n_max).alpha_mn
         for n in range(n_max + 1):
             measured = ci.alpha_mn[n, n]
             implemented = closed[n, n]
@@ -490,13 +495,14 @@ def quaternionic_split():
 
 
 def quaternionic_series():
-    """Quaternionic series-norm formula against the splitting quadrature."""
+    """Quaternionic series-norm formula against the splitting quadrature,
+    on the tables the series routes read (exact at k = 1 and inf)."""
     rng = np.random.default_rng(DEFAULT_SEED)
     rows = []
     params = [FFParams(alpha=0.7, sigma=0.3, k=1),
               FFParams(alpha=1.0, sigma=0.8, k=INF),
               FFParams(alpha=0.5, sigma=0.5, k=2)]
-    tables = [coefficient_integrals(p, 4, DEFAULT_SPEC) for p in params]
+    tables = [_series_table(p, 4, DEFAULT_SPEC) for p in params]
     for trial in range(9):
         p = params[trial % 3]
         f = QPowerSeries([Quaternion(*rng.standard_normal(4))

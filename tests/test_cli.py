@@ -408,9 +408,11 @@ _SWEEP = ["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.5,1]", "--ks", "[1,2]
     # no coefficient table exists; at sigma = 0.5 that norm diverges
     ("series", [], ["ok"] * 5 + ["domain", "ok", "divergent"]),
     ("closed-k1", [], ["ok", "domain"] * 3 + ["ok", "divergent"]),
-    # a domain row outranks a no_convergence row in the exit code
-    ("series", _CAPPED, ["no_convergence"] * 5
-     + ["domain", "no_convergence", "divergent"]),
+    # a domain row outranks a no_convergence row in the exit code: the
+    # capped rule integrates the k = 2 tables at alpha < 1, while the k = 1
+    # tables are exact sums that no quadrature setting reaches
+    ("series", _CAPPED, ["ok", "no_convergence"] * 2
+     + ["ok", "domain", "ok", "divergent"]),
 ])
 def test_table_keeps_every_row_when_its_method_cannot_compute_a_cell(
         method, extra, statuses, capsys):
@@ -428,6 +430,21 @@ def test_table_keeps_every_row_when_its_method_cannot_compute_a_cell(
             assert row["norm_sq"] == ffq.dirichlet_norm(f, p, None, method).norm_sq
         else:
             assert row["norm_sq"] == row["point_term"] == row["field_term"] == ""
+        # a domain row says which method computes its cell; no other row has a reason
+        if row["status"] == "domain":
+            assert "use method" in row["reason"] and "quad" in row["reason"]
+        else:
+            assert row["reason"] == ""
+
+
+def test_table_csv_keeps_the_domain_reason(capsys):
+    code, out, _ = run_cli(_SWEEP + ["--method", "series", "--format", "csv"], capsys)
+    assert code == EXIT_DOMAIN
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["status"] for row in rows].count("domain") == 1
+    for row in rows:
+        assert (row["reason"] != "") == (row["status"] == "domain")
+        assert row["status"] != "domain" or "use method quad" in row["reason"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,7 +490,8 @@ def test_qnorm_inner_product_via_g_flag(capsys):
 def test_series_table_builds_one_table_per_alpha_k(extra, status, exit_code,
                                                    capsys, monkeypatch):
     # the table depends on (alpha, k) only, so three sigmas read one; a
-    # table whose refinement is capped is built once as well
+    # table whose refinement is capped is built once as well.  k = 2 at
+    # alpha < 1 is the one cell whose table is integrated
     calls = []
     build = ffq.ff_complex.coefficient_integrals
 
@@ -483,17 +501,17 @@ def test_series_table_builds_one_table_per_alpha_k(extra, status, exit_code,
 
     monkeypatch.setattr(ffq.ff_complex, "coefficient_integrals", counted)
     code, out, _ = run_cli(["table", "--f", "[[0,0],[1,0]]", "--alphas", "[0.5]",
-                            "--sigmas", "[0.2,0.5,0.8]", "--ks", "[1]",
+                            "--sigmas", "[0.2,0.5,0.8]", "--ks", "[2]",
                             "--method", "series"] + extra, capsys)
     assert code == exit_code
-    assert calls == [(0.5, 1)]
+    assert calls == [(0.5, 2)]
     rows = json.loads(out)
     assert [(row["sigma"], row["status"]) for row in rows] == [
         (0.2, status), (0.5, status), (0.8, status)]
     if status == "ok":
         f = ffq.CPowerSeries([0, 1])
         for row in rows:
-            p = ffq.FFParams(alpha=0.5, sigma=row["sigma"], k=1)
+            p = ffq.FFParams(alpha=0.5, sigma=row["sigma"], k=2)
             assert row["norm_sq"] == ffq.dirichlet_norm(f, p, None, "series").norm_sq
 
 
@@ -545,7 +563,7 @@ def test_every_norm_record_names_the_method_given(method, ks, capsys):
     assert code == EXIT_OK, err
     reader = csv.DictReader(io.StringIO(out))
     assert reader.fieldnames == ["alpha", "sigma", "k", "norm_sq", "point_term",
-                                 "field_term", "method", "status"]
+                                 "field_term", "method", "status", "reason"]
     rows = list(reader)
     assert [row["method"] for row in rows] == [method] * len(rows)
     want = ["ok", "ok", "ok", "divergent"] if ks == "[1,2]" else ["ok", "ok"]

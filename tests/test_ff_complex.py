@@ -8,14 +8,14 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  DivergentIntegral, DomainError, NoConvergence, QuadratureSpec,
                  bergman_kernel, coefficient_integrals, dirichlet_norm,
                  dirichlet_norm_closed_k1, dirichlet_norm_quad, dirichlet_norms_quad,
-                 dirichlet_norm_series, ff_eval_c, ff_eval_stack,
-                 inner_product_c, integrating_factor_residual, kernel_K_half,
+                 dirichlet_norm_series, exact_coefficient_integrals, ff_eval_c,
+                 ff_eval_stack, inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
                  reproduction_rhs_1_stack, reproduction_rhs_2_stack)
 from ffq import ff_complex
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
 from ffq.quadrature import _composite, _path_rule, build_slit_path
-from ffq.verify import NESTED_SPEC
+from ffq.verify import GRID_ALPHAS, NESTED_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,75 @@ def test_coefficient_integrals_conjugate_symmetry(spec):
         assert np.max(np.abs(ci.alpha_mn - ci.alpha_mn.conj().T)) <= 1e-10
 
 
+def _closed_k1_reference(alpha, N):
+    """The k = 1 tables in the expression order of the closed form that
+    exact_coefficient_integrals keeps."""
+    m = np.arange(N + 1)[:, None]
+    n = np.arange(N + 1)[None, :]
+    A = np.where(m == n, 2.0 * math.pi / (n + m + 4.0 - 2.0 * alpha), 0.0)
+    c = m + 1.0 - n - alpha
+    B = 2.0 * math.pi * np.sinc(c) / (n + m + 3.0 - alpha)
+    return A, B
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHAS + (0.55,))
+def test_k1_exact_tables_are_the_closed_form_bit_for_bit(alpha, no_quadrature):
+    p = FFParams(alpha=alpha, sigma=0.5, k=1)
+    for N in (0, 4):
+        ci = exact_coefficient_integrals(p, N)
+        A, B = _closed_k1_reference(alpha, N)
+        assert ci.alpha_mn.tobytes() == A.tobytes()
+        assert ci.beta_mn.tobytes() == B.tobytes()
+        assert ci.error == 0.0 and ci.params == p
+
+
+@pytest.mark.parametrize("alpha", GRID_ALPHAS)
+@pytest.mark.parametrize("k", [1, 3, 4, INF])
+def test_exact_tables_match_the_quadrature_tables(alpha, k, spec):
+    # at k = 1 the exact tables are the closed form, which the quadrature
+    # tables meet far inside TOL_CLOSED_K1 = 1e-6: the graded first panel
+    # integrates the origin's non-integer r-powers to rounding
+    tol = 1e-13 if k == 1 else 1e-12
+    p = FFParams(alpha=alpha, sigma=0.5, k=k)
+    exact = exact_coefficient_integrals(p, 6)
+    quad = coefficient_integrals(p, 6, spec)
+    for got, want in ((exact.alpha_mn, quad.alpha_mn), (exact.beta_mn, quad.beta_mn)):
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    assert exact.error <= 1e-14
+
+
+def test_exact_tables_exist_for_every_k_but_2(no_quadrature):
+    for alpha in GRID_ALPHAS:
+        assert exact_coefficient_integrals(FFParams(alpha=alpha, sigma=0.5, k=2), 4) is None
+    # e_{k-1} and exp share their first k terms, so a huge k sums the k = inf
+    # coefficients under the k = inf bound
+    inf = exact_coefficient_integrals(FFParams(alpha=0.7, sigma=0.5, k=INF), 4)
+    huge = exact_coefficient_integrals(FFParams(alpha=0.7, sigma=0.5, k=10 ** 400), 4)
+    assert huge.alpha_mn.tobytes() == inf.alpha_mn.tobytes()
+    assert huge.beta_mn.tobytes() == inf.beta_mn.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, INF])
+def test_reciprocal_coefficients_meet_their_tail_bound(k):
+    c, tail = ff_complex._reciprocal_measure_coeffs(k)
+    J = len(c)
+    assert tail <= 1e-16
+    j = np.arange(J)
+    if k == INF:
+        want = np.array([(-1.0) ** i / math.factorial(i) for i in j])
+        dropped = math.fsum(1.0 / math.factorial(i) for i in range(J, J + 40))
+    else:
+        # residues: c_j = (k-1)! sum_i zeta_i**-(j+k) over the zeros of e_{k-1},
+        # so the dropped tail is at most (k-1)! sum_i |zeta_i|**-(J+k) / (1 - 1/|zeta_i|)
+        zeros = np.roots([1.0 / math.factorial(i) for i in range(k - 1, -1, -1)])
+        scale = math.factorial(k - 1)
+        want = scale * np.sum(zeros[:, None] ** -(j + k), axis=0).real
+        rho = np.abs(zeros)
+        dropped = scale * float(np.sum(rho ** -(J + k) / (1.0 - 1.0 / rho)))
+    assert np.allclose(c, want, rtol=1e-9, atol=1e-15)
+    assert dropped <= tail
+
+
 def test_series_norm_examples(spec):
     p = FFParams(alpha=0.8, sigma=0.35, k=1)
     ci = coefficient_integrals(p, 1, spec)
@@ -224,7 +293,7 @@ def test_series_norm_rejects_beta_below_one_before_any_table(no_quadrature):
 def test_dirichlet_norm_dispatch(spec):
     p = FFParams(alpha=0.6, sigma=0.3, k=1)
     f = CPowerSeries([0.0, 1.0, 0.5 + 0.5j])
-    ci = coefficient_integrals(p, 2, spec)
+    ci = exact_coefficient_integrals(p, 2)
     assert dirichlet_norm(f, p, spec) == dirichlet_norm_quad(f, p, spec)
     assert (dirichlet_norm(f, p, spec, "series")
             == dirichlet_norm_series(f, p, ci))

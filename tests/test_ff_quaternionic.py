@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ffq import (E1, E2, E3, CoefficientIntegrals, CPowerSeries, DivergentIntegral,
-                 DomainError, FFParams, INF, NoConvergence, QPowerSeries, Quaternion,
-                 QuadratureSpec, SliceFrame, STANDARD_FRAME, closed_k1_matrices,
-                 coefficient_integrals, dirichlet_norm_quad, dirichlet_norms_quad,
-                 ff_eval_c, ff_eval_q, q_reproduce, qdirichlet_inner_product,
+from ffq import (E1, E2, E3, CPowerSeries, DivergentIntegral, DomainError,
+                 FFParams, INF, NoConvergence, QPowerSeries, Quaternion,
+                 QuadratureSpec, SliceFrame, STANDARD_FRAME, coefficient_integrals,
+                 dirichlet_norm_quad, dirichlet_norms_quad,
+                 exact_coefficient_integrals, ff_eval_c, ff_eval_q, q_reproduce, qdirichlet_inner_product,
                  qdirichlet_norm, qdirichlet_norm_series, random_frame,
                  reproduce_identity_1, reproduce_identity_2, slice_norm_compare, split)
 
@@ -170,11 +170,13 @@ def test_series_matches_quadrature_random(spec, rng):
 
 
 def test_qnorm_methods_share_the_complex_dispatch(spec, rng):
-    p = FFParams(alpha=0.6, sigma=0.45, k=1)
+    # k = 2 at alpha < 1 is the one cell whose series table is integrated
     f = QPowerSeries([random_quaternion(rng) for _ in range(3)])
+    p = FFParams(alpha=0.6, sigma=0.45, k=2)
     ci = coefficient_integrals(p, 2, spec)
     assert (qdirichlet_norm(f, p, STANDARD_FRAME, spec, "series")
             == qdirichlet_norm_series(f, p, STANDARD_FRAME, ci))
+    p = FFParams(alpha=0.6, sigma=0.45, k=1)
     quad = qdirichlet_norm(f, p, STANDARD_FRAME, spec)
     closed = qdirichlet_norm(f, p, STANDARD_FRAME, method="closed-k1")
     assert (quad.method, closed.method) == ("quad", "closed-k1")
@@ -188,7 +190,7 @@ def test_closed_k1_qnorm_is_the_series_form_on_the_closed_tables(rng):
     for degree in (0, 3):
         f = QPowerSeries([random_quaternion(rng) for _ in range(degree + 1)])
         frame = random_frame(rng)
-        ci = CoefficientIntegrals(*closed_k1_matrices(p.alpha, degree), p, 0.0)
+        ci = exact_coefficient_integrals(p, degree)
         closed = qdirichlet_norm(f, p, frame, method="closed-k1")
         series = qdirichlet_norm_series(f, p, frame, ci)
         assert closed.method == "closed-k1"

@@ -81,7 +81,8 @@ def test_batched_integrands_integrate_entrywise():
 
 def test_build_slit_path_examples():
     p = build_slit_path(0.75)
-    assert len(p.segments) == 1 and p.start == 0.5 and p.end == 0.75
+    assert len(p.segments) == 1
+    assert p.segments[0].point(0.0) == 0.5 and p.segments[0].point(1.0) == 0.75
 
     p = build_slit_path(0.5j)
     assert len(p.segments) == 1  # radial piece degenerate, quarter arc only

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from ffq import (INF, CoefficientIntegrals, CPowerSeries, DomainError, FFParams,
-                 QPowerSeries, Quaternion, closed_k1_matrices,
-                 coefficient_integrals, dirichlet_norm_closed_k1, dirichlet_norm_series,
+                 QPowerSeries, Quaternion, coefficient_integrals,
+                 exact_coefficient_integrals, dirichlet_norm_closed_k1, dirichlet_norm_series,
                  inner_product_c, qdirichlet_norm_series, random_frame, split)
 from ffq.ff_complex import _measure_vanishes, series_gram
 from ffq.quaternion import frame_coords
@@ -73,8 +73,8 @@ def cells():
                     lambda f, p=p, ci=ci: dirichlet_norm_series(f, p, ci)))
     alpha, sigma, k = CLOSED_CELL
     p = FFParams(alpha=alpha, sigma=sigma, k=k)
-    A, B = closed_k1_matrices(alpha, DEGREE)
-    out.append((p, A, B, lambda f, p=p: dirichlet_norm_closed_k1(f, p)))
+    ci = exact_coefficient_integrals(p, DEGREE)
+    out.append((p, ci.alpha_mn, ci.beta_mn, lambda f, p=p: dirichlet_norm_closed_k1(f, p)))
     return out
 
 

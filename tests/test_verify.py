@@ -49,8 +49,8 @@ def test_no_tolerance_or_spec_can_be_passed_to_verify():
 
 
 def test_stacked_sweep_quadrature_is_the_one_series_value():
-    # at (0.7, k, 0.8) some sweep functions need level 2 and the rest stop at
-    # level 1; (1, 2) stacks only the constants beside the divergent rows
+    # every stacked row keeps the value it gets alone; (1, 2) stacks only
+    # the constants beside the divergent rows
     from ffq import FFParams, dirichlet_norm_quad
     functions = verify.sweep_functions()
     by_label = dict(functions)
@@ -107,17 +107,61 @@ def test_kernel_and_factor_suites_fail_on_a_planted_kernel_weight(monkeypatch):
 def test_discrepancy_suite_fails_on_a_planted_closed_form(monkeypatch):
     # the suite's degree-4 norm rows never read A[4, 4]; its diagonal rows must
     from ffq import ff_complex
-    closed = ff_complex.closed_k1_matrices
+    exact = ff_complex.exact_coefficient_integrals
 
-    def planted(alpha, N):
-        A, B = closed(alpha, N)
+    def planted(p, N):
+        ci = exact(p, N)
         if N >= 4:
-            A[4, 4] *= 1.0 + 1e-5
-        return A, B
+            ci.alpha_mn[4, 4] *= 1.0 + 1e-5
+        return ci
 
-    monkeypatch.setattr(ff_complex, "closed_k1_matrices", planted)
-    monkeypatch.setattr(verify, "closed_k1_matrices", planted)
+    monkeypatch.setattr(ff_complex, "exact_coefficient_integrals", planted)
+    monkeypatch.setattr(verify, "exact_coefficient_integrals", planted)
     rows, ok = verify.closed_k1_discrepancy()
     assert not ok
     assert [(row["record"], row["n"]) for row in rows
             if row["status"] == "fail"] == [("diagonal", 4)] * 2
+
+
+@pytest.mark.parametrize("sign, ok", [(1.0, True), (-1.0, False)])
+def test_norm_sweep_fails_on_a_sign_flip_in_the_k_inf_sinc_argument(sign, ok, monkeypatch):
+    # B rebuilt from its k = inf double sum, c_j = (-1)**j / j!; sign = -1
+    # flips the a j term of the sinc argument, sign = 1 is the control
+    import math
+    from dataclasses import replace
+    from ffq import ff_complex
+    from ffq.errors import INF
+    exact = ff_complex.exact_coefficient_integrals
+
+    def planted(p, N):
+        j = np.arange(30)
+        c = np.array([(-1.0) ** i / math.factorial(i) for i in j])
+        m, n = np.arange(N + 1)[:, None, None], np.arange(N + 1)[None, :, None]
+        x = p.alpha * j
+        B = 2.0 * math.pi * np.sum(c * np.sinc(m + 1 - n - p.alpha + sign * x)
+                                   / (n + m + 3 - p.alpha + x), axis=-1)
+        return replace(exact(p, N), beta_mn=B)
+
+    monkeypatch.setattr(ff_complex, "exact_coefficient_integrals", planted)
+    _, got = verify.norm_agreement(alphas=(0.7,), ks=(INF,))
+    assert got is ok
+
+
+def test_norm_sweep_fails_on_a_planted_two_pi_slip(monkeypatch):
+    # the angular factor 2 pi dropped from A: every non-constant row reads A
+    import math
+    from dataclasses import replace
+    from ffq import ff_complex
+    from ffq.errors import INF
+    exact = ff_complex.exact_coefficient_integrals
+
+    def planted(p, N):
+        ci = exact(p, N)
+        return replace(ci, alpha_mn=ci.alpha_mn / (2.0 * math.pi))
+
+    monkeypatch.setattr(ff_complex, "exact_coefficient_integrals", planted)
+    for k in (1, INF):
+        rows, ok = verify.norm_agreement(alphas=(0.3,), ks=(k,))
+        assert not ok
+        assert {row["f"] for row in rows if row["status"] == "fail"} == {
+            label for label, f in verify.sweep_functions() if f.degree > 0}
