@@ -17,7 +17,7 @@ from .holo_series import (CPowerSeries, fractal_measure_c,
                           principal_power_c, truncated_exp_c)
 from .slice_regular import (QPowerSeries, SplitPair, cullen_derivative,
                             eval_q, extend_from_slice, intrinsic_exp,
-                            is_intrinsic, join, regular_conjugate,
+                            is_intrinsic, regular_conjugate,
                             representation_formula, split, star_inverse,
                             star_product, symmetrization)
 from .ff_real import (DEFAULT_STEP, FFParams, ProportionalWeights,

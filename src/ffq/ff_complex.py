@@ -35,7 +35,8 @@ _TAIL_EPS = 1e-16
 # costs about 20 ns and a blocked series term 0.4-0.7 ns per zeta (numpy 2.4,
 # OpenBLAS, 2 x86-64 cores); on slit paths to four points out to |z| = 0.97
 # the two routes broke even at a median 16, 24 and 28 terms per path node
-# for 1,600, 6,400 and 25,600 zetas, the sizes of nested disk blocks
+# for 1,600, 6,400 and 25,600 zetas, the sizes of the nested disk rule's
+# levels 0-2 (its blocks hold at most 16,320 nodes from level 2 on)
 _DENSE_COST = 24
 # powers per block of the path series in _moment_path_sum
 _SERIES_BLOCK = 16
@@ -386,7 +387,11 @@ def exact_coefficient_integrals(p, N):
     integral of e^(i th x).  The sums converge absolutely because every zero
     of e_{k-1} for k >= 3 lies outside the closed unit disk
     (Enestrom-Kakeya), and k = inf has none.  A is summed over
-    s = j + l and d = j - l: one matrix product over s, then one sum over d.
+    d = j - l and s = j + l: one matrix product over d, then a sum over s
+    from the largest s down.  The terms shrink geometrically in s and cancel
+    (at k = 3, alpha = 0.3 their moduli sum to 24 times A_00), so adding the
+    smallest first keeps the partial sums small: there A_00 lands within
+    1.1e-15 of the exact sum of the same float terms.
     The error is the bound on what the dropped terms add to an entry:
     |sinc| <= 1 and each denominator is at least 2, so A moves by at most
     pi T (2 S + T) and B by pi T, with T the tail bound and S the sum of
@@ -415,9 +420,11 @@ def exact_coefficient_integrals(p, N):
     P = np.zeros((2 * J - 1, 2 * J - 1))
     P[j[:, None] + j, j[:, None] - j + J - 1] = np.outer(c, c)
     s = alpha * np.arange(2 * J - 1)
-    radial = (1.0 / (np.arange(2 * N + 1)[:, None] + 4.0 - 2.0 * alpha + s)) @ P
-    angular = np.sinc((n - m)[..., None] + alpha * np.arange(1 - J, J))
-    A = 2.0 * math.pi * np.einsum("mnd,mnd->mn", angular, radial[n + m])
+    angular = np.sinc((n - m).reshape(-1, 1) + alpha * np.arange(1 - J, J))
+    terms = ((angular @ P.T).reshape(N + 1, N + 1, -1)
+             / ((n + m)[..., None] + 4.0 - 2.0 * alpha + s))
+    # cumsum adds in index order: down the reversed s axis, smallest terms first
+    A = 2.0 * math.pi * np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
     x = alpha * j
     B = 2.0 * math.pi * (np.sinc((m + 1.0 - n - alpha)[..., None] + x)
                          / ((n + m + 3.0 - alpha)[..., None] + x)) @ c
@@ -525,9 +532,10 @@ def reproduction_rhs_1_stack(fs, p, z, spec=None):
     One disk integral serves the stack.  Each node block fills Df for every
     row into one buffer (ff_eval_stack) and multiplies each row's Bergman
     factor B(z, .) into it in place, so a block holds one (len(fs), nodes)
-    array, at most the quadrature's _CHUNK elements, plus a few rows of
-    temporaries.  Each row converges entrywise, to the value it gets alone;
-    rows that converge early ride along while the others refine.
+    array, at most the quadrature's _CHUNK elements over at most 2**14
+    nodes, plus a few rows of temporaries.  Each row converges entrywise, to
+    the value it gets alone; rows that converge early ride along while the
+    others refine.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC

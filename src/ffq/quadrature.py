@@ -11,23 +11,27 @@ here.
 
 Integrands receive flat numpy arrays and may return a stack of values with
 the node axis last; a stack is integrated entrywise in one pass.  Node blocks
-are processed in fixed-size chunks with a fixed accumulation order, so
-results are deterministic for a given spec; a block holds at most _CHUNK
-elements, counting each row of a stack of the given height.  Each block
-yields its nodes z = r e^{i theta} beside r, theta and the weights, formed
-from one row of e^{i theta} per level, so no node takes a sine or cosine.
+are processed in a fixed order with a fixed accumulation order, so results
+are deterministic for a given spec.  A block takes whole radial rows, at
+least one, up to min(_CHUNK // height, _BLOCK_NODES) nodes, for a stack of
+the given height.  Each block yields its nodes z = r e^{i theta} beside r,
+theta and the weights, formed from one row of e^{i theta} per level, so no
+node takes a sine or cosine.
 
-_CHUNK is 2**19, so a block's complex stack takes at most 8 MiB, and the
-float |Df|**2 stack of dirichlet_norms_quad, whose rows are written without
-any complex stack, at most 4 MiB.  Beside it a block holds its per-node
-arrays (r, theta and the weights at 8 bytes a node, z and the measure
-derivative at 16) and, while the stack is filled row by row, a few
-row-sized complex temporaries: f, f' and f'/den, formed once per series
-and shared by every sigma of the stack, and the row being formed with its
-partial products.  At 2**20 a four-row stack at level 2 of the default rule
-(262,144 nodes) was a single 16 MiB block, and with its per-node arrays it
-set the peak memory of the reproducing suite; the halved blocks cost the
-norms sweep no time.  A nested integrand that calls kernel_K_half also
+_CHUNK = 2**19 bounds the stack: a block's complex stack takes at most
+8 MiB, and the float |Df|**2 stack of dirichlet_norms_quad, whose rows are
+written without any complex stack, at most 4 MiB.  _BLOCK_NODES = 2**14
+bounds everything that is one row long: the block's per-node arrays (r,
+theta and the weights at 8 bytes a node, z and the measure derivative at
+16) and, while the stack is filled row by row, a few row-sized complex
+temporaries (f, f' and f'/den, formed once per series and shared by every
+sigma of the stack, and the row being formed with its partial products),
+each at most 256 KiB.  The node cap binds only stacks of fewer than 32
+rows; the norms sweep's 81-row stacks keep their _CHUNK blocks.  Without
+it a stack of one to four rows, as the reproducing and kernel suites
+integrate, would take level 2 of the default rule in blocks of up to
+262,144 nodes, whose 4 MiB temporaries fall out of cache and set those
+suites' peak memory.  A nested integrand that calls kernel_K_half also
 holds, per chunk of _ZETA_CHUNK zetas, m + q complex rows of that length
 for the series in conj(zeta): m = 16 powers of conj(zeta) and
 q = ceil((N+1)/16) partial sums (ff_complex._moment_path_sum).
@@ -45,6 +49,8 @@ from .errors import DomainError, NoConvergence
 from .holo_series import in_slit_disk
 
 _CHUNK = 1 << 19
+# most nodes a disk block holds, whatever the stack's height
+_BLOCK_NODES = 1 << 14
 # largest finest-level disk rule a spec may ask for: four times the default
 # spec's 4096 x 4096 nodes at max_refine = 5, one more doubling of it
 MAX_FINEST_NODES = 1 << 26
@@ -114,7 +120,10 @@ def _composite(a, b, panels, n):
 def _polar_blocks(spec, level, height=1):
     """Node blocks (r, theta, z, weight) of the disk rule at a level, with
     z = r e^{i theta} formed from one row of e^{i theta} per level: the same
-    bits as r * np.exp(1j * theta) node by node.
+    bits as r * np.exp(1j * theta) node by node.  A block is whole radial
+    rows, at least one, of at most _BLOCK_NODES nodes and _CHUNK elements
+    over the height rows of a stack; the blocks in order are the tensor
+    rule node for node.
 
     The first radial panel [0, h] is graded: its Gauss nodes x map to
     r = x**2 / h with weight (2 x / h) w, the same node count.  The
@@ -133,7 +142,7 @@ def _polar_blocks(spec, level, height=1):
     rn[: spec.nr] = x * x / h
     tn, tw = _composite(-np.pi, np.pi, spec.panels_theta << level, spec.ntheta)
     eit = np.exp(1j * tn)
-    rows = max(1, _CHUNK // (height * len(tn)))
+    rows = max(1, min(_CHUNK // height, _BLOCK_NODES) // len(tn))
     for i in range(0, len(rn), rows):
         rb, wb = rn[i : i + rows], rw[i : i + rows]
         yield (

@@ -188,13 +188,6 @@ def split(f, frame):
     return SplitPair(CPowerSeries(c1), CPowerSeries(c2), frame)
 
 
-def join(pair):
-    """Reassemble the quaternionic series from its split components."""
-    n = max(len(pair.f1.coeffs), len(pair.f2.coeffs))
-    c1, c2 = (np.pad(g.coeffs, (0, n - len(g.coeffs))) for g in (pair.f1, pair.f2))
-    return _series(frame_embed(c1, c2, pair.frame).view(complex))
-
-
 def _two_point(value_at, x, y, axis, i):
     """Representation formula: the value at x + y*axis of a slice function
     from its values value_at(x + y i) and value_at(x - y i) on the slice C(i),

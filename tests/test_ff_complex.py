@@ -206,6 +206,27 @@ def test_exact_tables_exist_for_every_k_but_2(no_quadrature):
     assert huge.beta_mn.tobytes() == inf.beta_mn.tobytes()
 
 
+@pytest.mark.parametrize("alpha, k", [(0.3, 3), (0.7, 4), (0.7, INF)])
+def test_exact_table_is_the_mpmath_sum_of_its_float_coefficients(alpha, k, no_quadrature):
+    # the terms of A cancel (at (0.3, 3) their moduli sum to 24 A_00), so the
+    # order of the float sum sets its last digits; the oracle sums the same
+    # float c_j in 30 digits, dropping the c_j past the first Jr, whose
+    # moduli sum below 1e-20 and move no entry by 1e-19
+    mpmath = pytest.importorskip("mpmath")
+    c, _ = ff_complex._reciprocal_measure_coeffs(k)
+    Jr = int(np.sum(np.cumsum(np.abs(c)[::-1])[::-1] >= 1e-20))
+    A = exact_coefficient_integrals(FFParams(alpha=alpha, sigma=0.5, k=k), 6).alpha_mn
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        cm = [mpmath.mpf(x) for x in c[:Jr]]
+        for m, n in ((0, 0), (0, 1), (2, 5), (6, 6)):
+            sinc = [mpmath.sincpi(n - m + a * d) for d in range(1 - Jr, Jr)]
+            den = [1 / (n + m + 4 - 2 * a + a * s) for s in range(2 * Jr - 1)]
+            want = 2 * mpmath.pi * mpmath.fsum(cm[j] * cm[l] * sinc[j - l + Jr - 1] * den[j + l]
+                                               for j in range(Jr) for l in range(Jr))
+            assert abs(A[m, n] - want) <= 4e-15 * A[0, 0]
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 8, INF])
 def test_reciprocal_coefficients_meet_their_tail_bound(k):
     c, tail = ff_complex._reciprocal_measure_coeffs(k)
@@ -538,8 +559,18 @@ def test_eval_stack_rows_are_the_stacked_formula_bit_for_bit(beta, sigma, rng):
         assert got.tobytes() == want.tobytes()
 
 
-def test_eval_stack_peak_memory_stays_near_its_output():
+def _traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes."""
     import tracemalloc
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_stack_peak_memory_stays_near_its_output():
     from ffq.verify import sweep_functions
     fs = [f for _, f in sweep_functions()]
     assert len(fs) == 27
@@ -547,12 +578,7 @@ def test_eval_stack_peak_memory_stays_near_its_output():
     n = 65536
     z = rng.uniform(0.05, 0.95, n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
     p = FFParams(alpha=0.7, sigma=0.5, k=2)
-    tracemalloc.start()
-    try:
-        out = ff_eval_stack(fs, p, z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced_peak(lambda: ff_eval_stack(fs, p, z))
     assert out.shape == (27, n)
     # a few rows of temporaries over the output; whole-stack temporaries
     # cost five times the output's bytes
@@ -606,22 +632,40 @@ def test_each_stacked_sigma_is_checked_before_any_quadrature(no_quadrature):
 
 
 def test_abs2_stack_peak_memory_stays_near_its_output():
-    import tracemalloc
     from ffq.verify import GRID_SIGMAS, sweep_functions
     fs = [f for _, f in sweep_functions()]
     rng = np.random.default_rng(0)
     n = 65536
     z = rng.uniform(0.05, 0.95, n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
     p = FFParams(alpha=0.7, sigma=0.5, k=2)
-    tracemalloc.start()
-    try:
-        out = ff_complex._abs2_stack(fs, p, z, GRID_SIGMAS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = _traced_peak(lambda: ff_complex._abs2_stack(fs, p, z, GRID_SIGMAS))
     assert out.shape == (81, n) and out.dtype == np.float64
     # np.abs(ff_eval_stack(...)) ** 2 over the same rows peaks at 3x
     assert peak < 1.3 * out.nbytes
+
+
+def test_short_stacks_integrate_in_small_blocks(monkeypatch):
+    # a stack of a few rows gets disk blocks of at most 2**14 nodes, so each
+    # row-sized temporary stays at 256 KiB; blocks of 2**19 elements over
+    # the rows peaked at 25 MiB here and 9 MiB for the one-row norm
+    levels = []
+
+    def spy(*args):
+        res = integrate_disk(*args)
+        levels.append(res.refinements)
+        return res
+    monkeypatch.setattr(ff_complex, "integrate_disk", spy)
+    fs = [CPowerSeries([1.0]), CPowerSeries([0.0, 1.0]), CPowerSeries([1.0, -0.5j, 0.25]),
+          CPowerSeries([0.5, 0.0, 0.0, 1.0])]
+    z = 0.84 * np.exp(2.5j)
+    p = FFParams(alpha=1.0, sigma=0.5, k=INF)
+    out, peak = _traced_peak(lambda: reproduction_rhs_1_stack(fs, p, z))
+    assert levels == [2]
+    assert np.max(np.abs(out - [f(z) for f in fs])) < 1e-12
+    assert peak < 6 * 2 ** 20
+    p = FFParams(alpha=0.7, sigma=0.5, k=INF)
+    _, peak = _traced_peak(lambda: dirichlet_norm_quad(CPowerSeries([0.0, 1.0]), p))
+    assert peak < 4 * 2 ** 20
 
 
 def test_reproduce_identity_2(spec):

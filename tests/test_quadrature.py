@@ -5,6 +5,7 @@ import pytest
 
 from ffq import (DomainError, NoConvergence, QuadratureSpec, build_slit_path,
                  in_slit_disk, integrate_disk, path_integral)
+from ffq import quadrature
 from ffq.quadrature import DEFAULT_SPEC, _path_rule, _polar_blocks
 from ffq.verify import NESTED_SPEC
 
@@ -26,6 +27,35 @@ def test_polar_block_nodes_are_the_nodewise_product(spec, height):
     for level in range(3):
         for r, t, z, _ in _polar_blocks(spec, level, height):
             assert z.tobytes() == (r * np.exp(1j * t)).tobytes()
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC])
+@pytest.mark.parametrize("height", [1, 4, 81])
+def test_polar_blocks_are_capped_slices_of_the_tensor_rule(spec, height, monkeypatch):
+    for level in range(3):
+        blocks = list(_polar_blocks(spec, level, height))
+        row = (spec.ntheta * spec.panels_theta) << level
+        for r, *_ in blocks:
+            assert len(r) <= quadrature._BLOCK_NODES
+            assert height * len(r) <= quadrature._CHUNK
+            assert len(r) % row == 0
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_CHUNK", 1 << 40)
+            m.setattr(quadrature, "_BLOCK_NODES", 1 << 40)
+            (whole,) = _polar_blocks(spec, level, height)
+        for got, want in zip(zip(*blocks), whole):
+            assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def test_a_radial_row_above_the_cap_is_a_block_of_its_own():
+    spec = QuadratureSpec(nr=4, ntheta=64, panels_r=1, panels_theta=512, max_refine=1)
+    for level in range(2):
+        row = (64 * 512) << level
+        assert row > quadrature._BLOCK_NODES
+        blocks = list(_polar_blocks(spec, level))
+        assert len(blocks) == 4 << level
+        for r, *_ in blocks:
+            assert len(r) == row and np.all(r == r[0])
 
 
 def test_disk_odd_symmetry():
