@@ -23,20 +23,19 @@ from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
 from .ff_real import DEFAULT_STEP
 from .holo_series import (fractal_measure_c, fractal_measure_deriv_c,
                           in_slit_disk, truncated_exp_c)
-from .quadrature import (DEFAULT_SPEC, _converge, _path_rule, _polar_blocks,
-                         build_slit_path, integrate_disk)
+from .quadrature import (DEFAULT_SPEC, _BLOCK_NODES, _converge, _path_rule,
+                         _polar_blocks, build_slit_path, integrate_disk)
 
 BASE_POINT = 0.5
-_ZETA_CHUNK = 8192
 # tail bound of the truncated Bergman series in kernel_K_half
 _TAIL_EPS = 1e-16
 # kernel_K_half goes dense only when the series needs more terms than this
 # many per path node.  A dense kernel element (product, square, division)
-# costs about 20 ns and a blocked series term 0.4-0.7 ns per zeta (numpy 2.4,
+# costs about 15-19 ns and a blocked series term 0.6 ns per zeta (numpy 2.4,
 # OpenBLAS, 2 x86-64 cores); on slit paths to four points out to |z| = 0.97
-# the two routes broke even at a median 16, 24 and 28 terms per path node
-# for 1,600, 6,400 and 25,600 zetas, the sizes of the nested disk rule's
-# levels 0-2 (its blocks hold at most 16,320 nodes from level 2 on)
+# the two routes broke even at a median 22, 29 and 32 terms per path node
+# for 1,600, 6,400 and 8,160 zetas, the nested disk rule's blocks at
+# levels 0-2 (the 25,600 zetas of level 2 in one batch: 32)
 _DENSE_COST = 24
 # powers per block of the path series in _moment_path_sum
 _SERIES_BLOCK = 16
@@ -100,7 +99,7 @@ def ff_eval_stack(fs, p, z):
 
     The (len(fs),) + z.shape output is allocated once and each row is
     copied into it as it is formed, (1 - s) f + s (beta f**(beta-1) f') / den,
-    so the temporaries stay a few rows deep whatever the stack's height.
+    so the temporaries stay a few rows deep however many series fs holds.
 
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
@@ -158,8 +157,7 @@ def dirichlet_norms_quad(fs, p, spec=None, sigmas=None):
     if not fs or not sigmas:
         return []
     points = [p.alpha * abs(f(BASE_POINT)) ** 2 for f in fs]
-    fields = integrate_disk(lambda zeta: _abs2_stack(fs, p, zeta, sigmas),
-                            spec, len(sigmas) * len(fs)).value
+    fields = integrate_disk(lambda zeta: _abs2_stack(fs, p, zeta, sigmas), spec).value
     return [DirichletValue(point + float(field), point, float(field), "quad")
             for point, field in zip(points * len(sigmas), fields)]
 
@@ -185,7 +183,7 @@ def inner_product_c(f, g, p, spec=None):
         df, dg = ff_eval_stack((f, g), p, zeta)
         return df * np.conj(dg)
 
-    field = integrate_disk(integrand, spec, 2).value
+    field = integrate_disk(integrand, spec).value
     return complex(point + field)
 
 
@@ -531,11 +529,10 @@ def reproduction_rhs_1_stack(fs, p, z, spec=None):
 
     One disk integral serves the stack.  Each node block fills Df for every
     row into one buffer (ff_eval_stack) and multiplies each row's Bergman
-    factor B(z, .) into it in place, so a block holds one (len(fs), nodes)
-    array, at most the quadrature's _CHUNK elements over at most 2**14
-    nodes, plus a few rows of temporaries.  Each row converges entrywise, to
-    the value it gets alone; rows that converge early ride along while the
-    others refine.
+    factor B(z, .) into it in place, so a block of at most the quadrature's
+    _BLOCK_NODES = 2**13 nodes holds one (len(fs), nodes) array plus a few
+    rows of temporaries.  Each row converges entrywise, to the value it gets
+    alone; rows that converge early ride along while the others refine.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -553,7 +550,7 @@ def reproduction_rhs_1_stack(fs, p, z, spec=None):
             row *= bergman_kernel(w, zeta)
         return field
 
-    projected = integrate_disk(integrand, spec, len(fs)).value
+    projected = integrate_disk(integrand, spec).value
     fractal = np.array([f.derivative()(w) for f, w in zip(fs, zs)]) / fractal_measure_deriv_c(
         zs, p.alpha, p.k)
     return -s / (1.0 - s) * fractal + projected / (1.0 - s)
@@ -604,9 +601,9 @@ def _dense_path_sum(wn, wt, zt):
     """sum_i wt_i B(w_i, zeta) at each zeta of zt, one matrix-vector product
     per chunk of zetas."""
     out = np.empty(zt.shape, dtype=complex)
-    for i in range(0, len(zt), _ZETA_CHUNK):
-        chunk = zt[i : i + _ZETA_CHUNK]
-        out[i : i + _ZETA_CHUNK] = bergman_kernel(wn[None, :], chunk[:, None]) @ wt
+    for i in range(0, len(zt), _BLOCK_NODES):
+        chunk = zt[i : i + _BLOCK_NODES]
+        out[i : i + _BLOCK_NODES] = bergman_kernel(wn[None, :], chunk[:, None]) @ wt
     return out
 
 
@@ -638,8 +635,8 @@ def _moment_path_sum(wn, wt, zt, N):
     c = c.reshape(q, m)
     x = np.conj(zt)
     out = np.empty(zt.shape, dtype=complex)
-    for s in range(0, len(x), _ZETA_CHUNK):
-        xs = x[s : s + _ZETA_CHUNK]
+    for s in range(0, len(x), _BLOCK_NODES):
+        xs = x[s : s + _BLOCK_NODES]
         X = _powers(xs, m)
         Q = c @ X
         y = X[-1] * xs
@@ -647,7 +644,7 @@ def _moment_path_sum(wn, wt, zt, N):
         for j in range(q - 2, -1, -1):
             acc *= y
             acc += Q[j]
-        out[s : s + _ZETA_CHUNK] = acc
+        out[s : s + _BLOCK_NODES] = acc
     return out
 
 
@@ -658,8 +655,9 @@ def kernel_K_half(z, zeta, p, spec=None):
     _kernel_weight(w) B(w, zeta), whose weights wt_i are the path rule's
     times _kernel_weight at its nodes w_i.  The integrand is holomorphic in
     w on the slit disk, so the value is path-independent.  zeta may be a
-    scalar or an array; convergence is taken over the whole batch at once,
-    and a NoConvergence carries the scaled values' changes, shaped like them.
+    scalar or an array, empty included; convergence is taken over the whole
+    batch at once, and a NoConvergence carries the scaled values' changes,
+    shaped like them.
 
     At each refinement level the path rule's sum sum_i wt_i B(w_i, zeta)
     is taken through the Bergman series B(w, zeta) = (1/pi) sum_n (n+1)
@@ -689,7 +687,7 @@ def kernel_K_half(z, zeta, p, spec=None):
         out = outer * vals
         return complex(out[0]) if scalar else out
 
-    if not path.segments:
+    if not path.segments or zt.size == 0:
         return finish(np.zeros(zt.shape, dtype=complex))
     zeta_max = float(np.max(np.abs(zt)))
 
@@ -727,9 +725,7 @@ def reproduction_rhs_2_stack(fs, p, z, spec=None):
     prefactor = _integrating_factor(BASE_POINT, p) / _integrating_factor(z, p)
     integral = integrate_disk(
         lambda zeta: kernel_K_half(z, zeta, p, inner_spec) * ff_eval_stack(fs, p, zeta),
-        outer_spec,
-        len(fs),
-    ).value
+        outer_spec).value
     return prefactor * np.array([f(BASE_POINT) for f in fs]) + integral
 
 

@@ -112,7 +112,7 @@ def qdirichlet_inner_product(f, g, p, frame, spec=None):
         return np.stack([np.conj(d1) * g1 + d2 * np.conj(g2),
                          np.conj(d1) * g2 - d2 * np.conj(g1)])
 
-    field = integrate_disk(integrand, spec, 4).value
+    field = integrate_disk(integrand, spec).value
     base = Quaternion(BASE_POINT)
     point = (eval_q(f, base).conjugate() * eval_q(g, base)) * p.alpha
     return point + frame_embed(field[0], field[1], frame)

@@ -180,5 +180,13 @@ def fractal_measure_deriv_c(z, alpha, k):
         raise BranchError("argument outside the slit unit disk")
     zz = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
     w = principal_power_c(zz, alpha)
-    # z**(alpha-1) = z**alpha / z on the principal branch (same logarithm)
-    return alpha * w / zz * truncated_exp_c(w, km1)
+    tiny = np.abs(zz) < np.finfo(float).tiny
+    if not tiny.any():
+        # z**(alpha-1) = z**alpha / z on the principal branch (same logarithm)
+        return alpha * w / zz * truncated_exp_c(w, km1)
+    # below the smallest normal |z| numpy's division overflows, even z / z,
+    # and |z| keeps few digits: there z**(alpha-1) is taken at the exactly
+    # scaled 2**64 z and multiplied back by 2**(64 (1-alpha))
+    s = np.where(tiny, 2.0**64, 1.0)
+    zs = zz * s
+    return alpha * principal_power_c(zs, alpha) / zs * s ** (1.0 - alpha) * truncated_exp_c(w, km1)

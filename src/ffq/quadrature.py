@@ -13,33 +13,25 @@ Integrands receive flat numpy arrays and may return a stack of values with
 the node axis last; a stack is integrated entrywise in one pass.  Node blocks
 are processed in a fixed order with a fixed accumulation order, so results
 are deterministic for a given spec.  A block takes whole radial rows, at
-least one, up to min(_CHUNK // height, _BLOCK_NODES) nodes, for a stack of
-the given height.  Each block yields its nodes z = r e^{i theta} beside r,
-theta and the weights, formed from one row of e^{i theta} per level, so no
-node takes a sine or cosine.
+least one, of at most _BLOCK_NODES = 2**13 nodes, however many rows the
+stack has; kernel_K_half chunks its zetas by the same size.  Each block
+yields its nodes z = r e^{i theta} beside r, theta and the weights, formed
+from one row of e^{i theta} per level, so no node takes a sine or cosine.
 
-_CHUNK = 2**19 bounds the stack: a block's complex stack takes at most
-8 MiB, and the float |Df|**2 stack of dirichlet_norms_quad, whose rows are
-written without any complex stack, at most 4 MiB.  _BLOCK_NODES = 2**14
-bounds everything that is one row long: the block's per-node arrays (r,
+The block bounds everything that is one row long: the per-node arrays (r,
 theta and the weights at 8 bytes a node, z and the measure derivative at
-16) and, while the stack is filled row by row, a few row-sized complex
-temporaries (f, f' and f'/den, formed once per series and shared by every
-sigma of the stack, and the row being formed with its partial products),
-each at most 256 KiB.  The node cap binds only stacks of fewer than 32
-rows; the norms sweep's 81-row stacks keep their _CHUNK blocks.  Without
-it a stack of one to four rows, as the reproducing and kernel suites
-integrate, would take level 2 of the default rule in blocks of up to
-262,144 nodes, whose 4 MiB temporaries fall out of cache and set those
-suites' peak memory.  A nested integrand that calls kernel_K_half also
-holds, per chunk of _ZETA_CHUNK zetas, m + q complex rows of that length
-for the series in conj(zeta): m = 16 powers of conj(zeta) and
-q = ceil((N+1)/16) partial sums (ff_complex._moment_path_sum).
+16) and the few row-sized complex temporaries of a stack filled row by row
+(f, f' and f'/den, once per series, and the row being formed), each at
+most 128 KiB, so they stay in cache.  A stack of h rows takes h x 2**13
+elements per block: 5.3 MB for the norms sweep's 81 float rows, the
+largest stack.  A nested integrand also holds kernel_K_half's
+16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta).
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,9 +40,9 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 from .holo_series import in_slit_disk
 
-_CHUNK = 1 << 19
-# most nodes a disk block holds, whatever the stack's height
-_BLOCK_NODES = 1 << 14
+# most nodes a disk block, or a zeta chunk of the path kernel, holds: 2**14
+# raised the norms sweep's peak memory and 2**12 slowed it
+_BLOCK_NODES = 1 << 13
 # largest finest-level disk rule a spec may ask for: four times the default
 # spec's 4096 x 4096 nodes at max_refine = 5, one more doubling of it
 MAX_FINEST_NODES = 1 << 26
@@ -73,6 +65,12 @@ class QuadratureSpec:
     max_refine: int = 5
 
     def __post_init__(self):
+        for field in fields(self):  # a bool is neither a count nor a tolerance
+            kind, what = ((numbers.Integral, "an integer") if field.type is int
+                          else (numbers.Real, "a real number"))
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise DomainError(f"{field.name} must be {what}, got {value!r}")
         if self.nr < 4 or self.ntheta < 4:
             raise DomainError("node counts must be at least 4")
         if self.panels_r < 1 or self.panels_theta < 1:
@@ -117,13 +115,12 @@ def _composite(a, b, panels, n):
     return nodes, weights
 
 
-def _polar_blocks(spec, level, height=1):
+def _polar_blocks(spec, level):
     """Node blocks (r, theta, z, weight) of the disk rule at a level, with
     z = r e^{i theta} formed from one row of e^{i theta} per level: the same
     bits as r * np.exp(1j * theta) node by node.  A block is whole radial
-    rows, at least one, of at most _BLOCK_NODES nodes and _CHUNK elements
-    over the height rows of a stack; the blocks in order are the tensor
-    rule node for node.
+    rows, at least one, of at most _BLOCK_NODES nodes; the blocks in order
+    are the tensor rule node for node.
 
     The first radial panel [0, h] is graded: its Gauss nodes x map to
     r = x**2 / h with weight (2 x / h) w, the same node count.  The
@@ -142,7 +139,7 @@ def _polar_blocks(spec, level, height=1):
     rn[: spec.nr] = x * x / h
     tn, tw = _composite(-np.pi, np.pi, spec.panels_theta << level, spec.ntheta)
     eit = np.exp(1j * tn)
-    rows = max(1, min(_CHUNK // height, _BLOCK_NODES) // len(tn))
+    rows = max(1, _BLOCK_NODES // len(tn))
     for i in range(0, len(rn), rows):
         rb, wb = rn[i : i + rows], rw[i : i + rows]
         yield (
@@ -153,9 +150,9 @@ def _polar_blocks(spec, level, height=1):
         )
 
 
-def _polar_estimate(g, spec, level, height=1):
+def _polar_estimate(g, spec, level):
     acc = None
-    for r, _, z, w in _polar_blocks(spec, level, height):
+    for r, _, z, w in _polar_blocks(spec, level):
         w = w * r
         part = np.asarray(g(z)) @ w
         acc = part if acc is None else acc + part
@@ -202,24 +199,22 @@ def _unwrap(value):
     return value.item() if np.ndim(value) == 0 else value
 
 
-def integrate_disk(integrand, spec=None, height=1):
+def integrate_disk(integrand, spec=None):
     """Integral of integrand(z) over the slit unit disk, d(mu) = r dr dtheta.
 
     The integrand must be finite on the open slit disk; power-type behaviour
     r**p with p > -1 at the origin is fine.  Complex integrands integrate
     componentwise.  A stacked integrand (leading axes before the node axis)
     integrates entrywise: each entry keeps the value of the first level at
-    which it meets the tolerance, the value it would get alone.  height,
-    the number of rows the integrand evaluates per node, shrinks the node
-    blocks to match.
+    which it meets the tolerance, the value it would get alone.
+
+    The integrand sees the rule in blocks of at most _BLOCK_NODES = 2**13
+    nodes, whatever it returns: a stack of h rows takes h x 2**13 elements
+    per block (the norms sweep's 81 float rows, 5.3 MB).
     """
     spec = spec or DEFAULT_SPEC
-    return _converge(
-        lambda level: _polar_estimate(integrand, spec, level, height),
-        spec,
-        "disk integral",
-        entrywise=True,
-    )
+    return _converge(lambda level: _polar_estimate(integrand, spec, level), spec,
+                     "disk integral", entrywise=True)
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,26 @@ def test_bad_quadrature_spec_exits_3_with_strict_json(flag, value, capsys):
     assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == "domain"
 
 
+@pytest.mark.parametrize("quad, field", [({"nr": 32.5}, "nr"),
+                                         ({"rel_tol": "1e-9"}, "rel_tol"),
+                                         ({"max_refine": True}, "max_refine")])
+def test_quadrature_field_of_the_wrong_type_exits_3_naming_it(quad, field, capsys):
+    job = json.dumps({"command": "norm", "f": [[1, 0]], "quad": quad})
+    code, out, err = run_cli(["norm", "--job", job], capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    record = json.loads(err, parse_constant=_reject_constant)["error"]
+    assert record["type"] == "domain" and field in record["message"]
+
+
+def test_subnormal_deriv_point_gives_a_finite_value(capsys):
+    code, out, err = run_cli(["deriv", "--f", "[[1,0],[1,0]]", "--z", "[1e-310,1e-310]",
+                              "--alpha", "0.5"], capsys)
+    assert code == EXIT_OK and err == ""
+    value = json.loads(out, parse_constant=_reject_constant)["value"]
+    assert all(map(math.isfinite, value))
+
+
 def test_error_record_writes_non_finite_floats_as_strings(capsys):
     from ffq.cli import _error_record
     _error_record("no_convergence", ValueError("x"), change=math.nan, value=math.inf)

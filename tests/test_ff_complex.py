@@ -12,7 +12,7 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  ff_eval_stack, inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
                  reproduction_rhs_1_stack, reproduction_rhs_2_stack)
-from ffq import ff_complex
+from ffq import ff_complex, quadrature
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
 from ffq.quadrature import _composite, _path_rule, build_slit_path
 from ffq.verify import GRID_ALPHAS, NESTED_SPEC
@@ -420,7 +420,7 @@ def test_blocked_moment_sum_matches_the_plain_series(N):
     p = FFParams(alpha=1.0, sigma=0.5, k=1)
     wn, cw = _path_rule(build_slit_path(0.85j), NESTED_SPEC, 1)
     wt = cw * ff_complex._kernel_weight(wn, p)
-    n = ff_complex._ZETA_CHUNK + 77  # a full chunk and a short one
+    n = quadrature._BLOCK_NODES + 77  # a full chunk and a short one
     zetas = 0.9 * np.sqrt(rng.random(n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
     for zt in (zetas, zetas[:1]):
         want = _plain_moment_path_sum(wn, wt, zt, N)
@@ -471,6 +471,13 @@ def test_kernel_rejects_non_finite_zeta():
     # off the disk the Bergman series diverges and the dense product serves
     far = kernel_K_half(0.3j, 1.5 + 0.5j, p, NESTED_SPEC)
     assert np.isfinite(far)
+
+
+def test_kernel_of_an_empty_zeta_batch_is_empty():
+    p = FFParams(alpha=0.6, sigma=0.5, k=2)
+    for z in (0.6 + 0.1j, 0.5):  # a path, and the base point's empty one
+        out = kernel_K_half(z, np.array([], dtype=complex), p, NESTED_SPEC)
+        assert out.shape == (0,) and out.dtype == complex
 
 
 def test_kernel_no_convergence_carries_scaled_changes():

@@ -285,16 +285,22 @@ def test_quad_norm_integrates_the_split_pair_as_one_stack(spec, rng, monkeypatch
     calls = []
     integrate = ffq.ff_complex.integrate_disk
 
-    def counted(*args):
-        calls.append(args[2])  # the stack's height
-        return integrate(*args)
+    def counted(integrand, spec):
+        rows = set()
+        calls.append(rows)
+
+        def counted_rows(zeta):
+            out = integrand(zeta)
+            rows.add(len(out))
+            return out
+        return integrate(counted_rows, spec)
 
     monkeypatch.setattr(ffq.ff_complex, "integrate_disk", counted)
     p = FFParams(alpha=0.6, sigma=0.5, k=2)
     frame = random_frame(rng)
     f = QPowerSeries([random_quaternion(rng) for _ in range(3)])
     v = qdirichlet_norm(f, p, frame, spec)
-    assert calls == [2]
+    assert calls == [{2}]  # one integral of a 2-row stack
     pair = split(f, frame)
     for part, got in zip((pair.f1, pair.f2), v.split_parts):
         alone = dirichlet_norm_quad(part, p, spec).norm_sq

@@ -7,6 +7,8 @@ from ffq import (CPowerSeries, INF, BranchError, DomainError, FFParams,
                  coefficient_integrals, fractal_measure_c, in_slit_disk,
                  principal_power_c, truncated_exp_c)
 from ffq.ff_real import measure_truncated_exp
+from ffq.holo_series import fractal_measure_deriv_c
+from ffq.quadrature import DEFAULT_SPEC, _polar_blocks
 
 
 def test_evaluate_examples():
@@ -113,6 +115,32 @@ def test_fractal_measure_matches_real_line():
         for alpha, k in ((0.5, 1), (0.8, 3), (1.0, INF)):
             m = measure_truncated_exp(alpha, k)
             assert abs(fractal_measure_c(t, alpha, k) - m(t)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+def test_measure_derivative_is_finite_below_the_smallest_normal(alpha):
+    # alpha z**(alpha-1) e_{k-1}(z**alpha) at subnormal |z|, where z**alpha / z
+    # overflows inside numpy's complex division
+    mpmath = pytest.importorskip("mpmath")
+    zs = [r * complex(math.cos(t), math.sin(t)) for r in (1e-310, 1e-320) for t in (0.0, 1.0)]
+    for k in (1, 3, INF):
+        got = fractal_measure_deriv_c(np.array(zs), alpha, k)
+        for z, g in zip(zs, got):
+            w = mpmath.power(mpmath.mpc(z), alpha)
+            e = (mpmath.exp(w) if k == INF
+                 else sum(w ** n / mpmath.factorial(n) for n in range(k)))
+            want = complex(alpha * mpmath.power(mpmath.mpc(z), alpha - 1) * e)
+            assert abs(g - want) <= 1e-12 * abs(want)
+            assert fractal_measure_deriv_c(z, alpha, k) == g
+
+
+@pytest.mark.parametrize("alpha, k", [(0.5, 1), (0.7, 2), (1.0, INF)])
+def test_measure_derivative_keeps_its_bits_at_normal_nodes(alpha, k):
+    z = np.concatenate([z for _, _, z, _ in _polar_blocks(DEFAULT_SPEC, 0)])
+    w = principal_power_c(z, alpha)
+    km1 = INF if k == INF else k - 1
+    want = alpha * w / z * truncated_exp_c(w, km1)
+    assert fractal_measure_deriv_c(z, alpha, k).tobytes() == want.tobytes()
 
 
 def test_truncated_exp_c_preserves_real_dtype():

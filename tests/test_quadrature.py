@@ -24,25 +24,40 @@ def test_disk_radial_moment():
 @pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC])
 @pytest.mark.parametrize("height", [1, 4])
 def test_polar_block_nodes_are_the_nodewise_product(spec, height):
+    # the nodes an integrand of `height` rows is handed are r e^{it}, bit for bit
     for level in range(3):
-        for r, t, z, _ in _polar_blocks(spec, level, height):
+        seen = []
+
+        def stack(z):
+            seen.append(z)
+            return np.ones((height, len(z)))
+        quadrature._polar_estimate(stack, spec, level)
+        blocks = list(_polar_blocks(spec, level))
+        assert len(seen) == len(blocks)
+        for z, (r, t, _, _) in zip(seen, blocks):
             assert z.tobytes() == (r * np.exp(1j * t)).tobytes()
 
 
 @pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC])
 @pytest.mark.parametrize("height", [1, 4, 81])
 def test_polar_blocks_are_capped_slices_of_the_tensor_rule(spec, height, monkeypatch):
+    # an integrand sees the same blocks however many rows its stack has
     for level in range(3):
-        blocks = list(_polar_blocks(spec, level, height))
+        seen = []
+
+        def stack(z):
+            seen.append(z)
+            return np.ones((height, len(z)))
+        quadrature._polar_estimate(stack, spec, level)
+        blocks = list(_polar_blocks(spec, level))
+        assert [z.tobytes() for z in seen] == [b[2].tobytes() for b in blocks]
         row = (spec.ntheta * spec.panels_theta) << level
         for r, *_ in blocks:
             assert len(r) <= quadrature._BLOCK_NODES
-            assert height * len(r) <= quadrature._CHUNK
             assert len(r) % row == 0
         with monkeypatch.context() as m:
-            m.setattr(quadrature, "_CHUNK", 1 << 40)
             m.setattr(quadrature, "_BLOCK_NODES", 1 << 40)
-            (whole,) = _polar_blocks(spec, level, height)
+            (whole,) = _polar_blocks(spec, level)
         for got, want in zip(zip(*blocks), whole):
             assert np.concatenate(got).tobytes() == want.tobytes()
 
@@ -95,7 +110,7 @@ def test_no_convergence_carries_each_entrys_change():
     tol = DIVERGENCE_SPEC.rel_tol
     with pytest.raises(NoConvergence) as info:
         integrate_disk(lambda z: np.stack([np.ones(z.shape), 1.0 / np.abs(1 + z) ** 2]),
-                       DIVERGENCE_SPEC, 2)
+                       DIVERGENCE_SPEC)
     exc = info.value
     assert exc.changes.shape == exc.value.shape == (2,)
     assert exc.changes[0] <= tol * abs(exc.value[0])
@@ -169,6 +184,20 @@ def test_spec_validation():
     QuadratureSpec(abs_tol=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nr", 32.5), ("ntheta", 32.0), ("panels_r", "4"), ("panels_theta", None),
+    ("max_refine", True), ("rel_tol", "1e-9"), ("abs_tol", 1e-14j), ("abs_tol", True),
+])
+def test_spec_fields_of_the_wrong_type_raise_a_domain_error_naming_them(field, value):
+    with pytest.raises(DomainError, match=field):
+        QuadratureSpec(**{field: value})
+
+
+def test_spec_accepts_numpy_numbers():
+    spec = QuadratureSpec(nr=np.int64(16), rel_tol=np.float64(1e-8), abs_tol=0)
+    assert (spec.nr, spec.rel_tol, spec.abs_tol) == (16, 1e-8, 0)
+
+
 def test_spec_node_budget():
     from ffq.quadrature import DEFAULT_SPEC, MAX_FINEST_NODES
     from ffq.verify import DIVERGENCE_SPEC, NESTED_SPEC
@@ -192,7 +221,7 @@ def test_stacked_entries_keep_the_value_they_get_alone():
     spec = QuadratureSpec(nr=8, ntheta=8, panels_r=2, panels_theta=2, rel_tol=1e-4)
     rows = [lambda z: np.abs(z) ** 0.3, lambda z: np.abs(z.real - 0.3)]
     alone = [integrate_disk(g, spec) for g in rows]
-    stacked = integrate_disk(lambda z: np.stack([g(z) for g in rows]), spec, 2)
+    stacked = integrate_disk(lambda z: np.stack([g(z) for g in rows]), spec)
     assert [a.refinements for a in alone] == [1, 4]
     assert stacked.refinements == 4
     assert stacked.error == pytest.approx(max(a.error for a in alone), rel=1e-6)
