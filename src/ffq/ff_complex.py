@@ -13,6 +13,7 @@ over the slit disk.  Everything is validated against the quadrature oracle.
 """
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,6 +40,14 @@ _TAIL_EPS = 1e-16
 _DENSE_COST = 24
 # powers per block of the path series in _moment_path_sum
 _SERIES_BLOCK = 16
+# unit roundoff of float64, and the least subnormal, in the certificate of
+# kernel_K_half (_certified_change)
+_UNIT = 2.0 ** -53
+_ETA = 2.0 ** -1074
+# the path levels kernel_K_half builds, {(z, p, spec, level): (w, wt,
+# max|w|)}, shared by its calls inside one nested integral:
+# reproduction_rhs_2_stack sets a fresh dict and resets it when it returns
+_PATH_LEVELS = ContextVar("ffq_path_levels", default=None)
 
 
 def _require_linear(p):
@@ -616,15 +625,11 @@ def _powers(x, n):
     return out
 
 
-def _moment_path_sum(wn, wt, zt, N):
-    """The same sum through the Bergman series truncated after degree N:
-    path moments c_n = (n+1)/pi sum_i wt_i w_i**n, then the series
-    sum_n c_n x**n in x = conj(zeta).  Both are taken in blocks of
-    m = _SERIES_BLOCK powers (Paterson-Stockmeyer), n = j m + i: the moments
-    are the matrix product (V wt) W^T over V_i = w**i, i < m, and
-    W_j = (w**m)**j, j < q = ceil((N+1)/m); the series is
-    Q = c.reshape(q, m) @ x**i per chunk of zetas, then Horner in x**m over
-    the q rows of Q."""
+def _path_moments(wn, wt, N):
+    """Path moments c_n = (n+1)/pi sum_i wt_i w_i**n for n <= N, zero above,
+    as the (q, m) array c[j, i] = c_{j m + i} with m = min(_SERIES_BLOCK,
+    N + 1) and q = ceil((N+1)/m): the matrix product (V wt) W^T over
+    V_i = w**i, i < m, and W_j = (w**m)**j, j < q."""
     m = min(_SERIES_BLOCK, N + 1)
     q = -(-(N + 1) // m)
     V = _powers(wn, m)
@@ -632,7 +637,17 @@ def _moment_path_sum(wn, wt, zt, N):
     c = ((V * wt) @ W.T).T.ravel()  # c[j m + i] = sum_k wt_k w_k**i (w_k**m)**j
     c[N + 1 :] = 0.0
     c *= np.arange(1.0, q * m + 1) / math.pi
-    c = c.reshape(q, m)
+    return c.reshape(q, m)
+
+
+def _moment_path_sum(wn, wt, zt, N):
+    """The same sum through the Bergman series truncated after degree N:
+    the path moments c (_path_moments), then the series sum_n c_n x**n in
+    x = conj(zeta), in blocks of m powers (Paterson-Stockmeyer),
+    n = j m + i: Q = c @ x**i per chunk of zetas, then Horner in x**m over
+    the q rows of Q."""
+    c = _path_moments(wn, wt, N)
+    q, m = c.shape
     x = np.conj(zt)
     out = np.empty(zt.shape, dtype=complex)
     for s in range(0, len(x), _BLOCK_NODES):
@@ -646,6 +661,53 @@ def _moment_path_sum(wn, wt, zt, N):
             acc += Q[j]
         out[s : s + _BLOCK_NODES] = acc
     return out
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): a product of n factors 1 + d,
+    |d| <= u, is within gamma_n of 1."""
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+def _certified_change(new, old, rho, cur, spec):
+    """Bound on the change between two levels of the path kernel that
+    proves its test passes at every zeta, without evaluating the old level:
+    the bound, or None where it proves nothing.
+
+    new and old are the two levels' moments (_path_moments), cur the new
+    level's values at the batch, rho = max|conj(zeta)| over it.  With S the
+    series sum_n c_n x**n, |S_new(x) - S_old(x)| <= sum_n |c_new,n -
+    c_old,n| rho**n for |x| <= rho.  To that it adds what rounding can add
+    to either computed series.  In units of u, with a complex product
+    counting 3 (sqrt(2) gamma_2), _moment_path_sum takes a term through at
+    most 3 (m - 1) for x**i, 2 (m + 1) for the BLAS sum of m products
+    (sqrt(2) gamma_{m+1} if it sums real and imaginary parts apart), and
+    3 m + 4 per Horner step (the product, x**m's own error, the sum): under
+    K = 4 (q (m + 2) + m) in all.  So the computed series is within
+    gamma_K sum_n |c_n| rho**n, plus K (1 + sum|c_n|) times the least
+    subnormal for underflow (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 3.6 and 5.1).  A last factor 1 + gamma covers forming
+    the bound itself and the test's own rounding of |cur - prev|.  The
+    bound proves the test when it is within max(rel_tol |cur_j|, abs_tol)
+    at every j.
+    """
+    a, b = new.ravel(), old.ravel()
+    n = max(len(a), len(b))
+    d = np.zeros(n, dtype=complex)
+    d[: len(a)] = a
+    d[: len(b)] -= b
+    powers = rho ** np.arange(n)
+    bound = np.abs(d) @ powers
+    for c in (new, old):
+        q, m = c.shape
+        K = 4 * (q * (m + 2) + m)
+        size = np.abs(c.ravel())
+        bound += _gamma(K) * (size @ powers[: c.size]) + K * (1.0 + np.sum(size)) * _ETA
+    bound *= 1.0 + _gamma(2 * n + 16)
+    tol = np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
+    if np.all(np.isfinite(cur)) and bound <= np.min(tol):
+        return float(bound)
+    return None
 
 
 def kernel_K_half(z, zeta, p, spec=None):
@@ -672,6 +734,16 @@ def kernel_K_half(z, zeta, p, spec=None):
     so rho < 1 on the disk rule.  A level with N > 24 P (|z| and |zeta| near
     1 on a coarse path rule, or rho >= 1 for a zeta off the disk) forms
     B(w_i, zeta_j) densely instead, which is cheaper there.
+
+    Level 1 is evaluated at the zetas first.  Where both it and level 0
+    take the series, the two levels' moments bound the change between them
+    (_certified_change): sum_n |c1_n - c0_n| max|zeta|**n plus what
+    rounding can add to either series.  When that bound proves every zeta
+    meets the tolerance, level 1 is accepted and level 0 is never evaluated
+    at the zetas; otherwise level 0 is, and the test runs as above.  Either
+    way the value, the level and any NoConvergence are those of comparing
+    the evaluated levels.  Each level's nodes and weights are built once per
+    call, or once per reproduction_rhs_2_stack call inside one.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -690,17 +762,40 @@ def kernel_K_half(z, zeta, p, spec=None):
     if not path.segments or zt.size == 0:
         return finish(np.zeros(zt.shape, dtype=complex))
     zeta_max = float(np.max(np.abs(zt)))
+    levels = _PATH_LEVELS.get()
+    if levels is None:
+        levels = {}
+
+    def rule(level):
+        """Nodes w_i, weights wt_i and series order N at a level, N None
+        where the dense product serves; the nodes, weights and max|w_i| are
+        built once per levels dict, read-only."""
+        key = (z, p, spec, level)
+        if key not in levels:
+            wn, cw = _path_rule(path, spec, level)
+            wt = cw * _kernel_weight(wn, p)
+            wn.setflags(write=False)
+            wt.setflags(write=False)
+            levels[key] = wn, wt, float(np.max(np.abs(wn)))
+        wn, wt, w_max = levels[key]
+        N = _moment_order(w_max * zeta_max)
+        return wn, wt, (None if N > _DENSE_COST * len(wn) else N)
 
     def estimate(level):
-        wn, cw = _path_rule(path, spec, level)
-        wt = cw * _kernel_weight(wn, p)
-        N = _moment_order(float(np.max(np.abs(wn))) * zeta_max)
-        if N > _DENSE_COST * len(wn):
+        wn, wt, N = rule(level)
+        if N is None:
             return _dense_path_sum(wn, wt, zt)
         return _moment_path_sum(wn, wt, zt, N)
 
+    def certify(level, cur):
+        (wn, wt, N), (wo, wto, No) = rule(level), rule(level - 1)
+        if N is None or No is None:
+            return None
+        return _certified_change(_path_moments(wn, wt, N), _path_moments(wo, wto, No),
+                                 zeta_max, cur, spec)
+
     try:
-        return finish(_converge(estimate, spec, "kernel path integral").value)
+        return finish(_converge(estimate, spec, "kernel path integral", certify=certify).value)
     except NoConvergence as exc:
         changes = exc.changes * abs(outer)
         raise NoConvergence(str(exc), finish(exc.value), float(exc.error * abs(outer)),
@@ -716,6 +811,11 @@ def reproduction_rhs_2_stack(fs, p, z, spec=None):
     Nested quadrature: the outer disk integral runs at rel_tol 1e-7 and the
     inner path integral at 1e-9 (tighter caller specs are not loosened
     beyond those caps), matching the 1e-5 acceptance target with margin.
+    Every node block of every outer level calls kernel_K_half with the same
+    (z, p, inner spec), so the path levels it builds (nodes, weights and
+    max|w|) are kept for the life of this call, in a dict this call sets in
+    the context variable _PATH_LEVELS and resets on return: each level is
+    built once per call, and nothing outlives it or crosses threads.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -723,9 +823,13 @@ def reproduction_rhs_2_stack(fs, p, z, spec=None):
     outer_spec = replace(spec, rel_tol=max(spec.rel_tol, 1e-7))
     inner_spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-9))
     prefactor = _integrating_factor(BASE_POINT, p) / _integrating_factor(z, p)
-    integral = integrate_disk(
-        lambda zeta: kernel_K_half(z, zeta, p, inner_spec) * ff_eval_stack(fs, p, zeta),
-        outer_spec).value
+    token = _PATH_LEVELS.set({})
+    try:
+        integral = integrate_disk(
+            lambda zeta: kernel_K_half(z, zeta, p, inner_spec) * ff_eval_stack(fs, p, zeta),
+            outer_spec).value
+    finally:
+        _PATH_LEVELS.reset(token)
     return prefactor * np.array([f(BASE_POINT) for f in fs]) + integral
 
 

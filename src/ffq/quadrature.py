@@ -25,7 +25,9 @@ theta and the weights at 8 bytes a node, z and the measure derivative at
 most 128 KiB, so they stay in cache.  A stack of h rows takes h x 2**13
 elements per block: 5.3 MB for the norms sweep's 81 float rows, the
 largest stack.  A nested integrand also holds kernel_K_half's
-16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta).
+16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta), and
+for the life of the nested integral the path levels it has built: nodes
+and weights, at most 2 nr panels_r 2**level complex numbers of each.
 """
 
 import cmath
@@ -159,7 +161,7 @@ def _polar_estimate(g, spec, level):
     return np.asarray(acc)
 
 
-def _converge(estimate, spec, describe, entrywise=False):
+def _converge(estimate, spec, describe, entrywise=False, certify=None):
     """Refine estimate(level) until successive levels agree to tolerance.
 
     By default every entry of a stacked estimate must agree at the same
@@ -168,15 +170,26 @@ def _converge(estimate, spec, describe, entrywise=False):
     refined alone, while refinement goes on for the entries that have not.
     At the cap, NoConvergence carries each entry's change as changes and
     their maximum as error.
+
+    certify(level, cur), if given, is asked before level - 1 is estimated,
+    which is at level 1: it returns a bound on |cur - estimate(level - 1)|
+    that proves every entry would meet the tolerance, and the level is then
+    accepted with that bound as its error, or it returns None and the level
+    is compared with level - 1 as above.  Every other decision is the one
+    made without certify.
     """
-    prev = estimate(0)
-    value, change = prev, np.inf
-    held = np.zeros(np.shape(prev), dtype=bool)
+    prev = None if certify else estimate(0)
+    held = None
     for level in range(1, spec.max_refine + 1):
         cur = estimate(level)
+        if prev is None:
+            bound = certify(level, cur)
+            if bound is not None:
+                return QuadResult(_unwrap(cur), float(bound), level)
+            prev = estimate(level - 1)
         diff = np.abs(cur - prev)
         met = diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
-        if entrywise:
+        if entrywise and held is not None:
             value = np.where(held, value, cur)
             change = np.where(held, change, diff)
             held = held | met

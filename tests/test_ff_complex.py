@@ -1,8 +1,10 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  DivergentIntegral, DomainError, NoConvergence, QuadratureSpec,
@@ -495,6 +497,211 @@ def test_kernel_no_convergence_carries_scaled_changes():
     assert type(one.value.changes) is float
     assert one.value.changes == one.value.error
     assert abs(one.value.changes - changes[1]) <= 1e-9 * changes[1]
+
+
+def _explicit_kernel(z, zeta, p, spec):
+    """The kernel by the explicit two-level procedure: every level's path
+    rule built afresh and evaluated at every zeta, level L accepted when it
+    agrees with level L - 1 at each zeta.  Returns (values, level)."""
+    path = build_slit_path(z)
+    zt = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    zeta_max = float(np.max(np.abs(zt)))
+    outer = 1.0 / ff_complex._integrating_factor(complex(z), p)
+
+    def estimate(level):
+        wn, cw = _path_rule(path, spec, level)
+        wt = cw * ff_complex._kernel_weight(wn, p)
+        N = ff_complex._moment_order(float(np.max(np.abs(wn))) * zeta_max)
+        if N > ff_complex._DENSE_COST * len(wn):
+            return ff_complex._dense_path_sum(wn, wt, zt)
+        return ff_complex._moment_path_sum(wn, wt, zt, N)
+
+    prev = estimate(0)
+    for level in range(1, spec.max_refine + 1):
+        cur = estimate(level)
+        diff = np.abs(cur - prev)
+        if np.all(diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)):
+            return outer * cur, level
+        prev = cur
+    raise NoConvergence("cap", outer * cur, float(np.max(diff)) * abs(outer),
+                        diff * abs(outer))
+
+
+def _spy_certificate(monkeypatch):
+    """Record what each call of _certified_change returns."""
+    seen = []
+    certify = ff_complex._certified_change
+
+    def run(*args):
+        seen.append(certify(*args))
+        return seen[-1]
+    monkeypatch.setattr(ff_complex, "_certified_change", run)
+    return seen
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", [NESTED_SPEC, quadrature.DEFAULT_SPEC],
+                         ids=["nested", "default"])
+def test_certified_kernel_is_the_explicit_procedure_bit_for_bit(spec, monkeypatch):
+    seen = _spy_certificate(monkeypatch)
+    grid = _zeta_grid()
+    batches = [grid] + list(grid.reshape(-1, 32))  # the grid, then ring by ring
+    for p in (FFParams(alpha=1.0, sigma=0.5, k=1), FFParams(alpha=0.7, sigma=0.3, k=2)):
+        for z in MOMENT_POINTS:
+            for zt in batches:
+                want, _ = _explicit_kernel(z, zt, p, spec)
+                assert _same_bits(kernel_K_half(z, zt, p, spec), want)
+    # the certificate both accepted levels and handed them to the explicit test
+    assert any(b is None for b in seen) and any(b is not None for b in seen)
+
+
+def test_dense_kernel_is_the_explicit_procedure_bit_for_bit(monkeypatch):
+    seen = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(ff_complex, "_DENSE_COST", 0)  # every level dense
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    grid = _zeta_grid()
+    for z in MOMENT_POINTS:
+        for zt in (grid, grid[32:64], grid[-32:]):
+            want, _ = _explicit_kernel(z, zt, p, NESTED_SPEC)
+            assert _same_bits(kernel_K_half(z, zt, p, NESTED_SPEC), want)
+    assert seen == []  # no moments, no certificate
+
+
+def test_failed_certificate_falls_back_to_the_explicit_test(monkeypatch):
+    # a rel_tol between the levels' largest relative change and what the
+    # certificate can prove: the explicit test passes at level 1 where the
+    # certificate cannot
+    p = FFParams(alpha=0.7, sigma=0.3, k=2)
+    z, zt = 0.5 + 0.3j, _zeta_grid().reshape(-1, 32)[10]
+    path = build_slit_path(z)
+    zeta_max = float(np.max(np.abs(zt)))
+    moments, sums = [], []
+    for level in (1, 0):
+        wn, cw = _path_rule(path, NESTED_SPEC, level)
+        wt = cw * ff_complex._kernel_weight(wn, p)
+        N = ff_complex._moment_order(float(np.max(np.abs(wn))) * zeta_max)
+        assert N <= ff_complex._DENSE_COST * len(wn)
+        moments.append(ff_complex._path_moments(wn, wt, N))
+        sums.append(ff_complex._moment_path_sum(wn, wt, zt, N))
+    lax = replace(NESTED_SPEC, rel_tol=1e3, abs_tol=0.0)
+    bound = ff_complex._certified_change(*moments, zeta_max, sums[0], lax)
+    change = np.max(np.abs(sums[0] - sums[1]) / np.abs(sums[0]))
+    provable = bound / np.min(np.abs(sums[0]))
+    assert 0.0 < change < provable
+    tight = replace(NESTED_SPEC, rel_tol=math.sqrt(change * provable), abs_tol=0.0)
+    seen = _spy_certificate(monkeypatch)
+    want, level = _explicit_kernel(z, zt, p, tight)
+    assert level == 1
+    assert _same_bits(kernel_K_half(z, zt, p, tight), want)
+    assert seen == [None]
+
+
+def test_capped_kernel_changes_are_the_explicit_procedures():
+    capped = QuadratureSpec(nr=4, ntheta=4, panels_r=1, panels_theta=1,
+                            rel_tol=1e-300, abs_tol=0.0, max_refine=2)
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    zetas = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.6j])
+    with pytest.raises(NoConvergence) as want:
+        _explicit_kernel(0.5j, zetas, p, capped)
+    with pytest.raises(NoConvergence) as got:
+        kernel_K_half(0.5j, zetas, p, capped)
+    assert _same_bits(got.value.changes, want.value.changes)
+    assert _same_bits(got.value.value, want.value.value)
+    assert got.value.error == want.value.error
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(-3.1, 3.1),
+       st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(-3.14, 3.14)),
+                min_size=1, max_size=6),
+       st.floats(0.1, 1.0), st.floats(0.05, 0.95), st.sampled_from([1, 2, 3, INF]),
+       st.integers(1, 3), st.floats(-16.0, -6.0))
+def test_an_accepted_certificate_implies_the_explicit_test(r, t, polar, alpha, sigma, k,
+                                                           level, log_tol):
+    p = FFParams(alpha=alpha, sigma=sigma, k=k)
+    spec = replace(NESTED_SPEC, rel_tol=10.0 ** log_tol)
+    path = build_slit_path(r * np.exp(1j * t))
+    assume(path.segments)
+    zt = np.array([rho * np.exp(1j * a) for rho, a in polar])
+    zeta_max = float(np.max(np.abs(zt)))
+    moments, sums = [], []
+    for lv in (level, level - 1):
+        wn, cw = _path_rule(path, spec, lv)
+        wt = cw * ff_complex._kernel_weight(wn, p)
+        N = ff_complex._moment_order(float(np.max(np.abs(wn))) * zeta_max)
+        assume(N <= ff_complex._DENSE_COST * len(wn))
+        moments.append(ff_complex._path_moments(wn, wt, N))
+        sums.append(ff_complex._moment_path_sum(wn, wt, zt, N))
+    bound = ff_complex._certified_change(*moments, zeta_max, sums[0], spec)
+    if bound is not None:
+        diff = np.abs(sums[0] - sums[1])
+        assert np.max(diff) <= bound
+        assert np.all(diff <= np.maximum(spec.rel_tol * np.abs(sums[0]), spec.abs_tol))
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    orig = getattr(ff_complex, name)
+
+    def run(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(ff_complex, name, run)
+    return calls
+
+
+def test_nested_integral_builds_each_path_level_once_per_call(monkeypatch):
+    p = FFParams(alpha=1.0, sigma=0.4, k=INF)
+    fs = (CPowerSeries([1.0, 2.0 - 1.0j, 0.5]),)
+    spec = replace(NESTED_SPEC, panels_r=4, panels_theta=4)  # several blocks a level
+    builds = _count_calls(monkeypatch, "_kernel_weight")
+    kernels = _count_calls(monkeypatch, "kernel_K_half")
+    first = reproduction_rhs_2_stack(fs, p, 0.3 + 0.4j, spec)
+    work = builds[0], kernels[0]
+    second = reproduction_rhs_2_stack(fs, p, 0.3 + 0.4j, spec)
+    assert (builds[0], kernels[0]) == (2 * work[0], 2 * work[1])
+    assert _same_bits(first, second)
+    # one build per path level however many node blocks call the kernel
+    assert 2 <= work[0] < work[1] and work[0] <= spec.max_refine + 1
+    assert ff_complex._PATH_LEVELS.get() is None
+
+
+def test_path_levels_do_not_outlive_a_failed_nested_integral():
+    capped = QuadratureSpec(nr=4, ntheta=4, panels_r=1, panels_theta=1,
+                            rel_tol=1e-300, abs_tol=0.0, max_refine=1)
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
+    with pytest.raises(NoConvergence):
+        reproduction_rhs_2_stack((CPowerSeries([0.0, 1.0]),), p, 0.5j, capped)
+    assert ff_complex._PATH_LEVELS.get() is None
+    kernel_K_half(0.5j, 0.3, p, NESTED_SPEC)  # alone, it keeps nothing either
+    assert ff_complex._PATH_LEVELS.get() is None
+
+
+def test_concurrent_nested_integrals_give_their_serial_bits():
+    jobs = [((CPowerSeries([1.0, 2.0 - 1.0j, 0.5]),), FFParams(alpha=1.0, sigma=0.4, k=INF),
+             0.3 + 0.4j),
+            ((CPowerSeries([0.3j, 0.0, 1.0]),), FFParams(alpha=0.7, sigma=0.6, k=2), -0.2 + 0.5j)]
+    serial = [reproduction_rhs_2_stack(fs, p, z, NESTED_SPEC) for fs, p, z in jobs]
+    start = threading.Barrier(len(jobs))
+    results = [[] for _ in jobs]
+
+    def run(i):
+        fs, p, z = jobs[i]
+        start.wait()
+        for _ in range(3):
+            results[i].append(reproduction_rhs_2_stack(fs, p, z, NESTED_SPEC))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for want, got in zip(serial, results):
+        assert len(got) == 3 and all(_same_bits(value, want) for value in got)
 
 
 def test_stacked_right_hand_sides_match_one_series():
