@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 
 from ffq import (CPowerSeries, DivergentIntegral, FFParams, NoConvergence,
-                 coefficient_integrals, dirichlet_norm, dirichlet_norm_closed_k1,
-                 dirichlet_norm_quad, dirichlet_norm_series, inner_product_c)
+                 coefficient_integrals, dirichlet_norm, dirichlet_norm_quad,
+                 dirichlet_norm_series, inner_product_c)
 from ffq.verify import DIVERGENCE_SPEC, _closed_k1_variant
 
 print("== two anchors with pencil-and-paper values ==")
@@ -33,7 +33,7 @@ ci = coefficient_integrals(p, f.degree)
 for label, value in [
     ("quadrature ", dirichlet_norm_quad(f, p).norm_sq),
     ("series     ", dirichlet_norm_series(f, p, ci).norm_sq),
-    ("closed k=1 ", dirichlet_norm_closed_k1(f, p).norm_sq),
+    ("closed k=1 ", dirichlet_norm(f, p, method="closed-k1").norm_sq),
 ]:
     print(f"  {label}: {value:.12f}")
 
@@ -71,7 +71,7 @@ print("\n== the oracle catches a wrong closed form ==")
 # angular factor on the diagonal quadratic term; quadrature rejects it
 p = FFParams(alpha=0.7, sigma=0.5, k=1)
 nq = dirichlet_norm_quad(f, p).norm_sq
-nc = dirichlet_norm_closed_k1(f, p).norm_sq
+nc = dirichlet_norm(f, p, method="closed-k1").norm_sq
 nv = _closed_k1_variant(f, p)
 print(f"quadrature            : {nq:.10f}")
 print(f"implemented closed form: {nc:.10f}   (rel diff {abs(nc-nq)/nq:.1e})")

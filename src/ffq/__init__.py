@@ -6,7 +6,7 @@ oracles for every computable identity.
 from .errors import (INF, BranchError, DegenerateMeasure, DegreeMismatch,
                      DivergentIntegral, DomainError, FFQError, FrameError,
                      IntrinsicError, NoConvergence, check_order)
-from .quaternion import (E1, E2, E3, ONE, ZERO, Quaternion, SliceFrame,
+from .quaternion import (E1, E2, E3, ONE, Quaternion, SliceFrame,
                          SlicePolar, STANDARD_FRAME, as_quaternion, dot4,
                          embed_complex, frame_coords, frame_embed,
                          principal_power, random_frame,
@@ -30,8 +30,7 @@ from .quadrature import (DEFAULT_SPEC, MAX_FINEST_NODES, QuadratureSpec,
                          path_integral)
 from .ff_complex import (BASE_POINT, CoefficientIntegrals, DirichletValue,
                          bergman_kernel, coefficient_integrals,
-                         dirichlet_norm, dirichlet_norm_closed_k1,
-                         dirichlet_norm_quad, dirichlet_norms_quad,
+                         dirichlet_norm, dirichlet_norm_quad, dirichlet_norms_quad,
                          dirichlet_norm_series, exact_coefficient_integrals,
                          ff_eval_c, ff_eval_stack, inner_product_c,
                          integrating_factor_residual, kernel_K_half,

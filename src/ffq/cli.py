@@ -37,7 +37,7 @@ from .ff_quaternionic import (ff_eval_q, qdirichlet_inner_product,
 from .ff_real import FFParams, ff_derivative_real
 from .holo_series import CPowerSeries
 from .quadrature import QuadratureSpec
-from .quaternion import Quaternion, SliceFrame, E1, E2
+from .quaternion import Quaternion, SliceFrame, STANDARD_FRAME
 from .slice_regular import QPowerSeries
 
 EXIT_OK = 0
@@ -216,7 +216,7 @@ def parse_point(value):
 
 def build_frame(payload):
     if payload is None:
-        return SliceFrame(E1, E2)
+        return STANDARD_FRAME
     return SliceFrame(Quaternion(*payload[0]), Quaternion(*payload[1]))
 
 

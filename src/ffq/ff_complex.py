@@ -16,6 +16,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -475,7 +476,8 @@ def _method_table(p, degree, spec, method):
 
 
 def dirichlet_norm_closed_k1(f, p):
-    """Closed-form fast path for k = 1; no quadrature involved."""
+    """dirichlet_norm(f, p, method="closed-k1"): the closed-form k = 1 norm,
+    under the name perfbench imports."""
     return dirichlet_norm(f, p, method="closed-k1")
 
 
@@ -640,13 +642,12 @@ def _path_moments(wn, wt, N):
     return c.reshape(q, m)
 
 
-def _moment_path_sum(wn, wt, zt, N):
-    """The same sum through the Bergman series truncated after degree N:
-    the path moments c (_path_moments), then the series sum_n c_n x**n in
+def _moment_path_sum(c, zt):
+    """The same sum through the Bergman series truncated after degree N,
+    from the path moments c (_path_moments): the series sum_n c_n x**n in
     x = conj(zeta), in blocks of m powers (Paterson-Stockmeyer),
     n = j m + i: Q = c @ x**i per chunk of zetas, then Horner in x**m over
     the q rows of Q."""
-    c = _path_moments(wn, wt, N)
     q, m = c.shape
     x = np.conj(zt)
     out = np.empty(zt.shape, dtype=complex)
@@ -740,10 +741,12 @@ def kernel_K_half(z, zeta, p, spec=None):
     (_certified_change): sum_n |c1_n - c0_n| max|zeta|**n plus what
     rounding can add to either series.  When that bound proves every zeta
     meets the tolerance, level 1 is accepted and level 0 is never evaluated
-    at the zetas; otherwise level 0 is, and the test runs as above.  Either
-    way the value, the level and any NoConvergence are those of comparing
-    the evaluated levels.  Each level's nodes and weights are built once per
-    call, or once per reproduction_rhs_2_stack call inside one.
+    at the zetas; otherwise the level loop runs as for every integral,
+    handed the level-1 values already computed.  Either way the value, the
+    level and any NoConvergence are those of comparing the evaluated
+    levels.  Each level's moments are formed once per call, for its series
+    and the certificate alike; its nodes and weights once per call, or once
+    per reproduction_rhs_2_stack call inside one.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -766,10 +769,11 @@ def kernel_K_half(z, zeta, p, spec=None):
     if levels is None:
         levels = {}
 
+    @cache
     def rule(level):
-        """Nodes w_i, weights wt_i and series order N at a level, N None
-        where the dense product serves; the nodes, weights and max|w_i| are
-        built once per levels dict, read-only."""
+        """Nodes w_i, weights wt_i and moments c at a level, c None where
+        the dense product serves, formed once per call; the nodes, weights
+        and max|w_i| are built once per levels dict, read-only."""
         key = (z, p, spec, level)
         if key not in levels:
             wn, cw = _path_rule(path, spec, level)
@@ -779,23 +783,20 @@ def kernel_K_half(z, zeta, p, spec=None):
             levels[key] = wn, wt, float(np.max(np.abs(wn)))
         wn, wt, w_max = levels[key]
         N = _moment_order(w_max * zeta_max)
-        return wn, wt, (None if N > _DENSE_COST * len(wn) else N)
+        return wn, wt, (None if N > _DENSE_COST * len(wn) else _path_moments(wn, wt, N))
 
     def estimate(level):
-        wn, wt, N = rule(level)
-        if N is None:
-            return _dense_path_sum(wn, wt, zt)
-        return _moment_path_sum(wn, wt, zt, N)
+        wn, wt, c = rule(level)
+        return _dense_path_sum(wn, wt, zt) if c is None else _moment_path_sum(c, zt)
 
-    def certify(level, cur):
-        (wn, wt, N), (wo, wto, No) = rule(level), rule(level - 1)
-        if N is None or No is None:
-            return None
-        return _certified_change(_path_moments(wn, wt, N), _path_moments(wo, wto, No),
-                                 zeta_max, cur, spec)
-
+    first = estimate(1)
+    c1, c0 = rule(1)[2], rule(0)[2]
+    if (c1 is not None and c0 is not None
+            and _certified_change(c1, c0, zeta_max, first, spec) is not None):
+        return finish(first)
     try:
-        return finish(_converge(estimate, spec, "kernel path integral", certify=certify).value)
+        return finish(_converge(lambda level: first if level == 1 else estimate(level),
+                                spec, "kernel path integral").value)
     except NoConvergence as exc:
         changes = exc.changes * abs(outer)
         raise NoConvergence(str(exc), finish(exc.value), float(exc.error * abs(outer)),

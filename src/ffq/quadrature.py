@@ -28,6 +28,11 @@ largest stack.  A nested integrand also holds kernel_K_half's
 16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta), and
 for the life of the nested integral the path levels it has built: nodes
 and weights, at most 2 nr panels_r 2**level complex numbers of each.
+
+Every refinement runs through one loop, _converge.  The path kernel's
+certificate, which can accept its level 1 without evaluating level 0, lives
+in kernel_K_half, which calls the loop only when the certificate refuses;
+each level's moments are formed once per kernel call.
 """
 
 import cmath
@@ -161,7 +166,7 @@ def _polar_estimate(g, spec, level):
     return np.asarray(acc)
 
 
-def _converge(estimate, spec, describe, entrywise=False, certify=None):
+def _converge(estimate, spec, describe, entrywise=False):
     """Refine estimate(level) until successive levels agree to tolerance.
 
     By default every entry of a stacked estimate must agree at the same
@@ -169,24 +174,14 @@ def _converge(estimate, spec, describe, entrywise=False, certify=None):
     keeps the value and change of the first level at which it agreed, as if
     refined alone, while refinement goes on for the entries that have not.
     At the cap, NoConvergence carries each entry's change as changes and
-    their maximum as error.
-
-    certify(level, cur), if given, is asked before level - 1 is estimated,
-    which is at level 1: it returns a bound on |cur - estimate(level - 1)|
-    that proves every entry would meet the tolerance, and the level is then
-    accepted with that bound as its error, or it returns None and the level
-    is compared with level - 1 as above.  Every other decision is the one
-    made without certify.
+    their maximum as error.  Every caller's refinement runs through this
+    loop; kernel_K_half may accept its level 1 before calling it, by a
+    certificate of its own.
     """
-    prev = None if certify else estimate(0)
+    prev = estimate(0)
     held = None
     for level in range(1, spec.max_refine + 1):
         cur = estimate(level)
-        if prev is None:
-            bound = certify(level, cur)
-            if bound is not None:
-                return QuadResult(_unwrap(cur), float(bound), level)
-            prev = estimate(level - 1)
         diff = np.abs(cur - prev)
         met = diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
         if entrywise and held is not None:

@@ -122,7 +122,6 @@ class Quaternion:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 E1 = Quaternion(0.0, 1.0)
 E2 = Quaternion(0.0, 0.0, 1.0)

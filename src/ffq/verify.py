@@ -14,9 +14,8 @@ import math
 import numpy as np
 
 from .errors import INF, NoConvergence
-from .ff_complex import (bergman_kernel, coefficient_integrals,
-                         dirichlet_norm_closed_k1, dirichlet_norm_quad,
-                         dirichlet_norms_quad, dirichlet_norm_series,
+from .ff_complex import (bergman_kernel, coefficient_integrals, dirichlet_norm,
+                         dirichlet_norm_quad, dirichlet_norms_quad, dirichlet_norm_series,
                          exact_coefficient_integrals, ff_eval_c,
                          integrating_factor_residual, reproduce_identity_2,
                          reproduction_rhs_1_stack, _kernel_weight, _series_table)
@@ -26,7 +25,7 @@ from .ff_real import FFParams, ff_derivative_real
 from .holo_series import CPowerSeries, in_slit_disk
 from .quadrature import (DEFAULT_SPEC, QuadratureSpec, build_slit_path,
                          path_integral)
-from .quaternion import Quaternion, SliceFrame, random_frame, E1, E2
+from .quaternion import STANDARD_FRAME, Quaternion, random_frame
 from .slice_regular import (QPowerSeries, eval_q, extend_from_slice, split,
                             star_inverse, star_product)
 
@@ -231,7 +230,7 @@ def closed_k1_discrepancy():
         coeffs = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
         f = CPowerSeries(coeffs)
         nq = dirichlet_norm_quad(f, p, DEFAULT_SPEC).norm_sq
-        nc = dirichlet_norm_closed_k1(f, p).norm_sq
+        nc = dirichlet_norm(f, p, method="closed-k1").norm_sq
         nv = _closed_k1_variant(f, p)
         rel_closed = abs(nc - nq) / nq
         rel_variant = abs(nv - nq) / nq
@@ -359,7 +358,7 @@ def factor_identity(seed=DEFAULT_SEED):
         rows.append({"variant": "complex", "z": str(z), "alpha": p.alpha,
                      "sigma": p.sigma, "k": _k_label(p.k), "residual": res,
                      "status": _status(res < TOL_FACTOR_IDENTITY)})
-    frame = SliceFrame(E1, E2)
+    frame = STANDARD_FRAME
     for idx, z in enumerate(points):
         p = FFParams(alpha=alphas[(idx + 1) % 4], sigma=sigmas[(idx // 3) % 4],
                      k=ks[(idx + 1) % 3])
@@ -542,7 +541,7 @@ def quaternionic_kernel(seed=DEFAULT_SEED, n_points=4):
     """Quaternionic reproducing identities by slice reduction at alpha = 1."""
     rng = np.random.default_rng(seed)
     rows = []
-    frame = SliceFrame(E1, E2)
+    frame = STANDARD_FRAME
     for idx in range(n_points):
         p = FFParams(alpha=1.0, sigma=(0.3, 0.5, 0.7)[idx % 3],
                      k=(1, INF)[idx % 2])

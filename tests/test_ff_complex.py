@@ -1,3 +1,4 @@
+import contextlib
 import math
 import threading
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  DivergentIntegral, DomainError, NoConvergence, QuadratureSpec,
                  bergman_kernel, coefficient_integrals, dirichlet_norm,
-                 dirichlet_norm_closed_k1, dirichlet_norm_quad, dirichlet_norms_quad,
+                 dirichlet_norm_quad, dirichlet_norms_quad,
                  dirichlet_norm_series, exact_coefficient_integrals, ff_eval_c,
                  ff_eval_stack, inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
@@ -285,11 +286,11 @@ def test_series_norm_guards(spec):
 def test_closed_k1(spec, rng):
     p = FFParams(alpha=0.5, sigma=0.5, k=1)
     f = CPowerSeries(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    nc = dirichlet_norm_closed_k1(f, p).norm_sq
+    nc = dirichlet_norm(f, p, method="closed-k1").norm_sq
     nq = dirichlet_norm_quad(f, p, spec).norm_sq
     assert abs(nc - nq) <= 1e-8 * nq
     with pytest.raises(DomainError):
-        dirichlet_norm_closed_k1(f, FFParams(alpha=0.5, sigma=0.5, k=2))
+        dirichlet_norm(f, FFParams(alpha=0.5, sigma=0.5, k=2), method="closed-k1")
 
 
 def test_series_norm_of_a_constant_needs_no_table(no_quadrature):
@@ -321,7 +322,7 @@ def test_dirichlet_norm_dispatch(spec):
     assert (dirichlet_norm(f, p, spec, "series")
             == dirichlet_norm_series(f, p, ci))
     assert (dirichlet_norm(f, p, method="closed-k1")
-            == dirichlet_norm_closed_k1(f, p))
+            == ff_complex.dirichlet_norm_closed_k1(f, p))
     with pytest.raises(ValueError):
         dirichlet_norm(f, p, spec, "closed")
 
@@ -402,7 +403,7 @@ def test_moment_form_matches_dense_path_sum():
             wt = cw * ff_complex._kernel_weight(wn, p)
             N = ff_complex._moment_order(np.max(np.abs(wn)) * np.max(np.abs(zt)))
             dense = ff_complex._dense_path_sum(wn, wt, zt)
-            moment = ff_complex._moment_path_sum(wn, wt, zt, N)
+            moment = ff_complex._moment_path_sum(ff_complex._path_moments(wn, wt, N), zt)
             assert np.max(np.abs(moment - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -426,7 +427,7 @@ def test_blocked_moment_sum_matches_the_plain_series(N):
     zetas = 0.9 * np.sqrt(rng.random(n)) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
     for zt in (zetas, zetas[:1]):
         want = _plain_moment_path_sum(wn, wt, zt, N)
-        got = ff_complex._moment_path_sum(wn, wt, zt, N)
+        got = ff_complex._moment_path_sum(ff_complex._path_moments(wn, wt, N), zt)
         assert got.shape == zt.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -457,13 +458,24 @@ def test_kernel_takes_both_branches_and_matches_the_dense_kernel(monkeypatch):
     spy("_moment_path_sum")
     mixed = [kernel_K_half(z, zt, p, NESTED_SPEC) for z in MOMENT_POINTS]
     assert seen == {"_dense_path_sum", "_moment_path_sum"}
-    at_zero = kernel_K_half(0.85j, 0.0, p, NESTED_SPEC)  # rho = 0: one term
     monkeypatch.setattr(ff_complex, "_DENSE_COST", 0)  # every level dense
     for z, got in zip(MOMENT_POINTS, mixed):
         dense = kernel_K_half(z, zt, p, NESTED_SPEC)
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
-    dense = kernel_K_half(0.85j, 0.0, p, NESTED_SPEC)
-    assert abs(at_zero - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("alpha, sigma, k", [(1.0, 0.5, 1), (0.7, 0.3, 2), (0.4, 0.8, INF),
+                                             (0.9, 0.6, 3)])
+def test_kernel_at_zeta_zero_is_its_closed_form(alpha, sigma, k):
+    # B(w, 0) = 1/pi and the weight is F'/(1 - sigma), F the integrating
+    # factor, so K(z, 0) = (1 - F(1/2)/F(z)) / (pi (1 - sigma)); rho = 0
+    # there, so the series has one term
+    p = FFParams(alpha=alpha, sigma=sigma, k=k)
+    factor = ff_complex._integrating_factor
+    for z in MOMENT_POINTS + (-0.3 + 0.2j,):
+        want = (1.0 - factor(0.5, p) / factor(complex(z), p)) / (math.pi * (1.0 - sigma))
+        got = kernel_K_half(z, 0.0, p, NESTED_SPEC)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_kernel_rejects_non_finite_zeta():
@@ -514,7 +526,7 @@ def _explicit_kernel(z, zeta, p, spec):
         N = ff_complex._moment_order(float(np.max(np.abs(wn))) * zeta_max)
         if N > ff_complex._DENSE_COST * len(wn):
             return ff_complex._dense_path_sum(wn, wt, zt)
-        return ff_complex._moment_path_sum(wn, wt, zt, N)
+        return ff_complex._moment_path_sum(ff_complex._path_moments(wn, wt, N), zt)
 
     prev = estimate(0)
     for level in range(1, spec.max_refine + 1):
@@ -586,7 +598,7 @@ def test_failed_certificate_falls_back_to_the_explicit_test(monkeypatch):
         N = ff_complex._moment_order(float(np.max(np.abs(wn))) * zeta_max)
         assert N <= ff_complex._DENSE_COST * len(wn)
         moments.append(ff_complex._path_moments(wn, wt, N))
-        sums.append(ff_complex._moment_path_sum(wn, wt, zt, N))
+        sums.append(ff_complex._moment_path_sum(moments[-1], zt))
     lax = replace(NESTED_SPEC, rel_tol=1e3, abs_tol=0.0)
     bound = ff_complex._certified_change(*moments, zeta_max, sums[0], lax)
     change = np.max(np.abs(sums[0] - sums[1]) / np.abs(sums[0]))
@@ -614,6 +626,33 @@ def test_capped_kernel_changes_are_the_explicit_procedures():
     assert got.value.error == want.value.error
 
 
+def test_each_level_forms_its_moments_once_per_kernel_call(monkeypatch):
+    formed = []
+    moments = ff_complex._path_moments
+
+    def spy(wn, wt, N):
+        formed.append(len(wn))  # the path's node count names the level
+        return moments(wn, wt, N)
+    monkeypatch.setattr(ff_complex, "_path_moments", spy)
+    seen = _spy_certificate(monkeypatch)
+    rings = _zeta_grid().reshape(-1, 32)
+    capped = QuadratureSpec(nr=4, ntheta=4, panels_r=1, panels_theta=1,
+                            rel_tol=1e-300, abs_tol=0.0, max_refine=2)
+    cases = [  # certified at level 1, refused and converged at level 2, capped
+        (0.5 + 0.3j, rings[10], FFParams(alpha=0.7, sigma=0.3, k=2), NESTED_SPEC, 2),
+        (0.85j, rings[17], FFParams(alpha=1.0, sigma=0.5, k=1), NESTED_SPEC, 3),
+        (0.5j, np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.6j]), FFParams(alpha=0.7, sigma=0.5, k=2),
+         capped, 3)]
+    for z, zt, p, spec, n_levels in cases:
+        formed.clear()
+        seen.clear()
+        with pytest.raises(NoConvergence) if spec is capped else contextlib.nullcontext():
+            kernel_K_half(z, zt, p, spec)
+        assert len(formed) == len(set(formed)) == n_levels
+        # one certificate, which accepts exactly when level 1 is returned
+        assert len(seen) == 1 and (seen[0] is not None) == (n_levels == 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(-3.1, 3.1),
        st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(-3.14, 3.14)),
@@ -635,7 +674,7 @@ def test_an_accepted_certificate_implies_the_explicit_test(r, t, polar, alpha, s
         N = ff_complex._moment_order(float(np.max(np.abs(wn))) * zeta_max)
         assume(N <= ff_complex._DENSE_COST * len(wn))
         moments.append(ff_complex._path_moments(wn, wt, N))
-        sums.append(ff_complex._moment_path_sum(wn, wt, zt, N))
+        sums.append(ff_complex._moment_path_sum(moments[-1], zt))
     bound = ff_complex._certified_change(*moments, zeta_max, sums[0], spec)
     if bound is not None:
         diff = np.abs(sums[0] - sums[1])

@@ -11,7 +11,7 @@ import pytest
 
 from ffq import (INF, CoefficientIntegrals, CPowerSeries, DomainError, FFParams,
                  QPowerSeries, Quaternion, coefficient_integrals,
-                 exact_coefficient_integrals, dirichlet_norm_closed_k1, dirichlet_norm_series,
+                 exact_coefficient_integrals, dirichlet_norm, dirichlet_norm_series,
                  inner_product_c, qdirichlet_norm_series, random_frame, split)
 from ffq.ff_complex import _measure_vanishes, series_gram
 from ffq.quaternion import frame_coords
@@ -74,7 +74,8 @@ def cells():
     alpha, sigma, k = CLOSED_CELL
     p = FFParams(alpha=alpha, sigma=sigma, k=k)
     ci = exact_coefficient_integrals(p, DEGREE)
-    out.append((p, ci.alpha_mn, ci.beta_mn, lambda f, p=p: dirichlet_norm_closed_k1(f, p)))
+    out.append((p, ci.alpha_mn, ci.beta_mn,
+                lambda f, p=p: dirichlet_norm(f, p, method="closed-k1")))
     return out
 
 
