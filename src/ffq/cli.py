@@ -3,14 +3,16 @@ derivative evaluation, batch tables, verification suites, machine-readable
 JSON/CSV output.
 
 One table, FLAGS, maps each flag to the JobSpec field it sets, and
-COMMANDS lists the flags each command reads (plus --out, --format and
---job); the parsers, the FFQ_CONFIG lookup and the JobSpec are built from
-the two.  The environment variable FFQ_CONFIG may point at a JSON file of
-flag defaults, keyed like the flags' argparse dests.
+COMMANDS gives each command the flags it reads (plus --out, --format and
+--job), its default --method and its handler; the parsers, the FFQ_CONFIG
+lookup, the JobSpec and run are built from the two.  The environment
+variable FFQ_CONFIG may point at a JSON file of flag defaults, keyed like
+the flags' argparse dests.
 
-Exit codes: 0 all assertions passed, 2 parse error (argparse errors and
-flags a command does not take included), 3 domain error, 4 tolerance or
-convergence failure; failures write one strict-JSON error record to stderr.
+Exit codes: 0 all assertions passed, 2 parse error (argparse errors, flags
+a command does not take, an --out that cannot be written and JSON nested
+too deep to parse included), 3 domain error, 4 tolerance or convergence
+failure; every failure writes one strict-JSON error record to stderr.
 Every float is printed with 17 significant digits so re-ingestion is
 lossless, and repeated invocations produce byte-identical files.
 """
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -247,92 +250,79 @@ def _complex_pair(value):
     return [float(value.real), float(value.imag)]
 
 
-# --method when none is given; an unknown method raises ValueError (exit 2)
-_DEFAULT_METHODS = {"deriv": "closed", "qderiv": "split"}
-
-
 def run(job):
     """Execute a job; returns (exit_code, document) where the document is a
     dict for JSON output or a list of row dicts for tabular output."""
     spec = QuadratureSpec(**(job.quad or {}))
-    method = job.method or _DEFAULT_METHODS.get(job.command, "quad")
-    if job.command == "deriv":
-        if job.real_f is not None:
-            fn = _real_function(job)
-            value = ff_derivative_real(fn, build_params(job), job.t, method=method)
-            return EXIT_OK, {"command": "deriv", "space": "real",
-                             "t": job.t, "value": value,
-                             "params": _params_doc(job)}
-        f = complex_series(_series_payload(job.f))
-        value = ff_eval_c(f, build_params(job), parse_point(job.z))
-        return EXIT_OK, {"command": "deriv", "space": "complex",
-                         "z": _complex_pair(parse_point(job.z)),
-                         "value": _complex_pair(value),
-                         "params": _params_doc(job)}
-    if job.command == "qderiv":
-        f = quaternion_series(_series_payload(job.f))
-        frame = build_frame(job.frame)
-        value = ff_eval_q(f, build_params(job), frame, parse_point(job.z),
-                          method=method)
-        return EXIT_OK, {"command": "qderiv",
-                         "z": _complex_pair(parse_point(job.z)),
-                         "value": list(value.components),
-                         "params": _params_doc(job)}
-    if job.command == "norm":
-        f = complex_series(_series_payload(job.f))
-        p = build_params(job)
-        if job.g is not None:
-            g = complex_series(_series_payload(job.g))
-            value = inner_product_c(f, g, p, spec)
-            return EXIT_OK, {"command": "norm",
-                             "inner_product": _complex_pair(value),
-                             "params": _params_doc(job)}
-        val = dirichlet_norm(f, p, spec, method)
-        return EXIT_OK, {"command": "norm", "method": val.method,
-                         "norm_sq": val.norm_sq, "point_term": val.point_term,
-                         "field_term": val.field_term,
-                         "params": _params_doc(job)}
-    if job.command == "qnorm":
-        f = quaternion_series(_series_payload(job.f))
-        p = build_params(job)
-        frame = build_frame(job.frame)
-        if job.g is not None:
-            g = quaternion_series(_series_payload(job.g))
-            value = qdirichlet_inner_product(f, g, p, frame, spec)
-            return EXIT_OK, {"command": "qnorm",
-                             "inner_product": list(value.components),
-                             "params": _params_doc(job)}
-        val = qdirichlet_norm(f, p, frame, spec, method)
-        return EXIT_OK, {"command": "qnorm", "method": val.method,
-                         "norm_sq": val.norm_sq,
-                         "split_parts": list(val.split_parts),
-                         "params": _params_doc(job)}
-    if job.command == "kernel":
-        p = build_params(job)
-        value = kernel_K_half(parse_point(job.z), parse_point(job.zeta), p, spec)
-        return EXIT_OK, {"command": "kernel",
-                         "z": _complex_pair(parse_point(job.z)),
-                         "zeta": _complex_pair(parse_point(job.zeta)),
-                         "value": _complex_pair(value),
-                         "params": _params_doc(job)}
-    if job.command == "verify":
-        rows, ok = verify_mod.run_suite(job.suite, quaternionic=False)
-        return (EXIT_OK if ok else EXIT_TOLERANCE), rows
-    if job.command == "qverify":
-        rows, ok = verify_mod.run_suite(job.suite, quaternionic=True)
-        return (EXIT_OK if ok else EXIT_TOLERANCE), rows
-    if job.command == "table":
-        rows = _table(job, spec, method)
-        statuses = {row["status"] for row in rows}
-        if "domain" in statuses:
-            return EXIT_DOMAIN, rows
-        return (EXIT_TOLERANCE if "no_convergence" in statuses else EXIT_OK), rows
-    raise DomainError(f"unknown command {job.command!r}")
+    # the lookup of the default method hashes the command, so an unhashable
+    # --job command is a TypeError without --method, else a DomainError
+    if not job.method:
+        hash(job.command)
+    command = COMMANDS.get(job.command) if isinstance(job.command, str) else None
+    if command is None:
+        raise DomainError(f"unknown command {job.command!r}")
+    return command.run(job, spec, job.method or command.method)
 
 
-def _params_doc(job):
-    return {"alpha": job.alpha, "beta": job.beta, "sigma": job.sigma,
-            "k": encode_k(job.k)}
+def _record(job, **fields):
+    """Exit 0 and the record of fields, led by the command and closed by
+    its parameters."""
+    params = {"alpha": job.alpha, "beta": job.beta, "sigma": job.sigma, "k": encode_k(job.k)}
+    return EXIT_OK, {"command": job.command, **fields, "params": params}
+
+
+def _deriv(job, spec, method):
+    if job.real_f is not None:
+        fn = _real_function(job)
+        value = ff_derivative_real(fn, build_params(job), job.t, method=method)
+        return _record(job, space="real", t=job.t, value=value)
+    f = complex_series(_series_payload(job.f))
+    value = ff_eval_c(f, build_params(job), parse_point(job.z))
+    return _record(job, space="complex", z=_complex_pair(parse_point(job.z)),
+                   value=_complex_pair(value))
+
+
+def _qderiv(job, spec, method):
+    f = quaternion_series(_series_payload(job.f))
+    frame = build_frame(job.frame)
+    value = ff_eval_q(f, build_params(job), frame, parse_point(job.z), method=method)
+    return _record(job, z=_complex_pair(parse_point(job.z)), value=list(value.components))
+
+
+def _norm(job, spec, method):
+    f = complex_series(_series_payload(job.f))
+    p = build_params(job)
+    if job.g is not None:
+        g = complex_series(_series_payload(job.g))
+        return _record(job, inner_product=_complex_pair(inner_product_c(f, g, p, spec)))
+    val = dirichlet_norm(f, p, spec, method)
+    return _record(job, method=val.method, norm_sq=val.norm_sq,
+                   point_term=val.point_term, field_term=val.field_term)
+
+
+def _qnorm(job, spec, method):
+    f = quaternion_series(_series_payload(job.f))
+    p = build_params(job)
+    frame = build_frame(job.frame)
+    if job.g is not None:
+        g = quaternion_series(_series_payload(job.g))
+        value = qdirichlet_inner_product(f, g, p, frame, spec)
+        return _record(job, inner_product=list(value.components))
+    val = qdirichlet_norm(f, p, frame, spec, method)
+    return _record(job, method=val.method, norm_sq=val.norm_sq,
+                   split_parts=list(val.split_parts))
+
+
+def _kernel(job, spec, method):
+    p = build_params(job)
+    z, zeta = parse_point(job.z), parse_point(job.zeta)
+    return _record(job, z=_complex_pair(z), zeta=_complex_pair(zeta),
+                   value=_complex_pair(kernel_K_half(z, zeta, p, spec)))
+
+
+def _verify(job, spec, method):
+    rows, ok = verify_mod.run_suite(job.suite, quaternionic=job.command == "qverify")
+    return (EXIT_OK if ok else EXIT_TOLERANCE), rows
 
 
 def _k_sort_key(k):
@@ -351,7 +341,8 @@ def _table(job, spec, method):
     Every cell's parameters and beta = 1 are checked before the first norm,
     so bad input fails the whole command.  A series method builds one table
     per (alpha, k), which every sigma reads through dirichlet_norm_series
-    once the cell's norm is known to be finite."""
+    once the cell's norm is known to be finite.  It exits 3 if some row is
+    "domain", else 4 if some row is "no_convergence", else 0."""
     _require_norm_method(method)
     f = complex_series(_series_payload(job.f))
     alphas = sorted(job.alphas or [job.alpha])
@@ -395,7 +386,10 @@ def _table(job, spec, method):
                      "norm_sq": norm_sq, "point_term": point,
                      "field_term": field, "method": method, "status": status,
                      "reason": reason})
-    return rows
+    statuses = {row["status"] for row in rows}
+    if "domain" in statuses:
+        return EXIT_DOMAIN, rows
+    return (EXIT_TOLERANCE if "no_convergence" in statuses else EXIT_OK), rows
 
 
 def _cell(value):
@@ -485,17 +479,25 @@ _QUAD = tuple(name for name, (field, _, _) in FLAGS.items()
               if field.startswith("quad."))
 _OUTPUT = ("out", "format")
 
-# the flags each command reads: the JobSpec fields its branch of run uses;
-# every command also takes _OUTPUT and --job
+
+class Command(typing.NamedTuple):
+    """A command's row of COMMANDS."""
+
+    flags: tuple  # the JobSpec fields its handler reads; every command takes _OUTPUT and --job
+    method: str  # --method when none is given
+    run: typing.Callable  # run(job, spec, method) -> (exit code, document)
+
+
 COMMANDS = {
-    "deriv": ("f", "z", "t", "real_f", "method") + _PARAMS,
-    "norm": ("f", "g", "method") + _PARAMS + _QUAD,
-    "qnorm": ("f", "g", "frame", "method") + _PARAMS + _QUAD,
-    "qderiv": ("f", "frame", "z", "method") + _PARAMS,
-    "kernel": ("z", "zeta") + _PARAMS + _QUAD,
-    "verify": ("suite",),
-    "qverify": ("suite",),
-    "table": ("f", "alphas", "sigmas", "ks", "method") + _PARAMS + _QUAD,
+    "deriv": Command(("f", "z", "t", "real_f", "method") + _PARAMS, "closed", _deriv),
+    "norm": Command(("f", "g", "method") + _PARAMS + _QUAD, "quad", _norm),
+    "qnorm": Command(("f", "g", "frame", "method") + _PARAMS + _QUAD, "quad", _qnorm),
+    "qderiv": Command(("f", "frame", "z", "method") + _PARAMS, "split", _qderiv),
+    "kernel": Command(("z", "zeta") + _PARAMS + _QUAD, None, _kernel),
+    "verify": Command(("suite",), None, _verify),
+    "qverify": Command(("suite",), None, _verify),
+    "table": Command(("f", "alphas", "sigmas", "ks", "method") + _PARAMS + _QUAD,
+                     "quad", _table),
 }
 
 
@@ -512,9 +514,9 @@ def _parser():
         description="Fractal-fractional derivatives and Dirichlet-type norms "
                     "for holomorphic and slice-regular series.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, names in COMMANDS.items():
+    for command, entry in COMMANDS.items():
         sub = subs.add_parser(command)
-        for name in names + _OUTPUT:
+        for name in entry.flags + _OUTPUT:
             sub.add_argument("--" + name.replace("_", "-"), help=FLAGS[name][2],
                              choices=("json", "csv") if name == "format" else None)
         sub.add_argument("--job", help="full JobSpec as JSON or @file (overrides flags)")
@@ -550,7 +552,7 @@ def build_job(args):
         return JobSpec.from_payload(_read_json_arg(args.job))
     cfg = _config_defaults()
     payload = {"command": args.command}
-    for name in COMMANDS[args.command] + _OUTPUT:
+    for name in COMMANDS[args.command].flags + _OUTPUT:
         field, parse, _ = FLAGS[name]
         text = getattr(args, name)
         value = (cfg.get(name) if text is None
@@ -568,14 +570,6 @@ def build_job(args):
 def main(argv=None):
     try:
         job = build_job(_parser().parse_args(argv))
-    except json.JSONDecodeError as exc:
-        _error_record("parse", exc, position=exc.pos, line=exc.lineno,
-                      column=exc.colno)
-        return EXIT_PARSE
-    except (OSError, ValueError, TypeError, LookupError) as exc:
-        _error_record("parse", exc)
-        return EXIT_PARSE
-    try:
         # numpy's warnings would break the strict-JSON stderr; a result that
         # overflowed still reaches canonical_dumps as a non-finite float
         with np.errstate(all="ignore"):
@@ -585,10 +579,14 @@ def main(argv=None):
     except NoConvergence as exc:
         _error_record("no_convergence", exc, value=exc.value, change=exc.error)
         return EXIT_TOLERANCE
+    except json.JSONDecodeError as exc:
+        _error_record("parse", exc, position=exc.pos, line=exc.lineno,
+                      column=exc.colno)
+        return EXIT_PARSE
     except (DomainError, FFQError, ZeroDivisionError, OverflowError) as exc:
         _error_record("domain", exc)
         return EXIT_DOMAIN
-    except (TypeError, LookupError, ValueError) as exc:
+    except (OSError, RecursionError, TypeError, LookupError, ValueError) as exc:
         _error_record("parse", exc)
         return EXIT_PARSE
 

@@ -56,17 +56,11 @@ def _require_linear(p):
         raise DomainError("norms and inner products are defined on the linear (beta = 1) space")
 
 
-def _stack_nodes(z):
-    """z as a complex array of evaluation points, checked for the stack."""
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(in_slit_disk(zz)):
-        raise BranchError("evaluation point outside the slit unit disk")
-    return zz
-
-
 def _stack_rows(fs, p, sigmas, zz):
     """Generate (i, row) with row = D f at zz for each (sigma, series) pair,
-    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].
+    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].  zz, a complex
+    array, is checked once to be in the slit disk: by the measure
+    derivative if some sigma > 0, else here.
 
     The sigma-free parts are formed once per series: f(zz), f'(zz), the
     measure derivative (once for the stack, only if some sigma > 0) and
@@ -78,6 +72,8 @@ def _stack_rows(fs, p, sigmas, zz):
     fractal = any(s != 0.0 for s in sigmas)
     if fractal:
         den = fractal_measure_deriv_c(zz, p.alpha, p.k)
+    elif not np.all(in_slit_disk(zz)):
+        raise BranchError("evaluation point outside the slit unit disk")
     for m, f in enumerate(fs):
         fv = f(zz)
         if fractal:
@@ -116,7 +112,7 @@ def ff_eval_stack(fs, p, z):
     axis at the evaluation points (spot-screened here; the global hypothesis
     is the caller's).
     """
-    zz = _stack_nodes(z)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty((len(fs),) + zz.shape, dtype=complex)
     for i, row in _stack_rows(fs, p, (p.sigma,), zz):
         out[i] = row
@@ -146,7 +142,7 @@ def _abs2_stack(fs, p, z, sigmas):
     """|D f|**2 at z for each (sigma, series) pair, sigma-major, written row
     by row into one float buffer: no complex stack is formed, and the row of
     (s, f) holds the bits of np.abs(ff_eval_stack([f], p with sigma s, z))**2."""
-    zz = _stack_nodes(z)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty((len(sigmas) * len(fs),) + zz.shape)
     for i, row in _stack_rows(fs, p, sigmas, zz):
         np.abs(row, out=out[i])
@@ -455,24 +451,23 @@ def _require_norm_method(method):
 
 
 def _method_table(p, degree, spec, method):
-    """The table "series" (sized to the degree, none for a constant) or
-    "closed-k1" (k = 1 only) reads; beta = 1 is checked first.  It depends
-    on (alpha, k), not on sigma.  Both read exact_coefficient_integrals;
-    "series" integrates a table by coefficient_integrals only at k = 2,
-    where no exact one exists.  Where e_{k-1}(z**alpha) vanishes no table
-    exists: "series" raises DomainError for degree > 0, since the callers
-    have proven the norm finite (_require_finite_field), which "quad" gives."""
+    """The table "series" reads (sized to the degree, none for a constant);
+    "closed-k1" is the same route behind a check that k = 1, where the
+    table is exact.  beta = 1 is checked first.  It depends on (alpha, k),
+    not on sigma.  It reads exact_coefficient_integrals, and integrates a
+    table by coefficient_integrals only at k = 2, where no exact one exists.
+    Where e_{k-1}(z**alpha) vanishes no table exists: DomainError for
+    degree > 0, since the callers have proven the norm finite
+    (_require_finite_field), which "quad" gives."""
     _require_linear(p)
-    if method == "series":
-        if degree <= 0:
-            return None
-        if _measure_vanishes(p.alpha, p.k):
-            raise DomainError(f"no coefficient table exists at alpha = {p.alpha}, k = {p.k}, "
-                              "where this norm is finite: use method quad")
-        return _series_table(p, degree, spec)
-    if p.k != 1:
+    if method == "closed-k1" and p.k != 1:
         raise DomainError("closed form available only for k = 1: use method series or quad")
-    return exact_coefficient_integrals(p, max(degree, 0))
+    if degree <= 0:
+        return None
+    if _measure_vanishes(p.alpha, p.k):
+        raise DomainError(f"no coefficient table exists at alpha = {p.alpha}, k = {p.k}, "
+                          "where this norm is finite: use method quad")
+    return _series_table(p, degree, spec)
 
 
 def dirichlet_norm_closed_k1(f, p):

@@ -166,7 +166,7 @@ def truncated_exp_c(w, k):
 def fractal_measure_c(z, alpha, k):
     """The slit-disk fractal function e_k(z**alpha), principal branch."""
     if not np.all(in_slit_disk(z)):
-        raise BranchError("argument outside the slit unit disk")
+        raise BranchError("evaluation point outside the slit unit disk")
     return truncated_exp_c(principal_power_c(z, alpha), k)
 
 
@@ -177,7 +177,7 @@ def fractal_measure_deriv_c(z, alpha, k):
         raise DomainError("order-0 fractal measure is constant; no usable derivative")
     km1 = INF if k == INF else k - 1
     if not np.all(in_slit_disk(z)):
-        raise BranchError("argument outside the slit unit disk")
+        raise BranchError("evaluation point outside the slit unit disk")
     zz = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
     w = principal_power_c(zz, alpha)
     tiny = np.abs(zz) < np.finfo(float).tiny

@@ -587,5 +587,5 @@ def run_suite(name, quaternionic=False):
                 rows.append(row)
         return _verdict(rows)
     if name not in table:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(table)} or 'all'")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(table)} or 'all'")
     return table[name]()

@@ -740,3 +740,62 @@ def test_every_route_decodes_k_alike(route, value, accepted, tmp_path, capsys,
         assert record["type"] == "parse"
         assert record["message"].startswith(label)
 
+
+
+def _one_parse_record(code, out, err):
+    """Exit 2, nothing on stdout and one strict-JSON parse record on stderr;
+    returns the record."""
+    assert code == EXIT_PARSE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0], parse_constant=_reject_constant)["error"]
+    assert record["type"] == "parse"
+    return record
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "[[1,0]]", "--alpha", "1", "--sigma", "0.5", "--k", "1"],
+    ["table", "--f", "[[0,0],[1,0]]", "--format", "csv"],
+    ["verify", "--suite", "limits"],
+])
+def test_unwritable_out_exits_2_with_a_parse_record(argv, tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    record = _one_parse_record(*run_cli(argv + ["--out", out], capsys))
+    assert "no-such-dir" in record["message"]
+
+
+_DEEP_JSON = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize("route", ["--f", "--f @file", "--job @file", "FFQ_CONFIG"])
+def test_over_deep_json_exits_2_with_a_parse_record(route, tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP_JSON)
+    argv = {"--f": ["norm", "--f", _DEEP_JSON],
+            "--f @file": ["norm", "--f", f"@{path}"],
+            "--job @file": ["norm", "--job", f"@{path}"],
+            "FFQ_CONFIG": ["norm", "--f", "[[1,0]]"]}[route]
+    if route == "FFQ_CONFIG":
+        monkeypatch.setenv("FFQ_CONFIG", str(path))
+    record = _one_parse_record(*run_cli(argv, capsys))
+    assert "recursion" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["verify", "qverify"])
+def test_unknown_suite_exits_2_with_its_message_unquoted(command, capsys):
+    record = _one_parse_record(*run_cli([command, "--suite", "bogus"], capsys))
+    assert record["message"].startswith("unknown suite 'bogus'; choose from ")
+
+
+@pytest.mark.parametrize("payload, code, kind", [
+    ({"command": "nope"}, EXIT_DOMAIN, "domain"),
+    ({"command": 3}, EXIT_DOMAIN, "domain"),
+    ({"command": [1], "method": "quad"}, EXIT_DOMAIN, "domain"),
+    # without --method the default's lookup meets the unhashable command
+    ({"command": [1]}, EXIT_PARSE, "parse"),
+])
+def test_job_command_that_names_no_command(payload, code, kind, capsys):
+    got, out, err = run_cli(["norm", "--job", json.dumps(payload)], capsys)
+    assert got == code and out == ""
+    assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == kind

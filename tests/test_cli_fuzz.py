@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +27,12 @@ _STRINGS = {
                "direct", "bogus"],
     "real_f": ["poly", "exp", "sin-offset", "bogus"],
     "format": ["json", "csv", "xml"],
+    # an --out that cannot be opened: its directory does not exist
+    "out": [os.path.join(os.path.dirname(__file__), "no-such-dir", "out.json")],
 }
 _QUAD_INTS = ["4", "0", "-3", "40", "1.5"]
+# JSON nested deeper than the decoder's recursion limit
+_DEEP = "[" * 3000 + "]" * 3000
 
 
 def _values(name):
@@ -38,7 +43,7 @@ def _values(name):
         return _QUAD_INTS
     if parse is float:
         return _NUMBERS
-    return _JSON
+    return _JSON + [_DEEP]
 
 
 # a valid job for each command, so that the drawn flags, which come later
@@ -56,10 +61,10 @@ _VALID = {
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(_VALID)))
-    names = draw(st.lists(st.sampled_from(COMMANDS[command] + ("format",)),
+    names = draw(st.lists(st.sampled_from(COMMANDS[command].flags + ("format", "out")),
                           unique=True, max_size=4))
     argv = [command] + _VALID[command]
-    if "max_refine" in COMMANDS[command]:
+    if "max_refine" in COMMANDS[command].flags:
         argv += _COARSE
     for name in names:
         argv += ["--" + name.replace("_", "-"), draw(st.sampled_from(_values(name)))]
@@ -95,19 +100,22 @@ def job_payloads(draw):
     valid = _VALID[command]
     payload = {"command": command}
     payload.update((flag[2:], json.loads(text)) for flag, text in zip(valid[::2], valid[1::2]))
-    if "max_refine" in COMMANDS[command]:
+    if "max_refine" in COMMANDS[command].flags:
         payload["quad"] = dict(_COARSE_QUAD)
-    names = draw(st.lists(st.sampled_from(COMMANDS[command] + ("format", "command", "colour")),
+    names = draw(st.lists(st.sampled_from(COMMANDS[command].flags
+                                          + ("format", "out", "command", "colour")),
                           unique=True, max_size=4))
     for name in names:
         field = FLAGS[name][0] if name in FLAGS else name
         head, _, key = field.partition(".")
-        value = draw(st.sampled_from(_ANY))
+        # an integer out would name a file descriptor: out stays a missing path
+        value = draw(st.sampled_from(_STRINGS["out"] if name == "out" else _ANY))
         if key:
             payload.setdefault(head, {})[key] = value
         else:
             payload[field] = value
-    return command, draw(st.sampled_from([payload] * 6 + [[payload], "x", 3, None]))
+    payload = draw(st.sampled_from([payload] * 6 + [[payload], "x", 3, None, _DEEP]))
+    return command, payload, _DEEP if payload is _DEEP else json.dumps(payload)
 
 
 def _check_contract(argv, csv_output):
@@ -136,6 +144,6 @@ def test_hostile_command_lines_keep_the_exit_code_and_output_contract(argv):
 @settings(max_examples=300, deadline=None)
 @given(job_payloads())
 def test_hostile_job_payloads_keep_the_exit_code_and_output_contract(drawn):
-    command, payload = drawn
+    command, payload, text = drawn
     csv_output = isinstance(payload, dict) and payload.get("format") == "csv"
-    _check_contract([command, "--job", json.dumps(payload)], csv_output)
+    _check_contract([command, "--job", text], csv_output)

@@ -15,8 +15,8 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
                  ff_eval_stack, inner_product_c, integrating_factor_residual, kernel_K_half,
                  reproduce_identity_1, reproduce_identity_2, integrate_disk,
                  reproduction_rhs_1_stack, reproduction_rhs_2_stack)
-from ffq import ff_complex, quadrature
-from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c
+from ffq import ff_complex, holo_series, quadrature
+from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c, in_slit_disk
 from ffq.quadrature import _composite, _path_rule, build_slit_path
 from ffq.verify import GRID_ALPHAS, NESTED_SPEC
 
@@ -49,6 +49,41 @@ def test_ff_eval_domain_checks():
         ff_eval_c(CPowerSeries([1]), p, -0.5)
     with pytest.raises(DomainError):
         ff_eval_c(CPowerSeries([1]), FFParams(alpha=0.5, sigma=0.5, k=0), 0.3)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_ff_eval_rejects_points_off_the_slit_disk(sigma):
+    p = FFParams(alpha=0.5, sigma=sigma, k=1)
+    for z in (-0.5, 0.0, 1.2, np.array([0.3, -0.25])):
+        with pytest.raises(BranchError, match="evaluation point outside the slit unit disk"):
+            ff_eval_c(CPowerSeries([1.0, 0.5]), p, z)
+
+
+def test_each_node_block_is_checked_for_the_slit_disk_once(monkeypatch):
+    # the measure derivative checks a block's nodes when some sigma > 0,
+    # _stack_rows when none is; the point checks of reproduction_rhs_1_stack
+    # see one point per series, so only the blocks' checks see more
+    checked, blocks = [], []
+
+    def spy_check(z):
+        checked.append(np.size(z))
+        return in_slit_disk(z)
+
+    def spy_rows(fs, p, sigmas, zz):
+        blocks.append(zz.size)
+        return stack_rows(fs, p, sigmas, zz)
+
+    stack_rows = ff_complex._stack_rows
+    monkeypatch.setattr(holo_series, "in_slit_disk", spy_check)
+    monkeypatch.setattr(ff_complex, "in_slit_disk", spy_check)
+    monkeypatch.setattr(ff_complex, "_stack_rows", spy_rows)
+    fs = [CPowerSeries([1.0, 0.5]), CPowerSeries([0.0, 0.0, 1.0])]
+    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    for sigmas in ((0.0,), (0.0, 0.5)):
+        dirichlet_norms_quad(fs, p, sigmas=sigmas)
+    reproduction_rhs_1_stack(fs, p, [0.3 + 0.2j, 0.5j])
+    assert len(blocks) > 3
+    assert [n for n in checked if n > len(fs)] == blocks
 
 
 def test_ff_eval_fractional_beta():
@@ -291,6 +326,31 @@ def test_closed_k1(spec, rng):
     assert abs(nc - nq) <= 1e-8 * nq
     with pytest.raises(DomainError):
         dirichlet_norm(f, FFParams(alpha=0.5, sigma=0.5, k=2), method="closed-k1")
+
+
+def test_closed_k1_is_the_series_route_bit_for_bit(rng):
+    for _ in range(300):
+        p = FFParams(alpha=rng.uniform(0.02, 1.0), sigma=rng.uniform(0.0, 1.0), k=1)
+        n = rng.integers(0, 9)
+        f = CPowerSeries(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        closed = dirichlet_norm(f, p, method="closed-k1")
+        assert closed.method == "closed-k1"
+        assert replace(closed, method="series") == dirichlet_norm(f, p, method="series")
+
+
+@pytest.mark.parametrize("alpha, k", [(1.0, 2), (0.5, 2), (0.7, 3), (1.0, INF)])
+@pytest.mark.parametrize("coeffs", [[1.0], [0.0, 2.0, 1.0]])
+def test_closed_k1_refuses_k_other_than_1_before_any_table(alpha, k, coeffs, no_quadrature,
+                                                            monkeypatch):
+    # [0, 2, 1] has f'(-1) = 0, so its norm is finite at (1, 2) too, where
+    # the series route would refuse for want of a table
+    def refuse(*args):
+        raise AssertionError("a table was built")
+    monkeypatch.setattr(ff_complex, "exact_coefficient_integrals", refuse)
+    with pytest.raises(DomainError, match="^closed form available only for k = 1: "
+                                          "use method series or quad$"):
+        dirichlet_norm(CPowerSeries(coeffs), FFParams(alpha=alpha, sigma=0.5, k=k),
+                       method="closed-k1")
 
 
 def test_series_norm_of_a_constant_needs_no_table(no_quadrature):

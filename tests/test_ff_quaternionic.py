@@ -21,6 +21,17 @@ def spec():
     return QuadratureSpec()
 
 
+def test_closed_k1_qnorm_is_the_series_route_bit_for_bit(rng):
+    for _ in range(300):
+        p = FFParams(alpha=rng.uniform(0.02, 1.0), sigma=rng.uniform(0.0, 1.0), k=1)
+        f = QPowerSeries([random_quaternion(rng) for _ in range(rng.integers(0, 9) + 1)])
+        frame = random_frame(rng)
+        closed = qdirichlet_norm(f, p, frame, method="closed-k1")
+        series = qdirichlet_norm(f, p, frame, method="series")
+        assert (closed.method, series.method) == ("closed-k1", "series")
+        assert (closed.norm_sq, closed.split_parts) == (series.norm_sq, series.split_parts)
+
+
 def test_ff_eval_q_constant():
     p = FFParams(alpha=0.7, sigma=0.3, k=2)
     c = Quaternion(0.4, -1.0, 0.2, 2.0)
