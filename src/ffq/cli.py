@@ -158,7 +158,12 @@ class JobSpec:
 
     @classmethod
     def from_payload(cls, payload):
+        """The job of a payload; out and format must be strings or null
+        (an integer out would name a file descriptor)."""
         data = dict(payload)
+        for name in _OUTPUT:
+            if not isinstance(data.get(name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {data[name]!r}")
         if "k" in data:
             data["k"] = _named("k", decode_k, data["k"])
         if data.get("ks") is not None:
@@ -254,10 +259,6 @@ def run(job):
     """Execute a job; returns (exit_code, document) where the document is a
     dict for JSON output or a list of row dicts for tabular output."""
     spec = QuadratureSpec(**(job.quad or {}))
-    # the lookup of the default method hashes the command, so an unhashable
-    # --job command is a TypeError without --method, else a DomainError
-    if not job.method:
-        hash(job.command)
     command = COMMANDS.get(job.command) if isinstance(job.command, str) else None
     if command is None:
         raise DomainError(f"unknown command {job.command!r}")

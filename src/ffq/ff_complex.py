@@ -23,10 +23,10 @@ import numpy as np
 from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
                      DomainError, INF, NoConvergence)
 from .ff_real import DEFAULT_STEP
-from .holo_series import (fractal_measure_c, fractal_measure_deriv_c,
+from .holo_series import (_deriv_order, fractal_measure_c, fractal_measure_deriv_c,
                           in_slit_disk, truncated_exp_c)
 from .quadrature import (DEFAULT_SPEC, _BLOCK_NODES, _converge, _path_rule,
-                         _polar_blocks, build_slit_path, integrate_disk)
+                         _polar_blocks, _rule_block, build_slit_path, integrate_disk)
 
 BASE_POINT = 0.5
 # tail bound of the truncated Bergman series in kernel_K_half
@@ -46,8 +46,9 @@ _SERIES_BLOCK = 16
 _UNIT = 2.0 ** -53
 _ETA = 2.0 ** -1074
 # the path levels kernel_K_half builds, {(z, p, spec, level): (w, wt,
-# max|w|)}, shared by its calls inside one nested integral:
-# reproduction_rhs_2_stack sets a fresh dict and resets it when it returns
+# max|w|)}, and the integrating factor F(z) under (z, p), shared by its
+# calls inside one nested integral: reproduction_rhs_2_stack sets a fresh
+# dict and resets it when it returns
 _PATH_LEVELS = ContextVar("ffq_path_levels", default=None)
 
 
@@ -56,11 +57,33 @@ def _require_linear(p):
         raise DomainError("norms and inner products are defined on the linear (beta = 1) space")
 
 
+def _rule_measure_deriv(block, alpha, k):
+    """d/dz e_k(z**alpha) = alpha z**(alpha-1) e_{k-1}(z**alpha) at the
+    nodes of a disk-rule block, from its rows: the outer products
+    alpha rb**(alpha-1) e^{i (alpha-1) tn} and rb**alpha e^{i alpha tn}
+    (_PolarBlock.power).  No per-node complex power and no slit-disk check:
+    the rule's nodes lie in the slit disk by construction.  At alpha = 1 it
+    is e_{k-1}(z) exactly, and at k = 1 the first product alone (e_0 = 1):
+    the bits the whole formula gives there, without forming the factor 1."""
+    km1 = _deriv_order(k)
+    if alpha == 1.0:
+        return truncated_exp_c(block.z, km1)
+    field = block.power(alpha - 1.0, alpha)
+    if km1 != 0:
+        field *= truncated_exp_c(block.power(alpha), km1)
+    return field
+
+
 def _stack_rows(fs, p, sigmas, zz):
     """Generate (i, row) with row = D f at zz for each (sigma, series) pair,
-    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].  zz, a complex
-    array, is checked once to be in the slit disk: by the measure
-    derivative if some sigma > 0, else here.
+    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].
+
+    When zz is the node array of the disk-rule block being integrated
+    (quadrature._rule_block), the measure derivative is formed from the
+    block's ring and angle rows (_rule_measure_deriv) and zz is not checked:
+    the rule lies in the slit disk by construction.  Any other zz is user
+    input, checked once to be in the slit disk: by fractal_measure_deriv_c
+    if some sigma > 0, else here.
 
     The sigma-free parts are formed once per series: f(zz), f'(zz), the
     measure derivative (once for the stack, only if some sigma > 0) and
@@ -70,9 +93,11 @@ def _stack_rows(fs, p, sigmas, zz):
     """
     n = len(fs)
     fractal = any(s != 0.0 for s in sigmas)
+    block = _rule_block(zz)
     if fractal:
-        den = fractal_measure_deriv_c(zz, p.alpha, p.k)
-    elif not np.all(in_slit_disk(zz)):
+        den = (fractal_measure_deriv_c(zz, p.alpha, p.k) if block is None
+               else _rule_measure_deriv(block, p.alpha, p.k))
+    elif block is None and not np.all(in_slit_disk(zz)):
         raise BranchError("evaluation point outside the slit unit disk")
     for m, f in enumerate(fs):
         fv = f(zz)
@@ -221,17 +246,16 @@ def _matrix_estimate(p, N, spec, level):
     km1 = INF if p.k == INF else p.k - 1
     A = np.zeros((N + 1, N + 1), dtype=complex)
     B = np.zeros((N + 1, N + 1), dtype=complex)
-    for r, t, z, w in _polar_blocks(spec, level):
-        # z**a = r**a e^{i a t} on the principal branch: Gauss nodes never
-        # reach t = +-pi, and this costs no per-node complex power
-        za = r ** a * np.exp(1j * a * t)
+    for block in _polar_blocks(spec, level):
+        # z**a = r**a e^{i a t} from the block's rows (_PolarBlock.power)
+        za = block.power(a)
         e = truncated_exp_c(za, km1)
-        zp = _powers(z, N + 1)
+        zp = _powers(block.z, N + 1)
         zpc = zp.conj()
-        wa = w * r ** (3.0 - 2.0 * a) / np.abs(e) ** 2
+        wa = block.ring_weights(block.rb ** (3.0 - 2.0 * a)) / np.abs(e) ** 2
         A += (zpc * wa) @ zp.T
         # r**(2-a) e^{i t (1-a)} = r z / z**a on the principal branch
-        wb = w * r * z / (za * e)
+        wb = block.ring_weights(block.rb) * block.z / (za * e)
         B += (zp * wb) @ zpc.T
     return np.stack([A, B])
 
@@ -740,8 +764,8 @@ def kernel_K_half(z, zeta, p, spec=None):
     handed the level-1 values already computed.  Either way the value, the
     level and any NoConvergence are those of comparing the evaluated
     levels.  Each level's moments are formed once per call, for its series
-    and the certificate alike; its nodes and weights once per call, or once
-    per reproduction_rhs_2_stack call inside one.
+    and the certificate alike; its nodes and weights, and F(z), once per
+    call, or once per reproduction_rhs_2_stack call inside one.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -751,7 +775,12 @@ def kernel_K_half(z, zeta, p, spec=None):
     zt = np.atleast_1d(np.asarray(zeta, dtype=complex))
     if not np.all(np.isfinite(zt)):
         raise DomainError("zeta must be finite")
-    outer = 1.0 / _integrating_factor(z, p)
+    levels = _PATH_LEVELS.get()
+    if levels is None:
+        levels = {}
+    if (z, p) not in levels:
+        levels[z, p] = _integrating_factor(z, p)
+    outer = 1.0 / levels[z, p]
 
     def finish(vals):
         out = outer * vals
@@ -760,9 +789,6 @@ def kernel_K_half(z, zeta, p, spec=None):
     if not path.segments or zt.size == 0:
         return finish(np.zeros(zt.shape, dtype=complex))
     zeta_max = float(np.max(np.abs(zt)))
-    levels = _PATH_LEVELS.get()
-    if levels is None:
-        levels = {}
 
     @cache
     def rule(level):
@@ -811,15 +837,17 @@ def reproduction_rhs_2_stack(fs, p, z, spec=None):
     (z, p, inner spec), so the path levels it builds (nodes, weights and
     max|w|) are kept for the life of this call, in a dict this call sets in
     the context variable _PATH_LEVELS and resets on return: each level is
-    built once per call, and nothing outlives it or crosses threads.
+    built once per call, and nothing outlives it or crosses threads.  The
+    dict also holds F(z), which the prefactor and every kernel call read.
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
     z = complex(z)
     outer_spec = replace(spec, rel_tol=max(spec.rel_tol, 1e-7))
     inner_spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-9))
-    prefactor = _integrating_factor(BASE_POINT, p) / _integrating_factor(z, p)
-    token = _PATH_LEVELS.set({})
+    factor = _integrating_factor(z, p)
+    prefactor = _integrating_factor(BASE_POINT, p) / factor
+    token = _PATH_LEVELS.set({(z, p): factor})
     try:
         integral = integrate_disk(
             lambda zeta: kernel_K_half(z, zeta, p, inner_spec) * ff_eval_stack(fs, p, zeta),

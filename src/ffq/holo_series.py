@@ -170,12 +170,25 @@ def fractal_measure_c(z, alpha, k):
     return truncated_exp_c(principal_power_c(z, alpha), k)
 
 
-def fractal_measure_deriv_c(z, alpha, k):
-    """d/dz of e_k(z**alpha), i.e. alpha * z**(alpha-1) * e_{k-1}(z**alpha)."""
+def _deriv_order(k):
+    """k - 1 (inf at k = inf), the order of e_{k-1} in d/dz e_k(z**alpha),
+    after checking k; k = 0 has no usable derivative."""
     k = check_order(k)
     if k == 0:
         raise DomainError("order-0 fractal measure is constant; no usable derivative")
-    km1 = INF if k == INF else k - 1
+    return INF if k == INF else k - 1
+
+
+def fractal_measure_deriv_c(z, alpha, k):
+    """d/dz of e_k(z**alpha), i.e. alpha * z**(alpha-1) * e_{k-1}(z**alpha).
+
+    This is the checked route for any z: it tests the points against the
+    slit disk and takes a complex power node by node.  The nodes of a disk
+    quadrature block do not come here: ff_complex forms the same field
+    from the block's ring and angle rows (_rule_measure_deriv), unchecked,
+    since the rule lies in the slit disk by construction.
+    """
+    km1 = _deriv_order(k)
     if not np.all(in_slit_disk(z)):
         raise BranchError("evaluation point outside the slit unit disk")
     zz = np.asarray(z, dtype=complex) if not np.isscalar(z) else z

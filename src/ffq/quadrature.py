@@ -14,20 +14,32 @@ the node axis last; a stack is integrated entrywise in one pass.  Node blocks
 are processed in a fixed order with a fixed accumulation order, so results
 are deterministic for a given spec.  A block takes whole radial rows, at
 least one, of at most _BLOCK_NODES = 2**13 nodes, however many rows the
-stack has; kernel_K_half chunks its zetas by the same size.  Each block
-yields its nodes z = r e^{i theta} beside r, theta and the weights, formed
-from one row of e^{i theta} per level, so no node takes a sine or cosine.
+stack has; kernel_K_half chunks its zetas by the same size.
 
-The block bounds everything that is one row long: the per-node arrays (r,
-theta and the weights at 8 bytes a node, z and the measure derivative at
-16) and the few row-sized complex temporaries of a stack filled row by row
-(f, f' and f'/den, once per series, and the row being formed), each at
-most 128 KiB, so they stay in cache.  A stack of h rows takes h x 2**13
-elements per block: 5.3 MB for the norms sweep's 81 float rows, the
-largest stack.  A nested integrand also holds kernel_K_half's
-16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta), and
-for the life of the nested integral the path levels it has built: nodes
-and weights, at most 2 nr panels_r 2**level complex numbers of each.
+A block (_PolarBlock) holds its ring radii rb, the level's angle row tn,
+its nodes z = rb e^{i tn}, ring-major, and their weights; rb, tn and z
+are read-only.  On a tensor rule every per-node quantity is an outer
+product of a ring row and an angle row (Davis and Rabinowitz 1984), so
+no node takes a sine, a cosine or a complex power.  While an integrand
+runs on a block, _polar_estimate publishes the block in the context
+variable _RULE_BLOCK.  Code handed that block's own z (an identity test,
+_rule_block) may read the rows: ff_complex forms the measure derivative
+alpha z**(alpha-1) e_{k-1}(z**alpha) from them, and _matrix_estimate its
+powers r**a e^{i a t}.  Such code does not check the nodes against the
+slit disk: rb lies in (0, 1) and tn in (-pi, pi) by construction, which
+the tests confirm up to the MAX_FINEST_NODES budget.  Any other array, a
+copy of z included, is checked as user input.
+
+The block bounds everything that is one row long: the weights at 8 bytes
+a node, z and the measure derivative at 16, and the few row-sized complex
+temporaries of a stack filled row by row (f, f' and f'/den, once per
+series, and the row being formed), each at most 128 KiB, so they stay in
+cache.  A stack of h rows takes h x 2**13 elements per block: 5.3 MB for
+the norms sweep's 81 float rows, the largest stack.  A nested integrand
+also holds kernel_K_half's 16 + ceil((N+1)/16) rows of powers and partial
+sums in conj(zeta), and for the life of the nested integral the path
+levels it has built: nodes and weights, at most 2 nr panels_r 2**level
+complex numbers of each.
 
 Every refinement runs through one loop, _converge.  The path kernel's
 certificate, which can accept its level 1 without evaluating level 0, lives
@@ -38,6 +50,7 @@ each level's moments are formed once per kernel call.
 import cmath
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,6 +66,9 @@ _BLOCK_NODES = 1 << 13
 # largest finest-level disk rule a spec may ask for: four times the default
 # spec's 4096 x 4096 nodes at max_refine = 5, one more doubling of it
 MAX_FINEST_NODES = 1 << 26
+# the disk-rule block an integrand is running on, set by _polar_estimate for
+# the call and reset when it returns
+_RULE_BLOCK = ContextVar("ffq_rule_block", default=None)
 
 
 @dataclass(frozen=True)
@@ -122,12 +138,36 @@ def _composite(a, b, panels, n):
     return nodes, weights
 
 
+class _PolarBlock(NamedTuple):
+    """One block of the disk rule: ring radii rb, the level's angle row tn,
+    the nodes z = rb e^{i tn} ring-major, and their weights; rb, tn and z
+    are read-only, so the rows stay the rows of z."""
+
+    rb: np.ndarray
+    tn: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+
+    def ring_weights(self, ring):
+        """The weights, each times its ring's entry of the row ring (one
+        value per radius): the bits of w * np.repeat(ring, len(tn))."""
+        return (self.w.reshape(len(self.rb), -1) * ring[:, None]).ravel()
+
+    def power(self, a, scale=1.0):
+        """scale * z**a at the nodes, principal branch, as the ring row
+        scale rb**a times the angle row e^{i a tn}: Gauss nodes never reach
+        tn = +-pi, so no node takes a complex power.  At a = 1 the bits of z."""
+        return ((scale * self.rb ** a)[:, None] * np.exp(1j * a * self.tn)[None, :]).ravel()
+
+
 def _polar_blocks(spec, level):
-    """Node blocks (r, theta, z, weight) of the disk rule at a level, with
-    z = r e^{i theta} formed from one row of e^{i theta} per level: the same
-    bits as r * np.exp(1j * theta) node by node.  A block is whole radial
-    rows, at least one, of at most _BLOCK_NODES nodes; the blocks in order
-    are the tensor rule node for node.
+    """Node blocks (_PolarBlock: rb, tn, z, w) of the disk rule at a level.
+    A block is whole radial rows, at least one, of at most _BLOCK_NODES
+    nodes; the blocks in order are the tensor rule node for node.  z is
+    rb[:, None] e^{i tn}[None, :] from one row of e^{i theta} per level:
+    the same bits as r * np.exp(1j * theta) node by node.  Per-node r and
+    theta arrays are not formed: _polar_estimate, _matrix_estimate and the
+    measure derivative of ff_complex read the rows.
 
     The first radial panel [0, h] is graded: its Gauss nodes x map to
     r = x**2 / h with weight (2 x / h) w, the same node count.  The
@@ -144,24 +184,38 @@ def _polar_blocks(spec, level):
     h, x = 1.0 / (spec.panels_r << level), rn[: spec.nr]
     rw[: spec.nr] *= 2.0 * x / h
     rn[: spec.nr] = x * x / h
+    rn.setflags(write=False)
     tn, tw = _composite(-np.pi, np.pi, spec.panels_theta << level, spec.ntheta)
+    tn.setflags(write=False)
     eit = np.exp(1j * tn)
     rows = max(1, _BLOCK_NODES // len(tn))
     for i in range(0, len(rn), rows):
         rb, wb = rn[i : i + rows], rw[i : i + rows]
-        yield (
-            np.repeat(rb, len(tn)),
-            np.tile(tn, len(rb)),
-            (rb[:, None] * eit[None, :]).ravel(),
-            (wb[:, None] * tw[None, :]).ravel(),
-        )
+        z = (rb[:, None] * eit[None, :]).ravel()
+        z.setflags(write=False)
+        yield _PolarBlock(rb, tn, z, (wb[:, None] * tw[None, :]).ravel())
+
+
+def _rule_block(z):
+    """The disk-rule block an integrand is running on if z is that block's
+    own node array (an identity test, not equal values), else None."""
+    block = _RULE_BLOCK.get()
+    return block if block is not None and block.z is z else None
 
 
 def _polar_estimate(g, spec, level):
+    """The rule's sum of g r over the level's blocks, each block published
+    in _RULE_BLOCK while g runs on its nodes."""
     acc = None
-    for r, _, z, w in _polar_blocks(spec, level):
-        w = w * r
-        part = np.asarray(g(z)) @ w
+    for block in _polar_blocks(spec, level):
+        # formed before the integrand's values, as the order of these two
+        # allocations sets the peak memory of large stacks
+        w = block.ring_weights(block.rb)
+        token = _RULE_BLOCK.set(block)
+        try:
+            part = np.asarray(g(block.z)) @ w
+        finally:
+            _RULE_BLOCK.reset(token)
         acc = part if acc is None else acc + part
     return np.asarray(acc)
 

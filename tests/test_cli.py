@@ -792,10 +792,38 @@ def test_unknown_suite_exits_2_with_its_message_unquoted(command, capsys):
     ({"command": "nope"}, EXIT_DOMAIN, "domain"),
     ({"command": 3}, EXIT_DOMAIN, "domain"),
     ({"command": [1], "method": "quad"}, EXIT_DOMAIN, "domain"),
-    # without --method the default's lookup meets the unhashable command
-    ({"command": [1]}, EXIT_PARSE, "parse"),
+    # with or without a method: an unhashable command names no command either
+    ({"command": [1]}, EXIT_DOMAIN, "domain"),
+    ({"command": {"norm": 1}}, EXIT_DOMAIN, "domain"),
 ])
 def test_job_command_that_names_no_command(payload, code, kind, capsys):
     got, out, err = run_cli(["norm", "--job", json.dumps(payload)], capsys)
     assert got == code and out == ""
     assert json.loads(err, parse_constant=_reject_constant)["error"]["type"] == kind
+
+
+@pytest.mark.parametrize("field, value", [("out", 1), ("out", 2), ("out", True),
+                                          ("out", 40), ("out", ["x.json"]),
+                                          ("format", 1), ("format", ["csv"]),
+                                          ("format", {"csv": True})])
+def test_job_output_fields_must_be_strings(field, value, no_quadrature, monkeypatch,
+                                           capsys):
+    # an integer out would name a file descriptor and close it: every
+    # non-string out or format is refused before anything runs
+    import ffq.cli
+
+    def refuse(job):
+        raise AssertionError("job ran")
+
+    monkeypatch.setattr(ffq.cli, "run", refuse)
+    payload = {"command": "norm", "f": [[1, 0]], field: value}
+    record = _one_parse_record(*run_cli(["norm", "--job", json.dumps(payload)], capsys))
+    assert record["message"].startswith(f"{field} must be a string or null")
+
+
+def test_job_output_fields_may_be_null(capsys):
+    payload = {"command": "norm", "f": [[1, 0]], "alpha": 1, "k": 1, "out": None,
+               "format": None}
+    code, out, err = run_cli(["norm", "--job", json.dumps(payload)], capsys)
+    assert code == EXIT_OK and err == ""
+    assert abs(json.loads(out)["norm_sq"] - (1.0 + math.pi / 4.0)) <= 1e-9

@@ -89,6 +89,7 @@ def _decoded(text):
 _ANY = [_decoded(text) for text in _JSON + _NUMBERS + _QUAD_INTS]
 _ANY += [text for texts in _STRINGS.values() for text in texts]
 _ANY += [None, True, -1, 2.5, {"nr": 4}]
+_NON_STRING_OUT = [value for value in _ANY if not isinstance(value, str)]
 # _COARSE as the quad object of a payload
 _COARSE_QUAD = {FLAGS[flag[2:].replace("-", "_")][0].partition(".")[2]: int(text)
                 for flag, text in zip(_COARSE[::2], _COARSE[1::2])}
@@ -108,8 +109,10 @@ def job_payloads(draw):
     for name in names:
         field = FLAGS[name][0] if name in FLAGS else name
         head, _, key = field.partition(".")
-        # an integer out would name a file descriptor: out stays a missing path
-        value = draw(st.sampled_from(_STRINGS["out"] if name == "out" else _ANY))
+        # a string out stays a missing path, so no draw writes a file; any
+        # other type is refused before anything runs
+        value = draw(st.sampled_from(_NON_STRING_OUT + _STRINGS["out"] if name == "out"
+                                     else _ANY))
         if key:
             payload.setdefault(head, {})[key] = value
         else:

@@ -59,31 +59,60 @@ def test_ff_eval_rejects_points_off_the_slit_disk(sigma):
             ff_eval_c(CPowerSeries([1.0, 0.5]), p, z)
 
 
-def test_each_node_block_is_checked_for_the_slit_disk_once(monkeypatch):
-    # the measure derivative checks a block's nodes when some sigma > 0,
-    # _stack_rows when none is; the point checks of reproduction_rhs_1_stack
-    # see one point per series, so only the blocks' checks see more
-    checked, blocks = [], []
+def _spy_slit_checks(monkeypatch):
+    """The sizes of the arrays in_slit_disk checks, in ff_complex and in
+    holo_series (fractal_measure_deriv_c)."""
+    checked = []
 
     def spy_check(z):
         checked.append(np.size(z))
         return in_slit_disk(z)
+
+    monkeypatch.setattr(holo_series, "in_slit_disk", spy_check)
+    monkeypatch.setattr(ff_complex, "in_slit_disk", spy_check)
+    return checked
+
+
+def test_rule_blocks_are_never_rechecked_for_the_slit_disk(monkeypatch):
+    # the rule puts its nodes in the slit disk, at sigma = 0 and sigma > 0
+    # alike; the point checks of reproduction_rhs_1_stack see one point per
+    # series, so no check may see more
+    checked, blocks = _spy_slit_checks(monkeypatch), []
 
     def spy_rows(fs, p, sigmas, zz):
         blocks.append(zz.size)
         return stack_rows(fs, p, sigmas, zz)
 
     stack_rows = ff_complex._stack_rows
-    monkeypatch.setattr(holo_series, "in_slit_disk", spy_check)
-    monkeypatch.setattr(ff_complex, "in_slit_disk", spy_check)
     monkeypatch.setattr(ff_complex, "_stack_rows", spy_rows)
     fs = [CPowerSeries([1.0, 0.5]), CPowerSeries([0.0, 0.0, 1.0])]
-    p = FFParams(alpha=1.0, sigma=0.5, k=1)
+    p = FFParams(alpha=0.7, sigma=0.5, k=2)
     for sigmas in ((0.0,), (0.0, 0.5)):
         dirichlet_norms_quad(fs, p, sigmas=sigmas)
     reproduction_rhs_1_stack(fs, p, [0.3 + 0.2j, 0.5j])
     assert len(blocks) > 3
-    assert [n for n in checked if n > len(fs)] == blocks
+    assert checked and max(checked) <= len(fs)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_a_non_rule_array_is_checked_for_the_slit_disk_once(sigma, monkeypatch):
+    # a user's array, and a copy of a rule block inside an integrand, are
+    # checked once per call: by fractal_measure_deriv_c or by _stack_rows
+    checked = _spy_slit_checks(monkeypatch)
+    fs = [CPowerSeries([1.0, 0.5]), CPowerSeries([0.0, 0.0, 1.0])]
+    p = FFParams(alpha=0.7, sigma=sigma, k=2)
+    z = 0.6 * np.exp(1j * np.linspace(-3.0, 3.0, 100))
+    ff_eval_stack(fs, p, z)
+    assert checked == [100]
+    checked.clear()
+    sizes = []
+
+    def copied(zeta):
+        sizes.append(zeta.size)
+        return ff_eval_stack(fs, p, zeta.copy())
+
+    integrate_disk(copied, NESTED_SPEC)
+    assert checked == sizes
 
 
 def test_ff_eval_fractional_beta():
@@ -759,8 +788,12 @@ def test_nested_integral_builds_each_path_level_once_per_call(monkeypatch):
     spec = replace(NESTED_SPEC, panels_r=4, panels_theta=4)  # several blocks a level
     builds = _count_calls(monkeypatch, "_kernel_weight")
     kernels = _count_calls(monkeypatch, "kernel_K_half")
+    factors = _count_calls(monkeypatch, "_integrating_factor")
     first = reproduction_rhs_2_stack(fs, p, 0.3 + 0.4j, spec)
     work = builds[0], kernels[0]
+    # F(z) once for the prefactor and every kernel call, F(1/2) once, and
+    # F at the nodes of each path level the kernel weights
+    assert factors[0] == 2 + work[0]
     second = reproduction_rhs_2_stack(fs, p, 0.3 + 0.4j, spec)
     assert (builds[0], kernels[0]) == (2 * work[0], 2 * work[1])
     assert _same_bits(first, second)
@@ -1153,22 +1186,28 @@ def test_stacked_norms_match_one_at_a_time(spec, rng):
 
 
 def test_measure_derivative_once_per_node_block(spec, rng, monkeypatch):
+    # every node block forms the field once, from its rows, for the whole
+    # stack; the checked per-node route is not taken on rule nodes
     import ffq.ff_complex
     from ffq import STANDARD_FRAME, QPowerSeries, Quaternion
     from ffq import qdirichlet_inner_product, quadrature
-    calls = {"deriv": 0, "blocks": 0}
-    deriv, blocks = ffq.ff_complex.fractal_measure_deriv_c, quadrature._polar_blocks
+    calls = {"rows": 0, "checked": 0, "blocks": 0}
+    rows, blocks = ffq.ff_complex._rule_measure_deriv, quadrature._polar_blocks
+    checked = ffq.ff_complex.fractal_measure_deriv_c
 
-    def counted_deriv(*args):
-        calls["deriv"] += 1
-        return deriv(*args)
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
 
     def counted_blocks(*args):
         for block in blocks(*args):
             calls["blocks"] += 1
             yield block
 
-    monkeypatch.setattr(ffq.ff_complex, "fractal_measure_deriv_c", counted_deriv)
+    monkeypatch.setattr(ffq.ff_complex, "_rule_measure_deriv", counted("rows", rows))
+    monkeypatch.setattr(ffq.ff_complex, "fractal_measure_deriv_c", counted("checked", checked))
     monkeypatch.setattr(quadrature, "_polar_blocks", counted_blocks)
     p = FFParams(alpha=0.6, sigma=0.5, k=1)
     f = CPowerSeries([1.0, 2.0, 0.5j])
@@ -1177,9 +1216,141 @@ def test_measure_derivative_once_per_node_block(spec, rng, monkeypatch):
     for run in (lambda: inner_product_c(f, g, p, spec),
                 lambda: qdirichlet_inner_product(fq, fq, p, STANDARD_FRAME, spec),
                 lambda: dirichlet_norms_quad([f, g, f + g], p, spec)):
-        calls.update(deriv=0, blocks=0)
+        calls.update(rows=0, checked=0, blocks=0)
         run()
-        assert calls["blocks"] > 0 and calls["deriv"] == calls["blocks"]
+        assert calls["blocks"] > 0 and calls["rows"] == calls["blocks"]
+        assert calls["checked"] == 0
+
+
+_RULE_ALPHAS = (0.02, 0.3, 0.7, 1.0)
+_RULE_KS = (1, 2, 3, INF)
+
+
+@pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+def test_rule_measure_derivative_matches_the_checked_route(alpha):
+    # the rows field against fractal_measure_deriv_c at every node of levels
+    # 0-2: the checked route's complex power itself errs by up to 1.8e-15
+    # where |log z| is large (|z| near 1e-7), against 7e-17 for the rows
+    # field (mpmath), so the two meet to 2.5e-15
+    from ffq.ff_complex import _rule_measure_deriv
+    from ffq.quadrature import _polar_blocks
+    for k in _RULE_KS:
+        for spec in (quadrature.DEFAULT_SPEC, NESTED_SPEC):
+            for level in range(3):
+                for block in _polar_blocks(spec, level):
+                    got = _rule_measure_deriv(block, alpha, k)
+                    want = fractal_measure_deriv_c(block.z, alpha, k)
+                    assert np.all(np.abs(got - want) <= 2.5e-15 * np.abs(want))
+                    if alpha == 1.0:
+                        km1 = INF if k == INF else k - 1
+                        assert got.tobytes() == holo_series.truncated_exp_c(
+                            block.z, km1).tobytes()
+
+
+@pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+def test_rule_measure_derivative_matches_mpmath_at_sampled_nodes(alpha, rng):
+    mpmath = pytest.importorskip("mpmath")
+    from ffq.ff_complex import _rule_measure_deriv
+    from ffq.quadrature import _polar_blocks
+    for level in range(2):
+        blocks = list(_polar_blocks(quadrature.DEFAULT_SPEC, level))
+        # the smallest and largest radii, the angles nearest +-pi, and a few more
+        picks = [(blocks[0], 0), (blocks[0], len(blocks[0].tn) // 3),
+                 (blocks[-1], -1), (blocks[-1], -len(blocks[-1].tn))]
+        picks += [(blocks[b], int(rng.integers(len(blocks[b].z))))
+                  for b in rng.integers(len(blocks), size=4)]
+        for k in _RULE_KS:
+            for block, i in picks:
+                with mpmath.workdps(40):
+                    z = mpmath.mpc(block.z[i])
+                    w = mpmath.power(z, alpha)
+                    e = (mpmath.exp(w) if k == INF
+                         else mpmath.fsum(w ** n / mpmath.factorial(n) for n in range(k)))
+                    want = alpha * mpmath.power(z, alpha - 1) * e
+                got = _rule_measure_deriv(block, alpha, k)[i]
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_a_rule_copy_or_an_off_disk_array_takes_the_checked_route(sigma, monkeypatch):
+    # inside an integrand only the block's own node array reads the rows
+    p = FFParams(alpha=0.7, sigma=sigma, k=3)
+    fs = [CPowerSeries([1.0, 0.5])]
+    for moved in (lambda z: 1.5 * z, lambda z: z - 1.0, lambda z: -np.abs(z)):
+        with pytest.raises(BranchError, match="outside the slit unit disk"):
+            integrate_disk(lambda z: ff_eval_stack(fs, p, moved(z)), NESTED_SPEC)
+    if sigma == 0.0:
+        return
+    called = []
+    checked = ff_complex.fractal_measure_deriv_c
+    monkeypatch.setattr(ff_complex, "fractal_measure_deriv_c",
+                        lambda *args: called.append(1) or checked(*args))
+    own = integrate_disk(lambda z: ff_eval_stack(fs, p, z)[0], NESTED_SPEC)
+    assert not called
+    copy = integrate_disk(lambda z: ff_eval_stack(fs, p, z.copy())[0], NESTED_SPEC)
+    assert called and abs(copy.value - own.value) <= 1e-14 * abs(own.value)
+
+
+def test_concurrent_rule_integrals_give_their_serial_bits():
+    # each thread reads the rows of its own block: every block of each
+    # integral waits until the other thread has published its own block too
+    fs = [CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.3j, 0.0, 1.0])]
+    params = [FFParams(alpha=0.3, sigma=0.6, k=2), FFParams(alpha=0.7, sigma=0.4, k=INF)]
+    # refinement stops at level 1 for both, so both run the same blocks
+    spec = replace(NESTED_SPEC, rel_tol=1.0, max_refine=1)
+    meet = threading.Barrier(len(params), timeout=60)
+
+    def integral(p, wait):
+        def g(z):
+            wait()
+            return ff_eval_stack(fs, p, z)
+        return integrate_disk(g, spec).value
+
+    serial = [integral(p, lambda: None) for p in params]
+    results = [None] * len(params)
+
+    def run(i):
+        results[i] = integral(params[i], meet.wait)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(params))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert all(_same_bits(got, want) for got, want in zip(results, serial))
+
+
+def _perfbench_tracer():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_traced_rule_integrals_keep_their_bits():
+    # the benchmark's tracer hands each integrand the block's own z, so a
+    # traced run reads the same rows
+    Tracer = _perfbench_tracer()
+    fs = [CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.3j, 0.0, 1.0])]
+    p = FFParams(alpha=0.7, sigma=0.4, k=2)
+
+    def job():
+        return ([dirichlet_norm_quad(fs[0], p, NESTED_SPEC).norm_sq]
+                + list(reproduction_rhs_1_stack(fs, p, [0.3 + 0.2j, -0.4 + 0.1j], NESTED_SPEC)))
+
+    plain = job()
+    with Tracer() as tracer:
+        traced = job()
+    assert _same_bits(traced, plain)
+    assert tracer.summary()["quadrature.integrate_disk"]["nodes"] > 0
+    # only the two points are checked, never a block
+    checks = [span.counts["elements"] for span in tracer.spans
+              if span.name == "holo_series.in_slit_disk"]
+    assert checks and max(checks) <= len(fs)
 
 
 def test_quadrature_route_still_refines_as_the_witness():
@@ -1224,7 +1395,9 @@ def _reference_matrix_estimate(p, N, spec, level):
     km1 = INF if p.k == INF else p.k - 1
     A = np.zeros((N + 1, N + 1), dtype=complex)
     B = np.zeros((N + 1, N + 1), dtype=complex)
-    for r, t, z, w in _polar_blocks(spec, level):
+    for rb, tn, z, w in _polar_blocks(spec, level):
+        r = np.repeat(rb, len(tn))
+        t = np.tile(tn, len(rb))
         e = truncated_exp_c(z ** a, km1)
         zp = np.empty((N + 1, len(z)), dtype=complex)
         zp[0] = 1.0

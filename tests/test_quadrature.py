@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ffq import (DomainError, NoConvergence, QuadratureSpec, build_slit_path,
                  in_slit_disk, integrate_disk, path_integral)
 from ffq import quadrature
 from ffq.quadrature import DEFAULT_SPEC, _path_rule, _polar_blocks
-from ffq.verify import NESTED_SPEC
+from ffq.verify import DIVERGENCE_SPEC, NESTED_SPEC
 
 
 def test_disk_area():
@@ -24,7 +25,8 @@ def test_disk_radial_moment():
 @pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC])
 @pytest.mark.parametrize("height", [1, 4])
 def test_polar_block_nodes_are_the_nodewise_product(spec, height):
-    # the nodes an integrand of `height` rows is handed are r e^{it}, bit for bit
+    # the nodes an integrand of `height` rows is handed are rb e^{i tn}, ring
+    # by ring, bit for bit, and the integrand may not write to them
     for level in range(3):
         seen = []
 
@@ -34,8 +36,9 @@ def test_polar_block_nodes_are_the_nodewise_product(spec, height):
         quadrature._polar_estimate(stack, spec, level)
         blocks = list(_polar_blocks(spec, level))
         assert len(seen) == len(blocks)
-        for z, (r, t, _, _) in zip(seen, blocks):
-            assert z.tobytes() == (r * np.exp(1j * t)).tobytes()
+        for z, (rb, tn, _, _) in zip(seen, blocks):
+            assert z.tobytes() == (rb[:, None] * np.exp(1j * tn)).ravel().tobytes()
+            assert not z.flags.writeable
 
 
 @pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC])
@@ -50,16 +53,18 @@ def test_polar_blocks_are_capped_slices_of_the_tensor_rule(spec, height, monkeyp
             return np.ones((height, len(z)))
         quadrature._polar_estimate(stack, spec, level)
         blocks = list(_polar_blocks(spec, level))
-        assert [z.tobytes() for z in seen] == [b[2].tobytes() for b in blocks]
+        assert [z.tobytes() for z in seen] == [b.z.tobytes() for b in blocks]
         row = (spec.ntheta * spec.panels_theta) << level
-        for r, *_ in blocks:
-            assert len(r) <= quadrature._BLOCK_NODES
-            assert len(r) % row == 0
+        for rb, tn, z, w in blocks:
+            assert len(z) == len(w) == len(rb) * row <= quadrature._BLOCK_NODES
+            assert tn.tobytes() == blocks[0].tn.tobytes() and len(tn) == row
         with monkeypatch.context() as m:
             m.setattr(quadrature, "_BLOCK_NODES", 1 << 40)
             (whole,) = _polar_blocks(spec, level)
-        for got, want in zip(zip(*blocks), whole):
-            assert np.concatenate(got).tobytes() == want.tobytes()
+        assert whole.tn.tobytes() == blocks[0].tn.tobytes()
+        for field in ("rb", "z", "w"):
+            got = np.concatenate([getattr(b, field) for b in blocks])
+            assert got.tobytes() == getattr(whole, field).tobytes()
 
 
 def test_a_radial_row_above_the_cap_is_a_block_of_its_own():
@@ -69,8 +74,64 @@ def test_a_radial_row_above_the_cap_is_a_block_of_its_own():
         assert row > quadrature._BLOCK_NODES
         blocks = list(_polar_blocks(spec, level))
         assert len(blocks) == 4 << level
-        for r, *_ in blocks:
-            assert len(r) == row and np.all(r == r[0])
+        for rb, tn, z, _ in blocks:
+            assert len(rb) == 1 and len(tn) == len(z) == row
+
+
+def test_block_weights_and_powers_are_the_per_node_formulas():
+    # ring_weights and power read the rows; per node they are w r**b and
+    # r**a e^{i a t} bit for bit, and power(1) is z itself
+    for level in range(2):
+        for block in _polar_blocks(NESTED_SPEC, level):
+            r = np.repeat(block.rb, len(block.tn))
+            t = np.tile(block.tn, len(block.rb))
+            for b in (1.0, 2.4):
+                assert (block.ring_weights(block.rb ** b).tobytes()
+                        == (block.w * r ** b).tobytes())
+            for a in (0.3, 0.7):
+                assert block.power(a).tobytes() == (r ** a * np.exp(1j * a * t)).tobytes()
+            assert block.power(1.0).tobytes() == block.z.tobytes()
+
+
+def _in_open_rule_range(block):
+    return (np.all((block.rb > 0.0) & (block.rb < 1.0))
+            and np.all((block.tn > -math.pi) & (block.tn < math.pi)))
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, NESTED_SPEC, DIVERGENCE_SPEC],
+                         ids=["default", "nested", "divergence"])
+def test_every_rule_node_of_the_first_levels_is_in_the_slit_disk(spec):
+    # what lets the rule's nodes skip the slit-disk check of user input
+    for level in range(4):
+        for block in _polar_blocks(spec, level):
+            assert _in_open_rule_range(block)
+            assert np.all(in_slit_disk(block.z))
+
+
+# specs at the node budget: square, ring-heavy and angle-heavy finest levels
+_BUDGET_SPECS = [replace(DEFAULT_SPEC, max_refine=6),
+                 QuadratureSpec(nr=64, ntheta=4, panels_r=1024, panels_theta=1, max_refine=4),
+                 QuadratureSpec(nr=4, ntheta=64, panels_r=1, panels_theta=1024, max_refine=4)]
+
+
+@pytest.mark.parametrize("spec", _BUDGET_SPECS, ids=["square", "rings", "angles"])
+def test_extreme_rule_rows_at_the_node_budget_are_in_the_slit_disk(spec):
+    # the finest level a spec may ask for: every ring's angles nearest +-pi,
+    # and every node of the ring of largest radius
+    level = spec.max_refine
+    rings = (spec.nr * spec.panels_r) << level
+    angles = (spec.ntheta * spec.panels_theta) << level
+    assert rings * angles == quadrature.MAX_FINEST_NODES
+    with pytest.raises(DomainError):
+        replace(spec, max_refine=level + 1)
+    seen = 0
+    for block in _polar_blocks(spec, level):
+        assert _in_open_rule_range(block)
+        grid = block.z.reshape(len(block.rb), -1)
+        assert np.all(in_slit_disk(grid[:, [0, -1]]))
+        seen += len(block.rb)
+    assert seen == rings
+    assert np.all(in_slit_disk(grid[-1]))
 
 
 def test_disk_odd_symmetry():
