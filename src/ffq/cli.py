@@ -11,7 +11,8 @@ the flags' argparse dests.
 
 Exit codes: 0 all assertions passed, 2 parse error (argparse errors, flags
 a command does not take, an --out that cannot be written and JSON nested
-too deep to parse included), 3 domain error, 4 tolerance or convergence
+too deep to parse included; an --out into a missing directory exits before
+anything is computed), 3 domain error, 4 tolerance or convergence
 failure; every failure writes one strict-JSON error record to stderr.
 Every float is printed with 17 significant digits so re-ingestion is
 lossless, and repeated invocations produce byte-identical files.
@@ -20,6 +21,7 @@ lossless, and repeated invocations produce byte-identical files.
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -568,9 +570,18 @@ def build_job(args):
     return JobSpec.from_payload(payload)
 
 
+def _require_out_dir(out):
+    """Raise FileNotFoundError, the error open would raise, when out names
+    a file in a directory that does not exist: checked before anything is
+    computed, and nothing is created or truncated."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def main(argv=None):
     try:
         job = build_job(_parser().parse_args(argv))
+        _require_out_dir(job.out)
         # numpy's warnings would break the strict-JSON stderr; a result that
         # overflowed still reaches canonical_dumps as a non-finite float
         with np.errstate(all="ignore"):

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
                      DomainError, INF, NoConvergence)
@@ -26,7 +27,8 @@ from .ff_real import DEFAULT_STEP
 from .holo_series import (_deriv_order, fractal_measure_c, fractal_measure_deriv_c,
                           in_slit_disk, truncated_exp_c)
 from .quadrature import (DEFAULT_SPEC, _BLOCK_NODES, _converge, _path_rule,
-                         _polar_blocks, _rule_block, build_slit_path, integrate_disk)
+                         _polar_blocks, _powers, _rule_block, build_slit_path,
+                         integrate_disk)
 
 BASE_POINT = 0.5
 # tail bound of the truncated Bergman series in kernel_K_half
@@ -74,16 +76,53 @@ def _rule_measure_deriv(block, alpha, k):
     return field
 
 
+def _rule_series(block, degree):
+    """f -> f(z) at the nodes of a disk-rule block, for series f of degree
+    at most degree, from the block's rows.  z**n = rb**n e^{i n tn}, so
+    f(z) = sum_n a_n z**n is one matrix product per series: the ring-power
+    table R (rings x w) scaled by the coefficients, times the angle-power
+    table E (w x angles) (_PolarBlock.power_rows), both built once for every
+    series served.  No node takes a power, only the product's output.
+
+    The tables hold w = min(degree + 1, _BLOCK_NODES // max(rings, angles))
+    powers, so neither exceeds _BLOCK_NODES entries (or one row) at any
+    degree.  A series of more than w terms is summed in slices of w powers
+    by Horner's rule in z**w (Paterson-Stockmeyer), one product per slice.
+    """
+    rings, angles = len(block.rb), len(block.tn)
+    w = min(max(degree, 0) + 1, max(1, _BLOCK_NODES // max(rings, angles)))
+    R, E = block.power_rows(w)
+    zw = block.power(w).reshape(rings, angles) if degree >= w else None
+
+    def values(f):
+        a = f.coeffs
+        if len(a) == 0:
+            return np.zeros(len(block.z), dtype=complex)
+        acc = None
+        for s in range((len(a) - 1) // w * w, -1, -w):
+            coeffs = a[s : s + w]
+            part = (R[:, : len(coeffs)] * coeffs) @ E[: len(coeffs)]
+            if acc is None:
+                acc = part
+            else:
+                acc *= zw
+                acc += part
+        return acc.ravel()
+    return values
+
+
 def _stack_rows(fs, p, sigmas, zz):
     """Generate (i, row) with row = D f at zz for each (sigma, series) pair,
     sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].
 
     When zz is the node array of the disk-rule block being integrated
-    (quadrature._rule_block), the measure derivative is formed from the
-    block's ring and angle rows (_rule_measure_deriv) and zz is not checked:
-    the rule lies in the slit disk by construction.  Any other zz is user
-    input, checked once to be in the slit disk: by fractal_measure_deriv_c
-    if some sigma > 0, else here.
+    (quadrature._rule_block), the measure derivative and the series values
+    f(zz) and f'(zz) are formed from the block's ring and angle rows
+    (_rule_measure_deriv, and _rule_series: one matrix product per series
+    of power tables built once per call), and zz is not checked: the rule
+    lies in the slit disk by construction.  Any other zz is user input,
+    evaluated by Horner's rule (CPowerSeries) and checked once to be in the
+    slit disk: by fractal_measure_deriv_c if some sigma > 0, else here.
 
     The sigma-free parts are formed once per series: f(zz), f'(zz), the
     measure derivative (once for the stack, only if some sigma > 0) and
@@ -99,10 +138,12 @@ def _stack_rows(fs, p, sigmas, zz):
                else _rule_measure_deriv(block, p.alpha, p.k))
     elif block is None and not np.all(in_slit_disk(zz)):
         raise BranchError("evaluation point outside the slit unit disk")
+    values = ((lambda f: f(zz)) if block is None
+              else _rule_series(block, max((f.degree for f in fs), default=0)))
     for m, f in enumerate(fs):
-        fv = f(zz)
+        fv = values(f)
         if fractal:
-            fp = f.derivative()(zz)
+            fp = values(f.derivative())
             if p.beta == 1.0:
                 frac = fp / den
             else:
@@ -131,6 +172,9 @@ def ff_eval_stack(fs, p, z):
     The (len(fs),) + z.shape output is allocated once and each row is
     copied into it as it is formed, (1 - s) f + s (beta f**(beta-1) f') / den,
     so the temporaries stay a few rows deep however many series fs holds.
+    On the nodes of the disk-rule block being integrated, f, f' and den are
+    read from the block's ring and angle rows (_stack_rows); anywhere else
+    f and f' are Horner's rule.
 
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
@@ -415,8 +459,9 @@ def exact_coefficient_integrals(p, N):
     integral of e^(i th x).  The sums converge absolutely because every zero
     of e_{k-1} for k >= 3 lies outside the closed unit disk
     (Enestrom-Kakeya), and k = inf has none.  A is summed over
-    d = j - l and s = j + l: one matrix product over d, then a sum over s
-    from the largest s down.  The terms shrink geometrically in s and cancel
+    d = j - l and s = j + l: for each parity of s one matrix product over
+    the diagonals d of c c^T of that parity (no (2J - 1)**2 pair matrix is
+    formed), then a sum over s from the largest s down.  The terms shrink geometrically in s and cancel
     (at k = 3, alpha = 0.3 their moduli sum to 24 times A_00), so adding the
     smallest first keeps the partial sums small: there A_00 lands within
     1.1e-15 of the exact sum of the same float terms.
@@ -443,17 +488,26 @@ def exact_coefficient_integrals(p, N):
         return CoefficientIntegrals(A, B, p, 0.0)
     c, tail = _reciprocal_measure_coeffs(k)
     J = len(c)
-    j = np.arange(J)
-    # P[s, d + J - 1] = c_j c_l over j + l = s, j - l = d
-    P = np.zeros((2 * J - 1, 2 * J - 1))
-    P[j[:, None] + j, j[:, None] - j + J - 1] = np.outer(c, c)
+    # T[n - m + N, s] = sum over j + l = s of c_j c_l sinc(n - m + a (j - l)),
+    # by the parity q of s: s = 2t + q and j - l = 2e + q, so j = t + e + q
+    # and l = t - e with |e| <= H.  Each parity is one product over e with
+    # C[t, e + H] = c_{t+e+q} c_{t-e}, two windows of the zero-padded c
+    # (c_j at j + H): J x (2H + 1) entries, and only the 2N + 1 differences
+    # n - m have a row
+    H = J // 2
+    e = np.arange(-H, H + 1)
+    window = sliding_window_view(np.concatenate([np.zeros(H), c, np.zeros(2 * H + 1)]),
+                                 2 * H + 1)
+    diffs = np.arange(-N, N + 1)[:, None]
+    T = np.empty((2 * N + 1, 2 * J - 1))
+    for q in (0, 1):
+        C = window[q : J] * window[: J - q, ::-1]
+        T[:, q::2] = np.sinc(diffs + alpha * (2 * e + q)) @ C.T
     s = alpha * np.arange(2 * J - 1)
-    angular = np.sinc((n - m).reshape(-1, 1) + alpha * np.arange(1 - J, J))
-    terms = ((angular @ P.T).reshape(N + 1, N + 1, -1)
-             / ((n + m)[..., None] + 4.0 - 2.0 * alpha + s))
+    terms = T[n - m + N] / ((n + m)[..., None] + 4.0 - 2.0 * alpha + s)
     # cumsum adds in index order: down the reversed s axis, smallest terms first
     A = 2.0 * math.pi * np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
-    x = alpha * j
+    x = alpha * np.arange(J)
     B = 2.0 * math.pi * (np.sinc((m + 1.0 - n - alpha)[..., None] + x)
                          / ((n + m + 3.0 - alpha)[..., None] + x)) @ c
     error = math.pi * tail * (2.0 * float(np.sum(np.abs(c))) + tail)
@@ -634,15 +688,6 @@ def _dense_path_sum(wn, wt, zt):
     for i in range(0, len(zt), _BLOCK_NODES):
         chunk = zt[i : i + _BLOCK_NODES]
         out[i : i + _BLOCK_NODES] = bergman_kernel(wn[None, :], chunk[:, None]) @ wt
-    return out
-
-
-def _powers(x, n):
-    """Rows x**0, ..., x**(n-1) of a 1-D array x, by repeated products."""
-    out = np.empty((n, len(x)), dtype=complex)
-    out[0] = 1.0
-    for i in range(1, n):
-        np.multiply(out[i - 1], x, out=out[i])
     return out
 
 

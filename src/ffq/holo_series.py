@@ -145,15 +145,21 @@ def truncated_exp_c(w, k):
     its sum is non-finite, which it stays (a later term might only turn an
     infinity into NaN).  So a huge k costs a few hundred terms on |w| <= 1
     (the slit disk), where the terms underflow to zero, not k.
+
+    The sum starts at 1 + w, with w as the first term: the bits of starting
+    from 1 and adding 1 * w / 1, one array pass instead of four.
     """
     k = check_order(k)
     ww = np.asarray(w)
     if k == INF:
         out = np.exp(ww)
-    else:
+    elif k == 0:
         out = np.ones_like(ww)
-        term = np.ones_like(ww)
-        for n in range(1, k + 1):
+    else:
+        # an integer w sums in float, as 1 * w / 1 would
+        term = ww if ww.dtype.kind in "fc" else ww / 1
+        out = 1 + term
+        for n in range(2, k + 1):
             term = term * ww / n
             out = out + term
             if n % _EXP_CHECK == 0 and np.all((term == 0) | ~np.isfinite(out)):

@@ -24,22 +24,25 @@ no node takes a sine, a cosine or a complex power.  While an integrand
 runs on a block, _polar_estimate publishes the block in the context
 variable _RULE_BLOCK.  Code handed that block's own z (an identity test,
 _rule_block) may read the rows: ff_complex forms the measure derivative
-alpha z**(alpha-1) e_{k-1}(z**alpha) from them, and _matrix_estimate its
-powers r**a e^{i a t}.  Such code does not check the nodes against the
+alpha z**(alpha-1) e_{k-1}(z**alpha) from them, and the series values f(z)
+and f'(z), one matrix product per series of the block's ring-power and
+angle-power tables (power_rows), and _matrix_estimate its powers
+r**a e^{i a t}.  Such code does not check the nodes against the
 slit disk: rb lies in (0, 1) and tn in (-pi, pi) by construction, which
 the tests confirm up to the MAX_FINEST_NODES budget.  Any other array, a
 copy of z included, is checked as user input.
 
 The block bounds everything that is one row long: the weights at 8 bytes
-a node, z and the measure derivative at 16, and the few row-sized complex
-temporaries of a stack filled row by row (f, f' and f'/den, once per
-series, and the row being formed), each at most 128 KiB, so they stay in
-cache.  A stack of h rows takes h x 2**13 elements per block: 5.3 MB for
-the norms sweep's 81 float rows, the largest stack.  A nested integrand
-also holds kernel_K_half's 16 + ceil((N+1)/16) rows of powers and partial
-sums in conj(zeta), and for the life of the nested integral the path
-levels it has built: nodes and weights, at most 2 nr panels_r 2**level
-complex numbers of each.
+a node, z and the measure derivative at 16, the power tables of the series
+values (at most _BLOCK_NODES entries each, at any degree), and the few
+row-sized complex temporaries of a stack filled row by row (f, f' and
+f'/den, once per series, and the row being formed), each at most
+128 KiB, so they stay in cache.  A stack of h rows takes h x 2**13
+elements per block: 5.3 MB for the norms sweep's 81 float rows, the
+largest stack.  A nested integrand also holds kernel_K_half's
+16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta), and
+for the life of the nested integral the path levels it has built: nodes
+and weights, at most 2 nr panels_r 2**level complex numbers of each.
 
 Every refinement runs through one loop, _converge.  The path kernel's
 certificate, which can accept its level 1 without evaluating level 0, lives
@@ -138,6 +141,15 @@ def _composite(a, b, panels, n):
     return nodes, weights
 
 
+def _powers(x, n):
+    """Rows x**0, ..., x**(n-1) of a 1-D array x, by repeated products."""
+    out = np.empty((n, len(x)), dtype=complex)
+    out[0] = 1.0
+    for i in range(1, n):
+        np.multiply(out[i - 1], x, out=out[i])
+    return out
+
+
 class _PolarBlock(NamedTuple):
     """One block of the disk rule: ring radii rb, the level's angle row tn,
     the nodes z = rb e^{i tn} ring-major, and their weights; rb, tn and z
@@ -152,6 +164,14 @@ class _PolarBlock(NamedTuple):
         """The weights, each times its ring's entry of the row ring (one
         value per radius): the bits of w * np.repeat(ring, len(tn))."""
         return (self.w.reshape(len(self.rb), -1) * ring[:, None]).ravel()
+
+    def power_rows(self, n):
+        """The tables of z**j, j < n, at the block's nodes: the ring powers
+        rb**j (rings x n, real) and the angle powers e^{i j tn} (n x
+        angles), the latter by repeated products of the row e^{i tn}.  With
+        a the coefficients of a series of n terms, ((R * a) @ E).ravel() is
+        its value at z, ring-major."""
+        return self.rb[:, None] ** np.arange(n), _powers(np.exp(1j * self.tn), n)
 
     def power(self, a, scale=1.0):
         """scale * z**a at the nodes, principal branch, as the ring row

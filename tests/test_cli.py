@@ -764,6 +764,27 @@ def test_unwritable_out_exits_2_with_a_parse_record(argv, tmp_path, capsys):
     assert "no-such-dir" in record["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "[[1,0]]", "--alpha", "1", "--sigma", "0.5", "--k", "1"],
+    ["table", "--f", "[[0,0],[1,0]]", "--format", "csv"],
+    ["norm", "--job", '{"command": "norm", "f": [[1, 0]], "out": "OUT"}'],
+])
+def test_out_into_a_missing_directory_exits_2_before_anything_runs(argv, tmp_path, capsys,
+                                                                   monkeypatch):
+    import ffq.cli as cli
+
+    def reached(job):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(cli, "run", reached)
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    argv = ([a.replace("OUT", out) for a in argv] if "--job" in argv
+            else argv + ["--out", out])
+    record = _one_parse_record(*run_cli(argv, capsys))
+    assert out in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 _DEEP_JSON = "[" * 3000 + "]" * 3000
 
 

@@ -18,7 +18,7 @@ from ffq import (CPowerSeries, FFParams, INF, BranchError, DegreeMismatch,
 from ffq import ff_complex, holo_series, quadrature
 from ffq.holo_series import fractal_measure_c, fractal_measure_deriv_c, in_slit_disk
 from ffq.quadrature import _composite, _path_rule, build_slit_path
-from ffq.verify import GRID_ALPHAS, NESTED_SPEC
+from ffq.verify import DIVERGENCE_SPEC, GRID_ALPHAS, NESTED_SPEC
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +292,29 @@ def test_exact_table_is_the_mpmath_sum_of_its_float_coefficients(alpha, k, no_qu
             want = 2 * mpmath.pi * mpmath.fsum(cm[j] * cm[l] * sinc[j - l + Jr - 1] * den[j + l]
                                                for j in range(Jr) for l in range(Jr))
             assert abs(A[m, n] - want) <= 4e-15 * A[0, 0]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, INF])
+def test_exact_table_meets_the_sum_over_the_dense_pair_matrix(k, no_quadrature):
+    # the sum as it was first written: every pair (j, l) scattered into a
+    # dense (2J - 1)**2 matrix P[j + l, j - l + J - 1], one product with the
+    # sinc row of every (m, n).  The parity split sums the same terms, in
+    # another order; J is odd at k = 3 and inf, even at k = 4
+    c, _ = ff_complex._reciprocal_measure_coeffs(k)
+    J, N = len(c), 6
+    j = np.arange(J)
+    m = np.arange(N + 1)[:, None]
+    n = np.arange(N + 1)[None, :]
+    P = np.zeros((2 * J - 1, 2 * J - 1))
+    P[j[:, None] + j, j[:, None] - j + J - 1] = np.outer(c, c)
+    for alpha in GRID_ALPHAS + (0.02, 0.55):
+        s = alpha * np.arange(2 * J - 1)
+        angular = np.sinc((n - m).reshape(-1, 1) + alpha * np.arange(1 - J, J))
+        terms = ((angular @ P.T).reshape(N + 1, N + 1, -1)
+                 / ((n + m)[..., None] + 4.0 - 2.0 * alpha + s))
+        want = 2.0 * math.pi * np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
+        got = exact_coefficient_integrals(FFParams(alpha=alpha, sigma=0.5, k=k), N).alpha_mn
+        assert np.max(np.abs(got - want)) <= 2e-15 * want[0, 0]
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8, INF])
@@ -1351,6 +1374,157 @@ def test_traced_rule_integrals_keep_their_bits():
     checks = [span.counts["elements"] for span in tracer.spans
               if span.name == "holo_series.in_slit_disk"]
     assert checks and max(checks) <= len(fs)
+
+
+# -------------------------------------------------- series values from the rows
+
+def _horner_bound(coeffs, z):
+    """4 (d + 1) u sum_n |a_n| |z|**n, the bound the rows route meets
+    against Horner's rule and the exact value."""
+    a = np.abs(np.asarray(coeffs))
+    if len(a) == 0:
+        return np.zeros(np.shape(z))
+    return 4 * len(a) * ff_complex._UNIT * np.polynomial.polynomial.polyval(np.abs(z), a)
+
+
+def _random_series(rng, degrees=range(9)):
+    """The empty and a constant series, then one random series per degree."""
+    fs = [CPowerSeries([]), CPowerSeries([0.7 - 0.2j])]
+    return fs + [CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+                 for d in degrees]
+
+
+@pytest.mark.parametrize("spec", [quadrature.DEFAULT_SPEC, NESTED_SPEC, DIVERGENCE_SPEC],
+                         ids=["default", "nested", "divergence"])
+def test_series_rows_match_horner_at_every_node(spec, rng):
+    # one evaluator per block serves every degree up to the stack's largest,
+    # as in _stack_rows; f' rides on the same tables
+    fs = _random_series(rng)
+    fs += [f.derivative() for f in fs]
+    for level in range(3):
+        for block in quadrature._polar_blocks(spec, level):
+            values = ff_complex._rule_series(block, 8)
+            for f in fs:
+                got = values(f)
+                assert got.shape == block.z.shape and got.dtype == complex
+                assert np.all(np.abs(got - f(block.z)) <= _horner_bound(f.coeffs, block.z))
+                if f.degree <= 0:  # the empty and the constant series, exactly
+                    assert _same_bits(got, f(block.z))
+
+
+def test_series_rows_match_mpmath_at_sampled_nodes(rng):
+    mpmath = pytest.importorskip("mpmath")
+    fs = _random_series(rng, degrees=(1, 4, 8))
+    for level in range(2):
+        blocks = list(quadrature._polar_blocks(quadrature.DEFAULT_SPEC, level))
+        # the smallest and largest radii, the angles nearest +-pi, and a few more
+        picks = [(blocks[0], 0), (blocks[0], len(blocks[0].tn) // 3),
+                 (blocks[-1], -1), (blocks[-1], -len(blocks[-1].tn))]
+        picks += [(blocks[b], int(rng.integers(len(blocks[b].z))))
+                  for b in rng.integers(len(blocks), size=4)]
+        for block, i in picks:
+            values = ff_complex._rule_series(block, 8)
+            for f in fs + [f.derivative() for f in fs]:
+                with mpmath.workdps(40):
+                    z = mpmath.mpc(block.z[i])
+                    want = mpmath.fsum(mpmath.mpc(a) * z ** n for n, a in enumerate(f.coeffs))
+                got = values(f)[i]
+                assert abs(got - want) <= _horner_bound(f.coeffs, block.z[i])
+
+
+@pytest.mark.parametrize("spec", [quadrature.DEFAULT_SPEC,
+                                  QuadratureSpec(nr=64, ntheta=4, panels_r=32, panels_theta=1)],
+                         ids=["default", "ring-heavy"])
+def test_series_rows_of_a_high_degree_series_stay_within_a_few_rows(spec, rng):
+    # degree 2,000 is summed in slices of the power axis: no table exceeds
+    # _BLOCK_NODES entries, so the peak is a few node-sized arrays (the
+    # output, which is the Horner accumulator, z**w, one slice's product,
+    # the scaled ring table and the two tables), 5.5 outputs and numpy's
+    # own temporaries, not 2,001 powers of every ring or angle (31 outputs
+    # on the default spec, 250 on the ring-heavy one)
+    import tracemalloc
+    f = CPowerSeries(rng.standard_normal(2001) + 1j * rng.standard_normal(2001))
+    block = next(quadrature._polar_blocks(spec, 0))
+    want = f(block.z)
+    tracemalloc.start()
+    try:
+        got = ff_complex._rule_series(block, f.degree)(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.abs(got - want) <= _horner_bound(f.coeffs, block.z))
+    assert peak <= 8 * got.nbytes
+
+
+def test_series_rows_give_the_stacks_f_and_f_prime():
+    # on rule nodes the stack's f and f' come from the rows: at sigma = 0 a
+    # row is f, and at sigma = 1, alpha = 1, k = 1 it is f' (the measure
+    # factor is exactly 1); Horner's rule gives each on a copy of the nodes
+    rng = np.random.default_rng(7)
+    fs = _random_series(rng)
+    worst = []
+
+    def integrand(z):
+        for sigma, part in ((0.0, lambda f: f), (1.0, lambda f: f.derivative())):
+            rows = ff_eval_stack(fs, FFParams(alpha=1.0, sigma=sigma, k=1), z)
+            for f, got in zip(fs, rows):
+                g = part(f)
+                worst.append(np.max(np.abs(got - g(z.copy())) - _horner_bound(g.coeffs, z)))
+        return np.zeros(z.shape)
+
+    integrate_disk(integrand, replace(NESTED_SPEC, max_refine=1))
+    assert worst and max(worst) <= 0.0
+
+
+def test_series_rows_tables_are_built_once_per_block(monkeypatch):
+    # one pair of power tables per node block serves every series of the
+    # stack and its derivative
+    calls = []
+    power_rows = quadrature._PolarBlock.power_rows
+    monkeypatch.setattr(quadrature._PolarBlock, "power_rows",
+                        lambda self, n: calls.append(n) or power_rows(self, n))
+    blocks = []
+    polar_blocks = quadrature._polar_blocks
+
+    def counted_blocks(*args):
+        for block in polar_blocks(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(quadrature, "_polar_blocks", counted_blocks)
+    fs = [CPowerSeries([1.0, 2.0, 0.5j]), CPowerSeries([0.0, 1.0]), CPowerSeries([1.0])]
+    dirichlet_norms_quad(fs, FFParams(alpha=0.6, sigma=0.5, k=3), NESTED_SPEC,
+                         sigmas=(0.0, 0.5))
+    assert blocks and calls == [3] * len(blocks)
+
+
+def test_series_rows_are_read_only_on_the_blocks_own_nodes(monkeypatch):
+    # a copied block, the path rule's nodes and a user's array still take
+    # Horner's rule; the block's own z never does
+    sizes = []
+    call = CPowerSeries.__call__
+    monkeypatch.setattr(CPowerSeries, "__call__",
+                        lambda self, z: sizes.append(np.size(z)) or call(self, z))
+    p = FFParams(alpha=0.7, sigma=0.5, k=3)
+    fs = [CPowerSeries([1.0, 0.5, 0.25j]), CPowerSeries([0.3])]
+    path_nodes = _path_rule(build_slit_path(0.3 + 0.4j), NESTED_SPEC, 0)[0]
+    seen = {}
+
+    def integrand(z):
+        for name, nodes in (("own", z), ("copy", z.copy()), ("path", path_nodes)):
+            sizes.clear()
+            ff_eval_stack(fs, p, nodes)
+            seen.setdefault(name, []).append(list(sizes))
+        return np.zeros(z.shape)
+
+    integrate_disk(integrand, replace(NESTED_SPEC, max_refine=1))
+    assert seen["own"] and all(calls == [] for calls in seen["own"])
+    # f and f' of each series, at every node of the array
+    for name in ("copy", "path"):
+        assert all(len(calls) == 2 * len(fs) and min(calls) > 1 for calls in seen[name])
+    sizes.clear()
+    ff_eval_stack(fs, p, path_nodes)
+    assert sizes == [len(path_nodes)] * (2 * len(fs))
 
 
 def test_quadrature_route_still_refines_as_the_witness():

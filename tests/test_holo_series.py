@@ -148,6 +148,48 @@ def test_truncated_exp_c_preserves_real_dtype():
     assert out.dtype == np.float64
 
 
+def _truncated_exp_loop(w, k):
+    """truncated_exp_c as it summed before it started at 1 + w: from 1, one
+    term w**n / n! at a time, with the same stop every _EXP_CHECK terms."""
+    from ffq.errors import check_order
+    from ffq.holo_series import _EXP_CHECK
+    k = check_order(k)
+    ww = np.asarray(w)
+    if k == INF:
+        out = np.exp(ww)
+    else:
+        out = np.ones_like(ww)
+        term = np.ones_like(ww)
+        for n in range(1, k + 1):
+            term = term * ww / n
+            out = out + term
+            if n % _EXP_CHECK == 0 and np.all((term == 0) | ~np.isfinite(out)):
+                break
+    if np.isscalar(w) or getattr(w, "ndim", 1) == 0:
+        return out[()]
+    return out
+
+
+def test_truncated_exp_c_keeps_the_bits_of_the_term_loop(rng):
+    # on rule nodes z and z**alpha, random real and complex arrays, and
+    # scalars of every kind: the same value, dtype and type
+    args = []
+    for level in range(2):
+        for block in _polar_blocks(DEFAULT_SPEC, level):
+            args += [block.z, block.power(0.3)]
+    args += [rng.standard_normal(50), 3 * rng.standard_normal(50),
+             rng.standard_normal(50) + 1j * rng.standard_normal(50),
+             np.array([1, 2, 3]), np.array([1.5, -0.5], dtype=np.float32)]
+    args += [0.3, -2.5, 0.2 + 0.1j, 2, True, np.float64(0.7), np.float32(0.5),
+             np.complex128(-0.4j), np.int64(3), np.array(0.7)]
+    for w in args:
+        for k in list(range(7)) + [64, 200, INF]:
+            got, want = truncated_exp_c(w, k), _truncated_exp_loop(w, k)
+            assert type(got) is type(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_truncated_exp_c_stops_once_no_term_can_change_the_sum():
     w = np.array([0.3 + 0.4j, -0.99, 1j, 0.0])
     # every term underflows to zero by degree 200 on |w| <= 1: the same bits
