@@ -3,7 +3,8 @@ functions on the slit disk (the open unit disk minus the real segment (-1, 0]).
 
 Series are plain polynomials: every formula computed downstream is evaluated
 on polynomial data, so tails are out of scope and degrees stay explicit.
-Evaluation is numpy-vectorised; scalars in give scalars out.
+A series evaluates elementwise over a numpy array, and at a Python number by
+Horner's rule in Python complex arithmetic, returning a complex.
 """
 
 import numpy as np
@@ -15,10 +16,12 @@ class CPowerSeries:
     """Polynomial sum a_n z^n held as a complex coefficient vector a_0..a_N.
 
     Immutable; derivative() is built once and kept, so the integrands that
-    evaluate f' in every node block share one series.
+    evaluate f' in every node block share one series.  `_terms` holds the
+    coefficients as Python complex numbers, highest degree first, for the
+    scalar Horner loop.
     """
 
-    __slots__ = ("coeffs", "_derivative")
+    __slots__ = ("coeffs", "_terms", "_derivative")
 
     def __init__(self, coeffs=()):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
@@ -27,16 +30,38 @@ class CPowerSeries:
         if not np.isfinite(arr).all():
             raise DomainError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_terms", tuple(arr[::-1].tolist()))
         arr.setflags(write=False)
 
     def __setattr__(self, name, value):
         raise AttributeError("CPowerSeries is immutable")
+
+    def __reduce__(self):
+        return (CPowerSeries, (self.coeffs,))
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
 
     def __call__(self, z):
+        """Value of the series at z.
+
+        At a Python number (numpy float64 and complex128 included, being
+        subclasses of float and complex) Horner's rule runs in Python complex
+        arithmetic and returns a complex.  Its last bits can differ from the
+        array path's, which rounds complex products differently; both stay
+        within the Horner bound of about 4 (d+1) u sum |a_n| |z|^n.  An array
+        gives an array of the same shape by one numpy pass per coefficient;
+        any other scalar, a 0-d array included, takes that pass and returns
+        a complex.
+        """
+        if isinstance(z, (int, float, complex)):
+            z = complex(z)
+            terms = iter(self._terms)
+            out = next(terms, 0j)
+            for a in terms:
+                out = out * z + a
+            return out
         scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
         zz = np.asarray(z, dtype=complex)
         if len(self.coeffs) == 0:

@@ -20,13 +20,16 @@ class Quaternion:
     __slots__ = ("w", "x", "y", "z")
 
     def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        object.__setattr__(self, "w", float(w))
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "z", float(z))
+        _set_w(self, float(w))
+        _set_x(self, float(x))
+        _set_y(self, float(y))
+        _set_z(self, float(z))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
+
+    def __reduce__(self):
+        return (Quaternion, self.components)
 
     @property
     def components(self):
@@ -36,7 +39,7 @@ class Quaternion:
         return math.hypot(self.x, self.y, self.z)
 
     def conjugate(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _quat(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self):
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -50,33 +53,33 @@ class Quaternion:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise DomainError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _quat(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.w + other.w, self.x + other.x,
-                              self.y + other.y, self.z + other.z)
+            return _quat(self.w + other.w, self.x + other.x,
+                         self.y + other.y, self.z + other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
+            return _quat(self.w + float(other), self.x, self.y, self.z)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Quaternion):
-            return Quaternion(self.w - other.w, self.x - other.x,
-                              self.y - other.y, self.z - other.z)
+            return _quat(self.w - other.w, self.x - other.x,
+                         self.y - other.y, self.z - other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
+            return _quat(self.w - float(other), self.x, self.y, self.z)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(other - self.w, -self.x, -self.y, -self.z)
+            return _quat(float(other) - self.w, -self.x, -self.y, -self.z)
         return NotImplemented
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _quat(-self.w, -self.x, -self.y, -self.z)
 
     def __pos__(self):
         return self
@@ -84,28 +87,28 @@ class Quaternion:
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             a, b = self, other
-            return Quaternion(
+            return _quat(
                 a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
                 a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
                 a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
                 a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
             )
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+            s = float(other)
+            return _quat(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __rmul__(self, other):
         # real scalars commute with every quaternion
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+            s = float(other)
+            return _quat(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x / other,
-                              self.y / other, self.z / other)
+            s = float(other)
+            return _quat(self.w / s, self.x / s, self.y / s, self.z / s)
         return NotImplemented
 
     def __eq__(self, other):
@@ -116,10 +119,30 @@ class Quaternion:
         return NotImplemented
 
     def __hash__(self):
+        # a real quaternion equals its real part, so it hashes as that number
+        if self.x == self.y == self.z == 0.0:
+            return hash(self.w)
         return hash(self.components)
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+
+
+# The slot descriptors' setters write a field past the blocking __setattr__
+# without object.__setattr__'s lookup of the name.
+_set_w, _set_x, _set_y, _set_z = (Quaternion.__dict__[c].__set__ for c in Quaternion.__slots__)
+_new = object.__new__
+
+
+def _quat(w, x, y, z):
+    # a Quaternion from four Python floats, as Quaternion(w, x, y, z) without
+    # the float() conversions: for arithmetic results, which are floats already
+    q = _new(Quaternion)
+    _set_w(q, w)
+    _set_x(q, x)
+    _set_y(q, y)
+    _set_z(q, z)
+    return q
 
 
 ONE = Quaternion(1.0)
@@ -165,14 +188,14 @@ def slice_decompose(q):
     s = 1.0 if y >= sys.float_info.min else 2.0 ** 600
     v = (q.x * s, q.y * s, q.z * s)
     n = math.hypot(*v)
-    axis = E1 if y == 0.0 else Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
+    axis = E1 if y == 0.0 else _quat(0.0, v[0] / n, v[1] / n, v[2] / n)
     return SlicePolar(q.w, y, axis, math.atan2(y, q.w), math.hypot(q.w, y))
 
 
 def embed_complex(c, axis):
     """Place the complex number c into the slice plane spanned by 1 and axis."""
     c = complex(c)
-    return Quaternion(c.real, axis.x * c.imag, axis.y * c.imag, axis.z * c.imag)
+    return _quat(c.real, axis.x * c.imag, axis.y * c.imag, axis.z * c.imag)
 
 
 def principal_power(q, beta):
@@ -205,7 +228,9 @@ class SliceFrame:
     """Ordered orthonormal pair (i, j) of imaginary units.
 
     C(i) is the slice plane and {1, j} the splitting basis; i*j completes
-    {1, i, j, i*j} to an orthonormal basis of the quaternions.
+    {1, i, j, i*j} to an orthonormal basis of the quaternions.  The frame
+    keeps that basis as a read-only 4x4 matrix of components, one row per
+    element, built once for frame_coords and frame_embed.
     """
 
     i: Quaternion
@@ -217,6 +242,12 @@ class SliceFrame:
                 raise FrameError(f"frame axis {name} is not a unit imaginary quaternion")
         if abs(dot4(self.i, self.j)) > _FRAME_TOL:
             raise FrameError("frame axes are not orthogonal")
+        matrix = np.array([b.components for b in self.basis()])
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
+
+    def __reduce__(self):
+        return (SliceFrame, (self.i, self.j))
 
     def basis(self):
         return (ONE, self.i, self.j, self.i * self.j)
@@ -246,25 +277,21 @@ def random_frame(rng):
             return SliceFrame(i, u / n)
 
 
-def _basis_matrix(frame):
-    # rows: the components of 1, i, j, i*j
-    return np.array([b.components for b in frame.basis()])
-
-
 def frame_coords(q, frame):
     """Coordinates (c1, c2) of q in the frame: q = c1 + c2*j with c1, c2 in C(i).
 
     q is a Quaternion, or an array with components (w, x, y, z) on its last
     axis; c1 and c2 are then complex arrays over the leading axes.
     """
-    comps = q if isinstance(q, np.ndarray) else as_quaternion(q).components
-    c1, c2 = np.moveaxis((np.asarray(comps) @ _basis_matrix(frame).T).view(complex), -1, 0)
-    return c1, c2
+    comps = q if isinstance(q, np.ndarray) else np.array(as_quaternion(q).components)
+    c = (comps @ frame._matrix.T).view(complex)
+    # a single point unpacks into two numpy complex scalars
+    return tuple(c) if c.ndim == 1 else (c[..., 0], c[..., 1])
 
 
 def frame_embed(c1, c2, frame):
     """Inverse of frame_coords: c1 + c2*j as a Quaternion, or as an array of
     components (..., 4) when c1 and c2 are complex arrays."""
     if isinstance(c1, np.ndarray):
-        return np.stack([c1, c2], axis=-1).view(float) @ _basis_matrix(frame)
+        return np.stack([c1, c2], axis=-1).view(float) @ frame._matrix
     return embed_complex(c1, frame.i) + embed_complex(c2, frame.i) * frame.j

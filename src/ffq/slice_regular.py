@@ -6,13 +6,14 @@ Coefficients sit on the right: f(q) = sum q^n a_n. All operations are pure.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IntrinsicError
 from .holo_series import CPowerSeries
-from .quaternion import (ONE, Quaternion, SliceFrame, as_quaternion,
+from .quaternion import (ONE, Quaternion, SliceFrame, _quat, as_quaternion,
                          embed_complex, frame_coords, frame_embed,
                          slice_decompose)
 
@@ -49,6 +50,9 @@ class QPowerSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("QPowerSeries is immutable")
+
+    def __reduce__(self):
+        return (QPowerSeries, (self.coeffs,))
 
     @property
     def coeffs(self):
@@ -113,14 +117,16 @@ def eval_q(f, q):
 
     With q = x + y I and z = x + y i, q^n = Re(z^n) + Im(z^n) I, so
     f(q) = A + I B with A = sum Re(z^n) a_n and B = sum Im(z^n) a_n.
+    A non-finite q is outside the ball too.
     """
     q = as_quaternion(q)
-    if q.norm() >= 1.0:
-        raise DomainError(f"|q| = {q.norm()} is outside the open unit ball")
+    r = q.norm()
+    if not r < 1.0:
+        raise DomainError(f"|q| = {r} is outside the open unit ball")
     sp = slice_decompose(q)
     zn = complex(sp.x, sp.y) ** np.arange(f.degree + 1)
     a, b = (zn.view(float).reshape(-1, 2).T @ f.parts.view(float)).tolist()
-    return Quaternion(*a) + sp.axis * Quaternion(*b)
+    return _quat(*a) + sp.axis * _quat(*b)
 
 
 def cullen_derivative(f):
@@ -155,7 +161,11 @@ def star_inverse(f, degree):
     Computed as the reciprocal of the real-coefficient symmetrization star
     the regular conjugate; star_product(f, result) is 1 up to O(q^(degree+1)).
     The reciprocal r solves the lower-triangular Toeplitz system s * r = 1.
+    The degree is a non-negative integer; a bool is not one.
     """
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
+        raise DomainError(f"degree must be a non-negative integer, got {degree!r}")
+    degree = int(degree)
     if f.degree < 0 or np.linalg.norm(f.parts[0]) < _STAR_INVERSE_FLOOR:
         raise DomainError("constant term too small for a star inverse")
     c1 = symmetrization(f).parts[: degree + 1, 0].real

@@ -91,6 +91,15 @@ def test_eval_rejects_points_outside_ball():
         eval_q(QPowerSeries([1]), Quaternion(1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_eval_rejects_non_finite_points(bad, slot):
+    comps = [0.1, 0.0, 0.0, 0.0]
+    comps[slot] = bad
+    with pytest.raises(DomainError):
+        eval_q(QPowerSeries([1, E1]), Quaternion(*comps))
+
+
 def test_cullen_derivative():
     assert cullen_derivative(QPowerSeries([E2])).degree == -1
     mono = QPowerSeries([0, 0, 0, E1])
@@ -175,6 +184,18 @@ def test_star_inverse(rng):
 
     with pytest.raises(DomainError):
         star_inverse(QPowerSeries([Quaternion(1e-15), E1]), 3)
+
+
+@pytest.mark.parametrize("degree", [-1, -3, 2.5, True, False, "2", None, np.float64(2.0)])
+def test_star_inverse_rejects_a_degree_that_is_no_count(degree):
+    with pytest.raises(DomainError):
+        star_inverse(QPowerSeries([1, E1]), degree)
+
+
+def test_star_inverse_takes_numpy_integer_degrees():
+    f = QPowerSeries([1, E1])
+    assert star_inverse(f, np.int64(4)) == star_inverse(f, 4)
+    assert star_inverse(f, np.uint8(0)).degree == 0
 
 
 def test_star_inverse_derivative_rule(rng):
