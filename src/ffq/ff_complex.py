@@ -24,8 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
                      DomainError, INF, NoConvergence)
 from .ff_real import DEFAULT_STEP
-from .holo_series import (_deriv_order, fractal_measure_c, fractal_measure_deriv_c,
-                          in_slit_disk, truncated_exp_c)
+from .holo_series import (_NUMBER, _deriv_order, _require_slit_disk, fractal_measure_c,
+                          fractal_measure_deriv_c, in_slit_disk, truncated_exp_c)
 from .quadrature import (DEFAULT_SPEC, _BLOCK_NODES, _converge, _path_rule,
                          _polar_blocks, _powers, _rule_block, build_slit_path,
                          integrate_disk)
@@ -136,8 +136,8 @@ def _stack_rows(fs, p, sigmas, zz):
     if fractal:
         den = (fractal_measure_deriv_c(zz, p.alpha, p.k) if block is None
                else _rule_measure_deriv(block, p.alpha, p.k))
-    elif block is None and not np.all(in_slit_disk(zz)):
-        raise BranchError("evaluation point outside the slit unit disk")
+    elif block is None:
+        _require_slit_disk(zz)
     values = ((lambda f: f(zz)) if block is None
               else _rule_series(block, max((f.degree for f in fs), default=0)))
     for m, f in enumerate(fs):
@@ -190,8 +190,23 @@ def ff_eval_stack(fs, p, z):
 
 
 def ff_eval_c(f, p, z):
-    """Apply the derivative D to the series f at z (scalar or array); the
-    one-series case of ff_eval_stack."""
+    """Apply the derivative D to the series f at z (scalar or array).
+
+    At a Python number (int, float, complex, bool, numpy float64 and
+    complex128) with beta = 1 it is the one formula
+    (1 - sigma) f(z) + sigma f'(z) / fractal_measure_deriv_c(z) on the scalar
+    series values, in Python complex arithmetic, returned as a complex; at
+    sigma = 0 it is f(z), with z checked against the slit disk.  Its bits
+    may differ from ff_eval_stack's within the bounds of Horner's rule and
+    of the branch power (holo_series).  Any other z, or beta != 1, takes
+    ff_eval_stack's one-series case; a scalar then returns a complex.
+    """
+    if isinstance(z, _NUMBER) and p.beta == 1.0:
+        if p.sigma == 0.0:
+            _require_slit_disk(z)
+            return f(z)
+        den = fractal_measure_deriv_c(z, p.alpha, p.k)
+        return (1.0 - p.sigma) * f(z) + p.sigma * (f.derivative()(z) / den)
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     out = ff_eval_stack((f,), p, z)[0]
     return complex(out[0]) if scalar else out
@@ -652,13 +667,16 @@ def reproduce_identity_1(f, p, z, spec=None):
 
 
 def _integrating_factor(w, p):
-    """F(w) = exp(lam e_k(w**a)), lam = (1 - sigma)/sigma: (F f)' = _kernel_weight Df."""
+    """F(w) = exp(lam e_k(w**a)), lam = (1 - sigma)/sigma: (F f)' = _kernel_weight Df;
+    a complex at a Python number."""
     lam = (1.0 - p.sigma) / p.sigma
-    return np.exp(lam * fractal_measure_c(w, p.alpha, p.k))
+    out = np.exp(lam * fractal_measure_c(w, p.alpha, p.k))
+    return complex(out) if isinstance(w, _NUMBER) else out
 
 
 def _kernel_weight(w, p):
-    """(1/sigma) F(w) (d/dw e_k(w**a)), the path kernel's weight."""
+    """(1/sigma) F(w) (d/dw e_k(w**a)), the path kernel's weight; a complex at
+    a Python number."""
     return (1.0 / p.sigma) * _integrating_factor(w, p) * fractal_measure_deriv_c(w, p.alpha, p.k)
 
 

@@ -5,11 +5,29 @@ Series are plain polynomials: every formula computed downstream is evaluated
 on polynomial data, so tails are out of scope and degrees stay explicit.
 A series evaluates elementwise over a numpy array, and at a Python number by
 Horner's rule in Python complex arithmetic, returning a complex.
+
+A Python number is an int (bool included), a float or a complex, numpy
+float64 and complex128 included as subclasses of float and complex.  At one
+the slit-disk test, the branch power and the measure functions run in Python
+math and cmath arithmetic too and return a bool or a complex: no array is
+built but truncated_exp_c's.  Any other scalar, a 0-d array included, takes
+the array route.  The two routes keep the same checks, conventions and
+errors; their last bits can differ, within the bounds stated where each
+route's function is defined.
 """
+
+import cmath
+import math
+import sys
 
 import numpy as np
 
 from .errors import BranchError, DomainError, INF, check_order
+
+# the Python numbers, which take the scalar routes
+_NUMBER = (int, float, complex)
+# the smallest normal float
+_TINY = sys.float_info.min
 
 
 class CPowerSeries:
@@ -55,7 +73,7 @@ class CPowerSeries:
         any other scalar, a 0-d array included, takes that pass and returns
         a complex.
         """
-        if isinstance(z, (int, float, complex)):
+        if isinstance(z, _NUMBER):
             z = complex(z)
             terms = iter(self._terms)
             out = next(terms, 0j)
@@ -129,22 +147,59 @@ def in_slit_disk(z):
     """True where |z| < 1 and z is not on the removed segment (-1, 0].
 
     The segment check is exact: points with zero imaginary part and real part
-    in (-1, 0] are rejected, positive reals accepted.
+    in (-1, 0] are rejected, positive reals accepted; NaN and infinities are
+    outside.  At a Python number the test is Python arithmetic and returns a
+    bool (|z| is taken only once both parts are below 1, so it cannot
+    overflow); an array gives a boolean array, any other scalar a bool.
     """
+    if isinstance(z, _NUMBER):
+        z = complex(z)
+        return (abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
+                and not (z.imag == 0.0 and -1.0 < z.real <= 0.0))
     zz = np.asarray(z, dtype=complex)
     on_cut = (zz.imag == 0.0) & (zz.real > -1.0) & (zz.real <= 0.0)
     ok = (np.abs(zz) < 1.0) & ~on_cut
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def _require_slit_disk(z):
+    ok = in_slit_disk(z)
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise BranchError("evaluation point outside the slit unit disk")
+
+
 def principal_power_c(z, alpha):
     """Principal-branch power z**alpha with Arg z in (-pi, pi].
 
     Points on the negative real axis use Arg = +pi regardless of the sign of
-    the (zero) imaginary part; z = 0 raises BranchError.
+    the (zero) imaginary part; z = 0 raises BranchError, a non-finite z
+    DomainError.  z**1 is z bit for bit (a copy for an array).
+
+    At a Python number the power is exp(alpha (log|z| + i Arg z)) in
+    Python math and cmath arithmetic, returned as a complex.  Its last bits
+    can differ from the array route's, whose log and arctan2 round
+    differently by an ulp: both stay within about
+    4 u |z**alpha| (1 + alpha (|log|z|| + pi)), u = 2**-53.  A |z| or a
+    power beyond the float range takes the array route.  An array gives an
+    array; any other scalar takes the array route and returns a complex.
     """
+    if isinstance(z, _NUMBER):
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError("z**alpha needs a finite z")
+        if z == 0:
+            raise BranchError("0**alpha is undefined on the principal branch")
+        if alpha == 1.0:  # z**1 = z on every branch
+            return z
+        ang = math.pi if z.imag == 0.0 and z.real < 0.0 else math.atan2(z.imag, z.real)
+        try:
+            return cmath.exp(alpha * complex(math.log(abs(z)), ang))
+        except OverflowError:
+            pass
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     zz = np.asarray(z, dtype=complex)
+    if not np.isfinite(zz).all():
+        raise DomainError("z**alpha needs a finite z")
     if np.any(zz == 0):
         raise BranchError("0**alpha is undefined on the principal branch")
     if alpha == 1.0:  # z**1 = z on every branch
@@ -195,10 +250,11 @@ def truncated_exp_c(w, k):
 
 
 def fractal_measure_c(z, alpha, k):
-    """The slit-disk fractal function e_k(z**alpha), principal branch."""
-    if not np.all(in_slit_disk(z)):
-        raise BranchError("evaluation point outside the slit unit disk")
-    return truncated_exp_c(principal_power_c(z, alpha), k)
+    """The slit-disk fractal function e_k(z**alpha), principal branch; a
+    complex at a Python number."""
+    _require_slit_disk(z)
+    out = truncated_exp_c(principal_power_c(z, alpha), k)
+    return complex(out) if isinstance(z, _NUMBER) else out
 
 
 def _deriv_order(k):
@@ -214,23 +270,28 @@ def fractal_measure_deriv_c(z, alpha, k):
     """d/dz of e_k(z**alpha), i.e. alpha * z**(alpha-1) * e_{k-1}(z**alpha).
 
     This is the checked route for any z: it tests the points against the
-    slit disk and takes a complex power node by node.  The nodes of a disk
-    quadrature block do not come here: ff_complex forms the same field
-    from the block's ring and angle rows (_rule_measure_deriv), unchecked,
-    since the rule lies in the slit disk by construction.
+    slit disk and takes a complex power node by node; at a Python number it
+    returns a complex, its power taken by principal_power_c's scalar route.
+    The nodes of a disk quadrature block do not come here: ff_complex forms
+    the same field from the block's ring and angle rows
+    (_rule_measure_deriv), unchecked, since the rule lies in the slit disk
+    by construction.
     """
     km1 = _deriv_order(k)
-    if not np.all(in_slit_disk(z)):
-        raise BranchError("evaluation point outside the slit unit disk")
-    zz = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
+    _require_slit_disk(z)
+    scalar = isinstance(z, _NUMBER)
+    zz = complex(z) if scalar else np.asarray(z, dtype=complex)
     w = principal_power_c(zz, alpha)
-    tiny = np.abs(zz) < np.finfo(float).tiny
-    if not tiny.any():
+    tiny = abs(zz) < _TINY
+    if not (tiny if scalar else tiny.any()):
         # z**(alpha-1) = z**alpha / z on the principal branch (same logarithm)
-        return alpha * w / zz * truncated_exp_c(w, km1)
-    # below the smallest normal |z| numpy's division overflows, even z / z,
-    # and |z| keeps few digits: there z**(alpha-1) is taken at the exactly
-    # scaled 2**64 z and multiplied back by 2**(64 (1-alpha))
-    s = np.where(tiny, 2.0**64, 1.0)
-    zs = zz * s
-    return alpha * principal_power_c(zs, alpha) / zs * s ** (1.0 - alpha) * truncated_exp_c(w, km1)
+        out = alpha * w / zz * truncated_exp_c(w, km1)
+    else:
+        # below the smallest normal |z| numpy's division overflows, even
+        # z / z, and |z| keeps few digits: there z**(alpha-1) is taken at the
+        # exactly scaled 2**64 z and multiplied back by 2**(64 (1-alpha))
+        s = np.where(tiny, 2.0**64, 1.0)
+        zs = zz * s
+        out = (alpha * principal_power_c(zs, alpha) / zs * s ** (1.0 - alpha)
+               * truncated_exp_c(w, km1))
+    return complex(out) if scalar else out

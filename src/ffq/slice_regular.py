@@ -168,13 +168,19 @@ def star_inverse(f, degree):
     degree = int(degree)
     if f.degree < 0 or np.linalg.norm(f.parts[0]) < _STAR_INVERSE_FLOOR:
         raise DomainError("constant term too small for a star inverse")
-    c1 = symmetrization(f).parts[: degree + 1, 0].real
-    s = np.pad(c1, (0, degree + 1 - len(c1)))
-    k = np.arange(degree + 1)
-    r = np.linalg.solve(np.tril(s[k[:, None] - k]), np.eye(degree + 1)[0])
+    n = degree + 1
+    c1 = symmetrization(f).parts[:n, 0].real
+    # s = c1 padded with zeros to 2n - 1 entries: the index differences
+    # k - j < 0 wrap into the zero tail, so s[k - j] is lower triangular
+    s = np.zeros(2 * n - 1)
+    s[: len(c1)] = c1
+    k = np.arange(n)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    r = np.linalg.solve(s[k[:, None] - k], e0)
     recip = _series(np.stack([r, 0.0 * r], axis=-1) + 0j)
     out = star_product(recip, regular_conjugate(f))
-    return _series(out.parts[: degree + 1])
+    return _series(out.parts[:n])
 
 
 @dataclass(frozen=True)

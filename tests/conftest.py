@@ -17,6 +17,14 @@ def qdist(a, b):
     return (a - b).norm()
 
 
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+
+
 @pytest.fixture
 def no_quadrature(monkeypatch):
     """Make the coefficient-table and disk quadratures of ff_complex raise."""

@@ -1,12 +1,15 @@
 """The per-value fast paths of the star algebra against the code they replace.
 
-The scalar series value runs Horner's rule in Python complex arithmetic,
-which rounds complex products differently from numpy's loop, so it is held
-to the Horner error bound rather than to the array path's bits.  Everything
-else (quaternion arithmetic, eval_q, star_product, split, frame_coords and
-extend_from_slice) must reproduce, bit for bit, the in-test copies below of
-the code that built each Quaternion through float() and object.__setattr__
-and rebuilt the frame basis on every call.
+The star inverse builds its Toeplitz system from zeros and one index array
+instead of np.pad, np.tril and np.eye; the system, the solve and so the
+result keep their bits.  The scalar series value runs Horner's rule in
+Python complex arithmetic, which rounds complex products differently from
+numpy's loop, so it is held to the Horner error bound rather than to the
+array path's bits.  Everything else (quaternion arithmetic, eval_q,
+star_product, split, frame_coords and extend_from_slice) must reproduce, bit
+for bit, the in-test copies below of the code that built each Quaternion
+through float() and object.__setattr__ and rebuilt the frame basis on every
+call.
 """
 
 import math
@@ -18,6 +21,10 @@ import pytest
 from ffq import (ONE, CPowerSeries, QPowerSeries, Quaternion, as_quaternion,
                  eval_q, extend_from_slice, frame_coords, random_frame, split,
                  star_product)
+from ffq.slice_regular import (_series, regular_conjugate, star_inverse,
+                               symmetrization)
+
+from conftest import outcome
 
 U = np.finfo(float).eps / 2
 
@@ -113,6 +120,15 @@ def ref_extend_from_slice(pair, q):
     return ref_scale(ref_add(ref_mul(ref_add(ONE, t), wm), ref_mul(ref_sub(ONE, t), wp)), 0.5)
 
 
+def ref_star_inverse_parts(f, degree):
+    c1 = symmetrization(f).parts[: degree + 1, 0].real
+    s = np.pad(c1, (0, degree + 1 - len(c1)))
+    k = np.arange(degree + 1)
+    r = np.linalg.solve(np.tril(s[k[:, None] - k]), np.eye(degree + 1)[0])
+    recip = _series(np.stack([r, 0.0 * r], axis=-1) + 0j)
+    return star_product(recip, regular_conjugate(f)).parts[: degree + 1]
+
+
 # ------------------------------------------------------------------ draws
 
 def bits(value):
@@ -188,6 +204,26 @@ def test_frame_coords_keeps_its_bits_and_return_types():
             for u, v in zip(got, want):
                 assert type(u) is type(v) and u.shape == v.shape == shape[:-1]
                 assert bits(u) == bits(v)
+
+
+def test_star_inverse_keeps_its_bits():
+    # series of length 1-10 at degrees 0-12: the symmetrization (length
+    # 2 len - 1) is both longer and shorter than degree + 1
+    rng = np.random.default_rng(14)
+    lengths = set()
+    for _ in range(400):
+        length, degree = int(rng.integers(1, 11)), int(rng.integers(0, 13))
+        head = draw_quaternion(rng)
+        while head.norm() < 1e-3:
+            head = draw_quaternion(rng)
+        f = QPowerSeries([head] + [draw_quaternion(rng) for _ in range(length - 1)])
+        # a badly conditioned draw may overflow or make the solve fail: the
+        # same bits, or the same error, on both
+        with np.errstate(all="ignore"):
+            assert (outcome(lambda: bits(star_inverse(f, degree).parts))
+                    == outcome(lambda: bits(ref_star_inverse_parts(f, degree))))
+        lengths.add((2 * length - 1 > degree + 1) - (2 * length - 1 < degree + 1))
+    assert lengths == {-1, 0, 1}
 
 
 # ------------------------------------------------------ scalar series values

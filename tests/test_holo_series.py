@@ -73,6 +73,18 @@ def test_principal_power_at_one_is_z_bit_for_bit():
             principal_power_c(zero, 1.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan, 0.0), complex(0.5, math.nan),
+                               math.inf, -math.inf, complex(0.0, -math.inf),
+                               np.float64(math.nan), np.complex128(complex(math.inf, 1.0))])
+def test_principal_power_rejects_a_non_finite_point(z):
+    # was inf+nanj or nan+nanj with a RuntimeWarning
+    for alpha in (0.5, 1.0):
+        with pytest.raises(DomainError, match="finite"):
+            principal_power_c(z, alpha)
+        with pytest.raises(DomainError, match="finite"):
+            principal_power_c(np.array([0.5, z, 0.25j]), alpha)
+
+
 @pytest.mark.parametrize("a,b", [(0.3, 0.5), (0.9, 0.1), (0.25, 0.75)])
 def test_power_addition_law(rng, a, b):
     for _ in range(20):

@@ -144,6 +144,15 @@ def test_principal_power_branch_cut_rejected():
         principal_power(Quaternion(), 0.5)
 
 
+@pytest.mark.parametrize("q", [Quaternion(math.nan), Quaternion(math.inf),
+                               Quaternion(0.5, math.nan, 0.0, 0.0),
+                               Quaternion(0.0, 0.0, -math.inf, 0.0),
+                               Quaternion(0.3, 0.1, 0.2, math.inf)])
+def test_principal_power_rejects_a_non_finite_quaternion(q):
+    with pytest.raises(DomainError):
+        principal_power(q, 0.5)
+
+
 def test_truncated_exp_examples():
     q = Quaternion(0.3, 0.1, -0.2, 0.4)
     assert truncated_exp(q, 0) == ONE
