@@ -77,12 +77,19 @@ def _rule_measure_deriv(block, alpha, k):
 
 
 def _rule_series(block, degree):
-    """f -> f(z) at the nodes of a disk-rule block, for series f of degree
-    at most degree, from the block's rows.  z**n = rb**n e^{i n tn}, so
-    f(z) = sum_n a_n z**n is one matrix product per series: the ring-power
-    table R (rings x w) scaled by the coefficients, times the angle-power
-    table E (w x angles) (_PolarBlock.power_rows), both built once for every
-    series served.  No node takes a power, only the product's output.
+    """fs -> the rows f(z), one per series f of fs, at the nodes z of a
+    disk-rule block, for series of degree at most degree, from the block's
+    rows.  z**n = rb**n e^{i n tn}, so f(z) = sum_n a_n z**n is the
+    ring-power table R (rings x w) scaled by the coefficients, times the
+    angle-power table E (w x angles) (_PolarBlock.power_rows), both built
+    once for every series served.  No node takes a power, only the
+    product's output.
+
+    The product is real, one per call: the scaled tables X of all the
+    series, stacked and read as floats (re and im interleaved), times E
+    with the row of each power followed by that of i E, as floats, is
+    X @ E read back as complex.  So f and f' of a series are one dgemm,
+    over only the powers the longer of the two reaches.
 
     The tables hold w = min(degree + 1, _BLOCK_NODES // max(rings, angles))
     powers, so neither exceeds _BLOCK_NODES entries (or one row) at any
@@ -92,89 +99,92 @@ def _rule_series(block, degree):
     rings, angles = len(block.rb), len(block.tn)
     w = min(max(degree, 0) + 1, max(1, _BLOCK_NODES // max(rings, angles)))
     R, E = block.power_rows(w)
+    # row 2j is E_j and row 2j + 1 is i E_j, each as interleaved floats
+    EE = np.stack([E.view(float), (1j * E).view(float)], axis=1).reshape(2 * w, 2 * angles)
+    del E
     zw = block.power(w).reshape(rings, angles) if degree >= w else None
 
-    def values(f):
-        a = f.coeffs
-        if len(a) == 0:
-            return np.zeros(len(block.z), dtype=complex)
+    def values(fs):
+        n = max((len(f.coeffs) for f in fs), default=0)
+        if n == 0:
+            return np.zeros((len(fs), len(block.z)), dtype=complex)
         acc = None
-        for s in range((len(a) - 1) // w * w, -1, -w):
-            coeffs = a[s : s + w]
-            part = (R[:, : len(coeffs)] * coeffs) @ E[: len(coeffs)]
+        for s in range((n - 1) // w * w, -1, -w):
+            width = min(w, n - s)  # the powers some series of fs reaches
+            X = np.zeros((len(fs), rings, width), dtype=complex)
+            for i, f in enumerate(fs):
+                coeffs = f.coeffs[s : s + w]
+                np.multiply(R[:, : len(coeffs)], coeffs, out=X[i, :, : len(coeffs)])
+            part = (X.reshape(-1, width).view(float) @ EE[: 2 * width]).view(complex)
+            part = part.reshape(len(fs), rings, angles)
             if acc is None:
                 acc = part
             else:
                 acc *= zw
                 acc += part
-        return acc.ravel()
+        return acc.reshape(len(fs), -1)
     return values
 
 
 def _stack_rows(fs, p, sigmas, zz):
-    """Generate (i, row) with row = D f at zz for each (sigma, series) pair,
-    sigma-major: i = j len(fs) + m for sigmas[j] and fs[m].
+    """Generate (m, f, frac) for each series fs[m]: its values f at zz and,
+    if some sigma > 0, frac = beta f**(beta-1) f' / den, else None.  D f at
+    sigma s is then (1 - s) f + s frac, or f itself at s = 0.
 
     When zz is the node array of the disk-rule block being integrated
-    (quadrature._rule_block), the measure derivative and the series values
-    f(zz) and f'(zz) are formed from the block's ring and angle rows
-    (_rule_measure_deriv, and _rule_series: one matrix product per series
-    of power tables built once per call), and zz is not checked: the rule
-    lies in the slit disk by construction.  Any other zz is user input,
-    evaluated by Horner's rule (CPowerSeries) and checked once to be in the
-    slit disk: by fractal_measure_deriv_c if some sigma > 0, else here.
+    (quadrature._rule_block), the measure derivative den and the series
+    values f(zz) and f'(zz) are formed from the block's ring and angle rows
+    (_rule_measure_deriv, and _rule_series: f and f' of a series are one
+    real matrix product of power tables built once per call), and zz is not
+    checked: the rule lies in the slit disk by construction.  Any other zz
+    is user input, evaluated by Horner's rule (CPowerSeries) and checked
+    once to be in the slit disk: by fractal_measure_deriv_c if some
+    sigma > 0, else here.
 
-    The sigma-free parts are formed once per series: f(zz), f'(zz), the
-    measure derivative (once for the stack, only if some sigma > 0) and
-    frac = beta f**(beta-1) f' / den.  Each sigma's row is then
-    (1 - s) f + s frac, or f itself at s = 0, so it holds the bits a
-    one-sigma stack gives it.
+    The measure derivative is inverted once per call, rden = 1 / den, and
+    each series' frac is a product by it, not a complex division.
     """
-    n = len(fs)
     fractal = any(s != 0.0 for s in sigmas)
     block = _rule_block(zz)
     if fractal:
-        den = (fractal_measure_deriv_c(zz, p.alpha, p.k) if block is None
-               else _rule_measure_deriv(block, p.alpha, p.k))
+        rden = 1.0 / (fractal_measure_deriv_c(zz, p.alpha, p.k) if block is None
+                      else _rule_measure_deriv(block, p.alpha, p.k))
     elif block is None:
         _require_slit_disk(zz)
-    values = ((lambda f: f(zz)) if block is None
+    values = ((lambda gs: [g(zz) for g in gs]) if block is None
               else _rule_series(block, max((f.degree for f in fs), default=0)))
     for m, f in enumerate(fs):
-        fv = values(f)
-        if fractal:
-            fp = values(f.derivative())
+        frac = None
+        if not fractal:
+            (fv,) = values((f,))
+        else:
+            fv, fp = values((f, f.derivative()))
             if p.beta == 1.0:
-                frac = fp / den
+                frac = fp * rden
             else:
                 if np.any(fv == 0):
                     raise DomainError("f vanishes at an evaluation point; f**beta undefined")
                 if np.any((fv.imag == 0.0) & (fv.real < 0.0)):
                     raise BranchError("f(z) on the negative real axis; principal power undefined")
-                frac = p.beta * fv ** (p.beta - 1.0) * fp / den
-        for j, s in enumerate(sigmas):
-            row = fv
-            if s != 0.0:
-                # (1 - s) f + s frac with the sum taken in the fresh product:
-                # the same bits, one row-sized temporary fewer
-                row = (1.0 - s) * fv
-                row += s * frac
-            yield j * n + m, row
-            # held here, the row would stay alive through the next series'
-            # f and f' and raise the peak memory by a row
-            del row
+                frac = p.beta * fv ** (p.beta - 1.0) * fp * rden
+            del fp
+        yield m, fv, frac
+        # held here, the rows would stay alive through the next series'
+        # f and f' and raise the peak memory by two rows
+        del fv, frac
 
 
 def ff_eval_stack(fs, p, z):
     """Apply the derivative D to each series of fs at z (an array): one row
-    per series, with the measure derivative computed once for the stack.
+    per series, with the measure derivative computed and inverted once for
+    the stack.
 
     The (len(fs),) + z.shape output is allocated once and each row is
-    copied into it as it is formed, (1 - s) f + s (beta f**(beta-1) f') / den,
-    so the temporaries stay a few rows deep however many series fs holds.
-    On the nodes of the disk-rule block being integrated, f, f' and den are
-    read from the block's ring and angle rows (_stack_rows); anywhere else
-    f and f' are Horner's rule.
+    formed in it, (1 - s) f + s (beta f**(beta-1) f' (1 / den)), so the
+    temporaries stay a few rows deep however many series fs holds.  On the
+    nodes of the disk-rule block being integrated, f, f' and den are read
+    from the block's ring and angle rows (_stack_rows); anywhere else f and
+    f' are Horner's rule.
 
     For beta < 1 the factor f(z)**(beta-1) uses the principal power, so
     every f must be nonvanishing with values off the closed negative real
@@ -183,9 +193,13 @@ def ff_eval_stack(fs, p, z):
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty((len(fs),) + zz.shape, dtype=complex)
-    for i, row in _stack_rows(fs, p, (p.sigma,), zz):
-        out[i] = row
-        del row  # as in _stack_rows: dropped before the next row is formed
+    s = p.sigma
+    for m, fv, frac in _stack_rows(fs, p, (s,), zz):
+        if frac is None:
+            out[m] = fv
+        else:
+            np.multiply(fv, 1.0 - s, out=out[m])
+            out[m] += s * frac
     return out
 
 
@@ -224,13 +238,27 @@ class DirichletValue:
 
 def _abs2_stack(fs, p, z, sigmas):
     """|D f|**2 at z for each (sigma, series) pair, sigma-major, written row
-    by row into one float buffer: no complex stack is formed, and the row of
-    (s, f) holds the bits of np.abs(ff_eval_stack([f], p with sigma s, z))**2."""
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty((len(sigmas) * len(fs),) + zz.shape)
-    for i, row in _stack_rows(fs, p, sigmas, zz):
-        np.abs(row, out=out[i])
-        np.square(out[i], out=out[i])
+    by row into one float buffer: no complex row is formed.  For each sigma
+    s the real and imaginary parts of D f are v = (1 - s) f + s frac over
+    the interleaved float views of f and frac (_stack_rows), and the row is
+    v[0::2]**2 + v[1::2]**2: the parts of ff_eval_stack's row, squared and
+    summed, without its hypot.  A row holds the same bits whichever other
+    sigmas share the stack.  A z that is not C-contiguous (a transposed
+    grid, say) is copied once, so that every row has its float view."""
+    zz = np.ascontiguousarray(z, dtype=complex)
+    n = len(fs)
+    out = np.empty((len(sigmas) * n,) + zz.shape)
+    for m, fv, frac in _stack_rows(fs, p, sigmas, zz):
+        fx = fv.view(float)
+        gx = None if frac is None else frac.view(float)
+        for j, s in enumerate(sigmas):
+            if s == 0.0:
+                v = fx * fx
+            else:
+                v = (1.0 - s) * fx
+                v += s * gx
+                v *= v
+            np.add(v[..., 0::2], v[..., 1::2], out=out[j * n + m])
     return out
 
 

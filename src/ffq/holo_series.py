@@ -28,6 +28,7 @@ from .errors import BranchError, DomainError, INF, check_order
 _NUMBER = (int, float, complex)
 # the smallest normal float
 _TINY = sys.float_info.min
+_LOG2 = math.log(2.0)
 
 
 class CPowerSeries:
@@ -179,9 +180,12 @@ def principal_power_c(z, alpha):
     Python math and cmath arithmetic, returned as a complex.  Its last bits
     can differ from the array route's, whose log and arctan2 round
     differently by an ulp: both stay within about
-    4 u |z**alpha| (1 + alpha (|log|z|| + pi)), u = 2**-53.  A |z| or a
-    power beyond the float range takes the array route.  An array gives an
-    array; any other scalar takes the array route and returns a complex.
+    4 u |z**alpha| (1 + alpha (|log|z|| + pi)), u = 2**-53.  A |z| beyond
+    the float range (a finite z of parts near 1.8e308) enters the logarithm
+    scaled, as log(|z| / 2) + log 2, on either route.  A power beyond the
+    float range takes the array route, which gives numpy's overflow.  An
+    array gives an array; any other scalar takes the array route and
+    returns a complex.
     """
     if isinstance(z, _NUMBER):
         z = complex(z)
@@ -193,22 +197,38 @@ def principal_power_c(z, alpha):
             return z
         ang = math.pi if z.imag == 0.0 and z.real < 0.0 else math.atan2(z.imag, z.real)
         try:
-            return cmath.exp(alpha * complex(math.log(abs(z)), ang))
+            log_r = math.log(abs(z))
+        except OverflowError:  # |z| beyond the float range
+            log_r = math.log(abs(complex(z.real * 0.5, z.imag * 0.5))) + _LOG2
+        try:
+            return cmath.exp(alpha * complex(log_r, ang))
         except OverflowError:
             pass
     scalar = np.isscalar(z) or getattr(z, "ndim", 1) == 0
     zz = np.asarray(z, dtype=complex)
-    if not np.isfinite(zz).all():
-        raise DomainError("z**alpha needs a finite z")
-    if np.any(zz == 0):
+    # |z| serves the checks too: it is finite for a finite z unless |z| is
+    # beyond the float range, and 0 only at z = 0
+    with np.errstate(over="ignore"):
+        r = np.abs(zz)
+    big = None
+    if not np.isfinite(r).all():
+        if not np.isfinite(zz).all():
+            raise DomainError("z**alpha needs a finite z")
+        big = np.isinf(r)
+    if (r == 0).any():
         raise BranchError("0**alpha is undefined on the principal branch")
     if alpha == 1.0:  # z**1 = z on every branch
         return complex(zz) if scalar else zz.copy()
     ang = np.angle(zz)
     neg_axis = (zz.imag == 0.0) & (zz.real < 0.0)
-    if np.any(neg_axis):
+    if neg_axis.any():
         ang = np.where(neg_axis, np.pi, ang)
-    out = np.exp(alpha * (np.log(np.abs(zz)) + 1j * ang))
+    if big is None:
+        log_r = np.log(r)
+    else:
+        half = np.hypot(zz.real * 0.5, zz.imag * 0.5)
+        log_r = np.log(np.where(big, half, r)) + np.where(big, _LOG2, 0.0)
+    out = np.exp(alpha * (log_r + 1j * ang))
     return complex(out) if scalar else out
 
 

@@ -25,19 +25,20 @@ runs on a block, _polar_estimate publishes the block in the context
 variable _RULE_BLOCK.  Code handed that block's own z (an identity test,
 _rule_block) may read the rows: ff_complex forms the measure derivative
 alpha z**(alpha-1) e_{k-1}(z**alpha) from them, and the series values f(z)
-and f'(z), one matrix product per series of the block's ring-power and
-angle-power tables (power_rows), and _matrix_estimate its powers
+and f'(z), one real matrix product per series of the block's ring-power
+and angle-power tables (power_rows), and _matrix_estimate its powers
 r**a e^{i a t}.  Such code does not check the nodes against the
 slit disk: rb lies in (0, 1) and tn in (-pi, pi) by construction, which
 the tests confirm up to the MAX_FINEST_NODES budget.  Any other array, a
 copy of z included, is checked as user input.
 
 The block bounds everything that is one row long: the weights at 8 bytes
-a node, z and the measure derivative at 16, the power tables of the series
-values (at most _BLOCK_NODES entries each, at any degree), and the few
-row-sized complex temporaries of a stack filled row by row (f, f' and
-f'/den, once per series, and the row being formed), each at most
-128 KiB, so they stay in cache.  A stack of h rows takes h x 2**13
+a node, z and the measure derivative and its reciprocal at 16, the power
+tables of the series values (at most _BLOCK_NODES entries each, at any
+degree), and the few row-sized temporaries of a stack filled row by row
+(f and f', one product per series, f' times the reciprocal, and the row
+being formed, as complex numbers or, for |Df|**2, as their float views),
+each at most 128 KiB, so they stay in cache.  A stack of h rows takes h x 2**13
 elements per block: 5.3 MB for the norms sweep's 81 float rows, the
 largest stack.  A nested integrand also holds kernel_K_half's
 16 + ceil((N+1)/16) rows of powers and partial sums in conj(zeta), and

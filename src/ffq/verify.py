@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import INF, NoConvergence
 from .ff_complex import (bergman_kernel, coefficient_integrals, dirichlet_norm,
-                         dirichlet_norm_quad, dirichlet_norms_quad, dirichlet_norm_series,
+                         dirichlet_norm_quad, dirichlet_norms_quad,
                          exact_coefficient_integrals, ff_eval_c,
                          integrating_factor_residual, reproduce_identity_2,
-                         reproduction_rhs_1_stack, _kernel_weight, _series_table)
+                         reproduction_rhs_1_stack, _gram_form, _kernel_weight,
+                         _series_table, _table_gram)
 from .ff_quaternionic import (q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
 from .ff_real import FFParams, ff_derivative_real
@@ -142,7 +143,11 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
     per cell (_divergence_profiles), must still be refining at its cap.
     Such functions are simply not members of the space there.  The
     quadrature norms of one (alpha, k) are one stacked integral over every
-    sigma, which forms each function's f and f'/den once per node block.
+    sigma, which forms each function's f, and f' times the reciprocal of
+    the measure derivative, once per node block.
+    The series norms of one (alpha, sigma, k) read one Gram matrix, of the
+    largest finite degree: its leading block is the Gram matrix of each
+    lower degree entry for entry, so a row is dirichlet_norm_series' value.
     """
     functions = functions or sweep_functions()
     max_deg = max(f.degree for _, f in functions)
@@ -160,11 +165,13 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
             infinite = [(label, f) for (label, f), fin in zip(functions, finite) if not fin]
             profiles = dict(zip([label for label, _ in infinite],
                                 _divergence_profiles([f for _, f in infinite], base)))
-            quads = iter(dirichlet_norms_quad(
-                [f for (_, f), fin in zip(functions, finite) if fin],
-                base, DEFAULT_SPEC, sigmas=sigmas))
+            finite_fs = [f for (_, f), fin in zip(functions, finite) if fin]
+            quads = iter(dirichlet_norms_quad(finite_fs, base, DEFAULT_SPEC, sigmas=sigmas))
+            degree = max((f.degree for f in finite_fs), default=0)
             for sigma in sigmas:
                 p = FFParams(alpha=alpha, sigma=sigma, k=k)
+                # a constant needs no table (ci may be None)
+                G = _table_gram(p, ci, degree) if finite_fs else None
                 for (label, f), fin in zip(functions, finite):
                     row = {"f": label, "alpha": alpha, "sigma": sigma,
                            "k": _k_label(k)}
@@ -172,8 +179,7 @@ def norm_agreement(functions=None, alphas=GRID_ALPHAS, sigmas=GRID_SIGMAS,
                         row.update(series="", quadrature="", rel_diff="",
                                    status="divergent" if profiles[label] else "fail")
                     else:
-                        # a constant needs no table (ci may be None)
-                        ns = dirichlet_norm_series(f, p, ci).norm_sq
+                        ns = _gram_form(G, f.coeffs)
                         nq = next(quads).norm_sq
                         rel = abs(ns - nq) / max(abs(nq), 1e-300)
                         row.update(series=ns, quadrature=nq, rel_diff=rel,

@@ -895,11 +895,11 @@ def _stacked_formula(fs, p, z):
     if s == 0.0:
         return fv
     fp = np.stack([f.derivative()(zz) for f in fs])
-    den = fractal_measure_deriv_c(zz, p.alpha, p.k)
+    rden = 1 / fractal_measure_deriv_c(zz, p.alpha, p.k)
     if p.beta == 1.0:
-        frac = fp / den
+        frac = fp * rden
     else:
-        frac = p.beta * fv ** (p.beta - 1.0) * fp / den
+        frac = p.beta * fv ** (p.beta - 1.0) * fp * rden
     return (1.0 - s) * fv + s * frac
 
 
@@ -964,18 +964,73 @@ def test_multi_sigma_rows_are_the_one_sigma_rows_bit_for_bit(beta, rng):
     else:
         fs = [CPowerSeries([3.0, 0.5 - 0.5j, 0.25j]), CPowerSeries([2.0 - 1.0j])]
     z = rng.uniform(0.05, 0.95, (7, 13)) * np.exp(1j * rng.uniform(-3.0, 3.0, (7, 13)))
-    for zeta in (z, z.ravel(), z[0, 0], _large_nodes(rng)):
-        zz = np.atleast_1d(zeta).astype(complex)
-        # the rows dirichlet_norms_quad squares
-        got = np.full((len(sigmas) * len(fs),) + zz.shape, np.nan, dtype=complex)
-        for i, row in ff_complex._stack_rows(fs, p, sigmas, zz):
-            got[i] = row
+    n = len(fs)
+    # z.T has no C-contiguous last axis: its rows still get their float views
+    for zeta in (z, z.T, z.ravel(), z[0, 0], _large_nodes(rng)):
+        # the |Df|**2 rows dirichlet_norms_quad integrates
+        got = ff_complex._abs2_stack(fs, p, zeta, sigmas)
+        assert got.shape == (len(sigmas) * n,) + np.atleast_1d(zeta).shape
         for j, s in enumerate(sigmas):
-            alone = ff_eval_stack(fs, replace(p, sigma=s), zeta)
-            assert got[j * len(fs) : (j + 1) * len(fs)].tobytes() == alone.tobytes()
-        # the |Df|**2 rows the norms integrate hold the same bits as well
-        assert (ff_complex._abs2_stack(fs, p, zeta, sigmas).tobytes()
-                == (np.abs(got) ** 2).tobytes())
+            alone = ff_complex._abs2_stack(fs, p, zeta, (s,))
+            assert got[j * n : (j + 1) * n].tobytes() == alone.tobytes()
+            # the float-view formula: the parts of ff_eval_stack's rows,
+            # squared and summed
+            x = ff_eval_stack(fs, replace(p, sigma=s), zeta).view(float)
+            assert alone.tobytes() == (x[..., 0::2] ** 2 + x[..., 1::2] ** 2).tobytes()
+
+
+def _old_abs2_rows(fv, fp, den, sigmas):
+    """|Df|**2 rows by the former formula, np.abs((1 - s) f + s f' / den)**2,
+    and the scale ((1 - s)|f| + s|f'/den|)**2 of each row."""
+    frac = fp / den
+    rows, scales = [], []
+    for s in sigmas:
+        row = fv if s == 0.0 else (1.0 - s) * fv + s * frac
+        rows.append(np.abs(row) ** 2)
+        scales.append(((1.0 - s) * np.abs(fv) + s * np.abs(frac)) ** 2)
+    return np.stack(rows), np.stack(scales)
+
+
+# |new - old| for one |Df|**2 entry of scale M**2, M = (1 - s)|f| + s|g|,
+# g = f'/den: 1 / den and the product by it against the complex division
+# move g by at most about 10 u |g|, the two sums of the row by 4 u M, and
+# each side's square rounds within 3 u M**2; so 2 M (10 u s|g| + 4 u M)
+# + 6 u M**2 <= 34 u M**2
+_ABS2_ULPS = 40
+
+
+def test_abs2_rows_stay_near_the_former_formula(rng):
+    u = 2.0 ** -53
+    sigmas = (0.0, 0.3, 0.5, 1.0)
+    fs = [CPowerSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+          for d in range(7)] + [CPowerSeries([2.0 - 1.0j])]
+    n, worst = len(fs), []
+
+    def check(p, zz, fv_fp, den):
+        got = ff_complex._abs2_stack(fs, p, zz, sigmas)
+        for m, f in enumerate(fs):
+            want, scale = _old_abs2_rows(*fv_fp(f), den, sigmas)
+            err = np.abs(got[m::n] - want)
+            assert np.all(err <= _ABS2_ULPS * u * scale)
+            worst.append(np.max(err / np.maximum(u * scale, 1e-300)))
+
+    for alpha, k in ((0.7, 2), (0.3, INF), (1.0, 1)):
+        p = FFParams(alpha=alpha, sigma=0.5, k=k)
+        # user points: Horner's f and f' and the checked measure derivative
+        zz = _large_nodes(rng, 4000)
+        check(p, zz, lambda f: (f(zz), f.derivative()(zz)),
+              fractal_measure_deriv_c(zz, alpha, k))
+
+        # rule blocks: f and f' from the block's tables, as the stack forms them
+        def integrand(z):
+            block = quadrature._rule_block(z)
+            values = ff_complex._rule_series(block, max(f.degree for f in fs))
+            check(p, z, lambda f: values((f, f.derivative())),
+                  ff_complex._rule_measure_deriv(block, alpha, k))
+            return np.zeros(z.shape)
+
+        integrate_disk(integrand, replace(NESTED_SPEC, max_refine=1))
+    assert worst and max(worst) > 0.0
 
 
 def test_stacked_sigmas_match_one_sigma_at_a_time(spec, rng):
@@ -1014,9 +1069,10 @@ def test_abs2_stack_peak_memory_stays_near_its_output():
 
 
 def test_short_stacks_integrate_in_small_blocks(monkeypatch):
-    # a stack of a few rows gets disk blocks of at most 2**14 nodes, so each
-    # row-sized temporary stays at 256 KiB; blocks of 2**19 elements over
-    # the rows peaked at 25 MiB here and 9 MiB for the one-row norm
+    # a stack of a few rows gets disk blocks of at most _BLOCK_NODES = 2**13
+    # nodes, so each complex row-sized temporary stays at 128 KiB; blocks of
+    # 2**19 elements over the rows peaked at 25 MiB here and 9 MiB for the
+    # one-row norm
     levels = []
 
     def spy(*args):
@@ -1398,14 +1454,16 @@ def _random_series(rng, degrees=range(9)):
                          ids=["default", "nested", "divergence"])
 def test_series_rows_match_horner_at_every_node(spec, rng):
     # one evaluator per block serves every degree up to the stack's largest,
-    # as in _stack_rows; f' rides on the same tables
+    # as in _stack_rows; f' rides on the same tables, and one product gives
+    # the rows of a whole stack of mixed degrees
     fs = _random_series(rng)
     fs += [f.derivative() for f in fs]
     for level in range(3):
         for block in quadrature._polar_blocks(spec, level):
             values = ff_complex._rule_series(block, 8)
-            for f in fs:
-                got = values(f)
+            rows = values(fs)
+            assert rows.shape == (len(fs),) + block.z.shape
+            for f, got in zip(fs, rows):
                 assert got.shape == block.z.shape and got.dtype == complex
                 assert np.all(np.abs(got - f(block.z)) <= _horner_bound(f.coeffs, block.z))
                 if f.degree <= 0:  # the empty and the constant series, exactly
@@ -1428,7 +1486,7 @@ def test_series_rows_match_mpmath_at_sampled_nodes(rng):
                 with mpmath.workdps(40):
                     z = mpmath.mpc(block.z[i])
                     want = mpmath.fsum(mpmath.mpc(a) * z ** n for n, a in enumerate(f.coeffs))
-                got = values(f)[i]
+                got = values([f])[0, i]
                 assert abs(got - want) <= _horner_bound(f.coeffs, block.z[i])
 
 
@@ -1448,7 +1506,7 @@ def test_series_rows_of_a_high_degree_series_stay_within_a_few_rows(spec, rng):
     want = f(block.z)
     tracemalloc.start()
     try:
-        got = ff_complex._rule_series(block, f.degree)(f)
+        got = ff_complex._rule_series(block, f.degree)([f])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1525,6 +1583,29 @@ def test_series_rows_are_read_only_on_the_blocks_own_nodes(monkeypatch):
     sizes.clear()
     ff_eval_stack(fs, p, path_nodes)
     assert sizes == [len(path_nodes)] * (2 * len(fs))
+
+
+def test_norm_and_nested_integrals_leave_no_reference_cycles():
+    # a cycle through a block's evaluator (a closure kept on another
+    # closure, say) would hold its power tables until the cyclic collector
+    # runs, and raise the norms sweep's peak memory by half
+    import gc
+    fs = [CPowerSeries([1.0, 0.5 - 0.25j, 0.25j]), CPowerSeries([0.0, 1.0]),
+          CPowerSeries([2.0])]
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        dirichlet_norms_quad(fs, FFParams(alpha=0.7, sigma=0.5, k=2), NESTED_SPEC,
+                             sigmas=(0.0, 0.5))
+        reproduction_rhs_2_stack(fs, FFParams(alpha=1.0, sigma=0.4, k=INF), 0.3 + 0.4j,
+                                 NESTED_SPEC)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_quadrature_route_still_refines_as_the_witness():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,39 @@ def test_principal_power_rejects_a_non_finite_point(z):
             principal_power_c(z, alpha)
         with pytest.raises(DomainError, match="finite"):
             principal_power_c(np.array([0.5, z, 0.25j]), alpha)
+
+
+def _power_bound(z, alpha):
+    """The stated bound 4 u |z**alpha| (1 + alpha (|log|z|| + pi)) of either
+    route, with |z| and log|z| from the exact parts."""
+    import mpmath
+    r = abs(mpmath.mpc(z))
+    return 4.0 * 2.0 ** -53 * float(r ** alpha) * (1.0 + alpha * (abs(float(mpmath.log(r)))
+                                                                 + math.pi))
+
+
+@pytest.mark.parametrize("z", [complex(1.5e308, 1.5e308), complex(-1.7e308, -1.0e308),
+                               complex(-1.5e308, 1.6e308), complex(1.7e308, 1.7e308)])
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.02])
+def test_principal_power_of_a_modulus_beyond_the_float_range(z, alpha):
+    # |z| overflows though z is finite: was inf+nanj with a RuntimeWarning
+    # on both routes; (1.5e308 + 1.5e308 i)**0.5 has modulus 1.46e154
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = complex(mpmath.mpc(z) ** alpha)
+    bound = _power_bound(z, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = principal_power_c(z, alpha)
+        row = principal_power_c(np.array([z, 0.3 + 0.4j]), alpha)
+        zero_d = principal_power_c(np.array(z), alpha)
+    assert type(scalar) is complex and type(zero_d) is complex
+    for got in (scalar, row[0], zero_d):
+        assert abs(got - want) <= bound
+    # the other entries of the array keep the bits they get alone
+    assert row[1:].tobytes() == principal_power_c(np.array([0.3 + 0.4j]), alpha).tobytes()
+    if z == complex(1.5e308, 1.5e308) and alpha == 0.5:
+        assert abs(abs(scalar) / 1.4565e154 - 1.0) < 1e-4
 
 
 @pytest.mark.parametrize("a,b", [(0.3, 0.5), (0.9, 0.1), (0.25, 0.75)])

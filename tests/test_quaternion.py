@@ -153,6 +153,23 @@ def test_principal_power_rejects_a_non_finite_quaternion(q):
         principal_power(q, 0.5)
 
 
+def test_principal_power_of_a_modulus_beyond_the_float_range():
+    # x + y i = 1.5e308 (1 + i) has |x + y i| beyond the float range: the
+    # power was inf+nanj there; on the slice it is principal_power_c's value
+    mpmath = pytest.importorskip("mpmath")
+    for q, axis in ((Quaternion(1.5e308, 1.5e308, 0.0, 0.0), E1),
+                    (Quaternion(-1.5e308, 0.0, 0.0, -1.5e308), -E3)):
+        sp = slice_decompose(q)
+        assert sp.axis == axis
+        with mpmath.workdps(40):
+            c = complex(mpmath.mpc(sp.x, sp.y) ** 0.5)
+        # the stated bound 4 u |c| (1 + alpha (log|z| + pi)) of the power
+        log_r = math.log(1.5e308) + 0.5 * math.log(2.0)
+        bound = 4.0 * 2.0 ** -53 * abs(c) * (1.0 + 0.5 * (log_r + math.pi))
+        assert qdist(principal_power(q, 0.5), embed_complex(c, axis)) <= bound
+        assert math.isclose(abs(c), 1.4565e154, rel_tol=1e-4)
+
+
 def test_truncated_exp_examples():
     q = Quaternion(0.3, 0.1, -0.2, 0.4)
     assert truncated_exp(q, 0) == ONE

@@ -64,6 +64,35 @@ def test_stacked_sweep_quadrature_is_the_one_series_value():
         assert abs(r["quadrature"] - alone) <= 1e-13 * alone
 
 
+def test_sweep_series_values_are_the_one_series_values_bit_for_bit():
+    # one Gram matrix per (alpha, sigma, k) serves every degree of the sweep,
+    # and the constants of the divergent cell, which has no table
+    from ffq import FFParams, dirichlet_norm_series
+    from ffq.ff_complex import _series_table
+    functions = verify.sweep_functions()
+    by_label = dict(functions)
+    max_deg = max(f.degree for _, f in functions)
+    rows, ok = verify.norm_agreement()
+    assert ok and len(rows) == 27 * len(functions)
+    tables, checked = {}, 0
+    for r in rows:
+        if r["status"] == "divergent":
+            continue
+        k = verify.INF if r["k"] == "inf" else int(r["k"])
+        if (r["alpha"], k) not in tables:
+            try:
+                tables[r["alpha"], k] = _series_table(
+                    FFParams(alpha=r["alpha"], sigma=0.5, k=k), max_deg, verify.DEFAULT_SPEC)
+            except verify.NoConvergence:
+                tables[r["alpha"], k] = None
+        p = FFParams(alpha=r["alpha"], sigma=r["sigma"], k=k)
+        alone = dirichlet_norm_series(by_label[r["f"]], p, tables[r["alpha"], k]).norm_sq
+        assert type(r["series"]) is float
+        assert np.float64(r["series"]).tobytes() == np.float64(alone).tobytes()
+        checked += 1
+    assert checked == 27 * len(functions) - 3 * (len(functions) - 1)
+
+
 @pytest.mark.parametrize("offset", [0, 3])
 def test_reproducing_rows_are_the_per_point_residuals(offset):
     # the suite integrates each (sigma, k) cell's points as one stack; each
