@@ -26,7 +26,7 @@ from .errors import (BranchError, DegreeMismatch, DivergentIntegral,
 from .ff_real import DEFAULT_STEP
 from .holo_series import (_NUMBER, _deriv_order, _require_slit_disk, fractal_measure_c,
                           fractal_measure_deriv_c, in_slit_disk, truncated_exp_c)
-from .quadrature import (DEFAULT_SPEC, _BLOCK_NODES, _converge, _path_rule,
+from .quadrature import (DEFAULT_SPEC, _BLOCK_NODES, _converge, _open_rows, _path_rule,
                          _polar_blocks, _powers, _rule_block, build_slit_path,
                          integrate_disk)
 
@@ -191,13 +191,20 @@ def ff_eval_stack(fs, p, z):
     axis at the evaluation points (spot-screened here; the global hypothesis
     is the caller's).
     """
+    return _eval_rows(fs, p, (p.sigma,) * len(fs), z)
+
+
+def _eval_rows(fs, p, sigmas, z):
+    """ff_eval_stack with one sigma per series, sigmas[m] for fs[m]: the
+    row of fs[m] is (1 - s) f + s frac at s = sigmas[m], or f itself where
+    every sigma is 0.  The sigmas are the caller's to check."""
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.empty((len(fs),) + zz.shape, dtype=complex)
-    s = p.sigma
-    for m, fv, frac in _stack_rows(fs, p, (s,), zz):
+    for m, fv, frac in _stack_rows(fs, p, sigmas, zz):
         if frac is None:
             out[m] = fv
         else:
+            s = sigmas[m]
             np.multiply(fv, 1.0 - s, out=out[m])
             out[m] += s * frac
     return out
@@ -647,34 +654,66 @@ def _require_sigma_interior(p):
         raise DomainError("reproducing identities need sigma strictly inside (0, 1)")
 
 
-def reproduction_rhs_1_stack(fs, p, z, spec=None):
-    """Right-hand side of the first reproducing identity for each series of
-    fs at its own point: z holds one point per series, or is one scalar
-    point for all of them.  The row of f at the point z is
+def _open_field(fs, p, sigmas, zeta):
+    """(rows, field) on the nodes zeta of a stack's integrand: the rows
+    still open (quadrature._open_rows; every row while all are) and D f of
+    each, fs[i] at sigmas[i], one row each in that order."""
+    rows = _open_rows(zeta)
+    rows = range(len(fs)) if rows is None else rows
+    return rows, _eval_rows([fs[i] for i in rows], p, [sigmas[i] for i in rows], zeta)
 
-        -s/(1-s) * f'(z)/(d/dz e_k(z**a)) + 1/(1-s) * int B(z, .) Df dmu.
 
-    One disk integral serves the stack.  Each node block fills Df for every
-    row into one buffer (ff_eval_stack) and multiplies each row's Bergman
-    factor B(z, .) into it in place, so a block of at most the quadrature's
-    _BLOCK_NODES = 2**13 nodes holds one (len(fs), nodes) array plus a few
-    rows of temporaries.  Each row converges entrywise, to the value it gets
-    alone; rows that converge early ride along while the others refine.
-    """
-    _require_sigma_interior(p)
-    spec = spec or DEFAULT_SPEC
-    if not fs:
-        return np.empty(0, dtype=complex)
-    zs = np.broadcast_to(np.asarray(z, dtype=complex), (len(fs),))
+def _stack_points(fs, p, z, sigmas):
+    """The points and parameters of a reproducing stack, one per series:
+    z is one point per series or one scalar point for all, sigmas one sigma
+    per series or None for p.sigma on every row (alpha, k and beta are
+    p's).  Each row's FFParams is checked, with sigma strictly inside
+    (0, 1), and each point against the slit disk; a list whose length is
+    not len(fs) is a DomainError."""
+    n = len(fs)
+    zs, sig = np.asarray(z, dtype=complex), p.sigma if sigmas is None else sigmas
+    for name, given in (("points", zs), ("sigmas", sig)):
+        if np.ndim(given) != 0 and np.shape(given) != (n,):
+            raise DomainError(f"{n} series take one scalar or {n} {name}, got shape "
+                              f"{np.shape(given)}")
+    zs = np.broadcast_to(zs, (n,))
+    ps = [replace(p, sigma=s) for s in (list(sig) if np.ndim(sig) else [sig] * n)]
+    for q in ps:
+        _require_sigma_interior(q)
     outside = ~np.asarray(in_slit_disk(zs))
     if np.any(outside):
         raise DomainError(f"{complex(zs[outside][0])} is not in the slit unit disk")
-    s = p.sigma
+    return zs, ps
+
+
+def reproduction_rhs_1_stack(fs, p, z, spec=None, sigmas=None):
+    """Right-hand side of the first reproducing identity for each series of
+    fs at its own point and sigma: z holds one point per series, or is one
+    scalar point for all of them, and sigmas one sigma per series, or None
+    for p.sigma on every row; alpha, k and beta are p's.  The row of f at
+    the point z and sigma s is
+
+        -s/(1-s) * f'(z)/(d/dz e_k(z**a)) + 1/(1-s) * int B(z, .) Df dmu.
+
+    One disk integral serves the stack; an empty stack is an empty array.
+    Each node block fills Df for every open row into one buffer and
+    multiplies each row's Bergman factor B(z, .) into it in place, so a
+    block of at most the quadrature's _BLOCK_NODES = 2**13 nodes holds one
+    (rows, nodes) array plus a few rows of temporaries.  Each row converges
+    entrywise, to the value it gets alone, and a row that has converged
+    leaves the refinement: later levels evaluate the open rows only
+    (quadrature._open_rows).
+    """
+    zs, ps = _stack_points(fs, p, z, sigmas)
+    spec = spec or DEFAULT_SPEC
+    if not fs:
+        return np.empty(0, dtype=complex)
+    s = np.array([q.sigma for q in ps])
 
     def integrand(zeta):
-        field = ff_eval_stack(fs, p, zeta)
-        for row, w in zip(field, zs):
-            row *= bergman_kernel(w, zeta)
+        rows, field = _open_field(fs, p, s, zeta)
+        for row, i in zip(field, rows):
+            row *= bergman_kernel(zs[i], zeta)
         return field
 
     projected = integrate_disk(integrand, spec).value
@@ -915,36 +954,58 @@ def kernel_K_half(z, zeta, p, spec=None):
                             float(changes[0]) if scalar else changes) from None
 
 
-def reproduction_rhs_2_stack(fs, p, z, spec=None):
-    """Right-hand side of the second reproducing identity at z for each
-    series of fs, one kernel field for the stack:
+def reproduction_rhs_2_stack(fs, p, z, spec=None, sigmas=None):
+    """Right-hand side of the second reproducing identity for each series of
+    fs at its own point and sigma, z and sigmas as in
+    reproduction_rhs_1_stack: the row of f at z and sigma s is
     (F(1/2) / F(z)) f(1/2) + int K_1/2(z, .) Df dmu, with F the
-    _integrating_factor exp(lam e_k(z**a)), lam = (1-s)/s.
+    _integrating_factor exp(lam e_k(z**a)), lam = (1-s)/s.  An empty stack
+    is an empty array.
 
     Nested quadrature: the outer disk integral runs at rel_tol 1e-7 and the
     inner path integral at 1e-9 (tighter caller specs are not loosened
     beyond those caps), matching the 1e-5 acceptance target with margin.
-    Every node block of every outer level calls kernel_K_half with the same
-    (z, p, inner spec), so the path levels it builds (nodes, weights and
-    max|w|) are kept for the life of this call, in a dict this call sets in
-    the context variable _PATH_LEVELS and resets on return: each level is
-    built once per call, and nothing outlives it or crosses threads.  The
-    dict also holds F(z), which the prefactor and every kernel call read.
+    One outer integral serves the stack.  On each node block every open
+    row multiplies its own kernel_K_half(z, ., p) into its Df, and rows
+    that share (z, p) share one kernel evaluation; a row that has converged
+    leaves the refinement (quadrature._open_rows), and a kernel no open row
+    needs is not evaluated: a block holds one kernel row per (z, p) of its
+    open rows.  Every block of every outer level calls
+    kernel_K_half with the same inner spec, so the path levels it builds
+    (nodes, weights and max|w|) under each (z, p) are kept for the life of
+    this call, in a dict this call sets in the context variable
+    _PATH_LEVELS and resets on return: each level is built once per call
+    and (z, p), and nothing outlives it or crosses threads.  The dict also
+    holds each F(z), which the prefactors and every kernel call read.
     """
-    _require_sigma_interior(p)
+    zs, ps = _stack_points(fs, p, z, sigmas)
     spec = spec or DEFAULT_SPEC
-    z = complex(z)
+    if not fs:
+        return np.empty(0, dtype=complex)
     outer_spec = replace(spec, rel_tol=max(spec.rel_tol, 1e-7))
     inner_spec = replace(spec, rel_tol=min(spec.rel_tol, 1e-9))
-    factor = _integrating_factor(z, p)
-    prefactor = _integrating_factor(BASE_POINT, p) / factor
-    token = _PATH_LEVELS.set({(z, p): factor})
+    keys = [(complex(w), q) for w, q in zip(zs, ps)]
+    levels = {key: _integrating_factor(*key) for key in dict.fromkeys(keys)}
+    halves = {q: _integrating_factor(BASE_POINT, q) for q in dict.fromkeys(ps)}
+    s = [q.sigma for q in ps]
+
+    def integrand(zeta):
+        rows, field = _open_field(fs, p, s, zeta)
+        kernels = {}
+        for row, i in zip(field, rows):
+            kernel = kernels.get(keys[i])
+            if kernel is None:
+                w, q = keys[i]
+                kernel = kernels[keys[i]] = kernel_K_half(w, zeta, q, inner_spec)
+            row *= kernel
+        return field
+
+    token = _PATH_LEVELS.set(levels)
     try:
-        integral = integrate_disk(
-            lambda zeta: kernel_K_half(z, zeta, p, inner_spec) * ff_eval_stack(fs, p, zeta),
-            outer_spec).value
+        integral = integrate_disk(integrand, outer_spec).value
     finally:
         _PATH_LEVELS.reset(token)
+    prefactor = np.array([halves[q] / levels[key] for q, key in zip(ps, keys)])
     return prefactor * np.array([f(BASE_POINT) for f in fs]) + integral
 
 

@@ -169,9 +169,10 @@ def q_reproduce(f, p, frame, q, spec=None):
     """Residuals of both quaternionic reproducing identities at q.
 
     Verified by slice reduction: the complex right-hand sides are evaluated
-    for the split components, as one stack, at the two slice points x +- y i
-    and recombined to q with the representation formula, then compared with
-    f(q).
+    for the split components at the two slice points x +- y i, as one
+    stack per identity of four rows (both components at both points, two
+    at a real point, y = 0), and recombined to q with the representation
+    formula, then compared with f(q).
     """
     _require_sigma_interior(p)
     spec = spec or DEFAULT_SPEC
@@ -182,12 +183,15 @@ def q_reproduce(f, p, frame, q, spec=None):
         raise DomainError(f"{q!r} is not in the slit unit ball")
     pair = split(f, frame)
     target = eval_q(f, q)
+    points = [z] if sp.y == 0.0 else [z, z.conjugate()]
+    fs = (pair.f1, pair.f2) * len(points)
+    zs = [w for w in points for _ in range(2)]
 
     def recombine(rhs_stack):
-        def value_at(w):
-            r1, r2 = rhs_stack((pair.f1, pair.f2), p, w, spec)
-            return frame_embed(complex(r1), complex(r2), frame)
-        return _two_point(value_at, sp.x, sp.y, sp.axis, frame.i)
+        r = rhs_stack(fs, p, zs, spec)
+        values = {w: frame_embed(complex(r[2 * j]), complex(r[2 * j + 1]), frame)
+                  for j, w in enumerate(points)}
+        return _two_point(values.__getitem__, sp.x, sp.y, sp.axis, frame.i)
 
     rec1 = recombine(reproduction_rhs_1_stack)
     rec2 = recombine(reproduction_rhs_2_stack)

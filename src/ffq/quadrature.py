@@ -10,7 +10,15 @@ which realises the slit-disk limits exactly on the integrable data used
 here.
 
 Integrands receive flat numpy arrays and may return a stack of values with
-the node axis last; a stack is integrated entrywise in one pass.  Node blocks
+the node axis last; a stack is integrated entrywise in one pass.  An entry
+that meets the tolerance keeps that level's value and leaves the
+refinement: while an integrand runs on a block, the flat indices of the
+entries still open are published beside the block (_open_rows, None while
+every entry is open).  An integrand that reads them returns those rows
+only, (open rows, nodes); from any other integrand, which returns the
+whole stack, the open rows are taken.  Either way each entry gets the
+value it would get alone, and an empty stack integrates to an empty value
+at level 0.  Node blocks
 are processed in a fixed order with a fixed accumulation order, so results
 are deterministic for a given spec.  A block takes whole radial rows, at
 least one, of at most _BLOCK_NODES = 2**13 nodes, however many rows the
@@ -22,12 +30,12 @@ are read-only.  On a tensor rule every per-node quantity is an outer
 product of a ring row and an angle row (Davis and Rabinowitz 1984), so
 no node takes a sine, a cosine or a complex power.  While an integrand
 runs on a block, _polar_estimate publishes the block in the context
-variable _RULE_BLOCK.  Code handed that block's own z (an identity test,
-_rule_block) may read the rows: ff_complex forms the measure derivative
-alpha z**(alpha-1) e_{k-1}(z**alpha) from them, and the series values f(z)
-and f'(z), one real matrix product per series of the block's ring-power
-and angle-power tables (power_rows), and _matrix_estimate its powers
-r**a e^{i a t}.  Such code does not check the nodes against the
+variable _RULE_BLOCK, with the open rows.  Code handed that block's own
+z (an identity test, _rule_block) may read the rows: ff_complex forms the
+measure derivative alpha z**(alpha-1) e_{k-1}(z**alpha) from them, and
+the series values f(z) and f'(z), one real matrix product per series of
+the block's ring-power and angle-power tables (power_rows), and
+_matrix_estimate its powers r**a e^{i a t}.  Such code does not check the nodes against the
 slit disk: rb lies in (0, 1) and tn in (-pi, pi) by construction, which
 the tests confirm up to the MAX_FINEST_NODES budget.  Any other array, a
 copy of z included, is checked as user input.
@@ -70,8 +78,9 @@ _BLOCK_NODES = 1 << 13
 # largest finest-level disk rule a spec may ask for: four times the default
 # spec's 4096 x 4096 nodes at max_refine = 5, one more doubling of it
 MAX_FINEST_NODES = 1 << 26
-# the disk-rule block an integrand is running on, set by _polar_estimate for
-# the call and reset when it returns
+# (block, open rows): the disk-rule block an integrand is running on and the
+# flat indices of the stack entries still refining (None for all), set by
+# _polar_estimate for the call and reset when it returns
 _RULE_BLOCK = ContextVar("ffq_rule_block", default=None)
 
 
@@ -217,26 +226,49 @@ def _polar_blocks(spec, level):
         yield _PolarBlock(rb, tn, z, (wb[:, None] * tw[None, :]).ravel())
 
 
+def _published(z):
+    """What _polar_estimate publishes, (block, rows), if z is the node array
+    of the block an integrand is running on (an identity test, not equal
+    values), else None."""
+    published = _RULE_BLOCK.get()
+    return published if published is not None and published[0].z is z else None
+
+
 def _rule_block(z):
     """The disk-rule block an integrand is running on if z is that block's
-    own node array (an identity test, not equal values), else None."""
-    block = _RULE_BLOCK.get()
-    return block if block is not None and block.z is z else None
+    own node array, else None."""
+    published = _published(z)
+    return None if published is None else published[0]
 
 
-def _polar_estimate(g, spec, level):
+def _open_rows(z):
+    """The flat indices, ascending, of the stack entries still refining
+    when z is the node array of the block an integrand is running on and
+    some entries have converged; None when every entry is open or z is any
+    other array.  An integrand that reads them returns those rows only."""
+    published = _published(z)
+    return None if published is None else published[1]
+
+
+def _polar_estimate(g, spec, level, rows=None):
     """The rule's sum of g r over the level's blocks, each block published
-    in _RULE_BLOCK while g runs on its nodes."""
+    in _RULE_BLOCK with the open rows while g runs on its nodes.  With rows
+    given, the sum has one entry per open row: from g's values if it
+    returns those rows only, else from those rows of the full stack."""
     acc = None
     for block in _polar_blocks(spec, level):
         # formed before the integrand's values, as the order of these two
         # allocations sets the peak memory of large stacks
         w = block.ring_weights(block.rb)
-        token = _RULE_BLOCK.set(block)
+        token = _RULE_BLOCK.set((block, rows))
         try:
-            part = np.asarray(g(block.z)) @ w
+            values = np.asarray(g(block.z))
         finally:
             _RULE_BLOCK.reset(token)
+        if rows is not None and values.shape[:-1] != (len(rows),):
+            values = values.reshape(-1, values.shape[-1])[rows]
+        part = values @ w
+        del values  # not held while the next block's weights and values form
         acc = part if acc is None else acc + part
     return np.asarray(acc)
 
@@ -247,34 +279,46 @@ def _converge(estimate, spec, describe, entrywise=False):
     By default every entry of a stacked estimate must agree at the same
     level.  With entrywise=True each entry is an integral of its own: it
     keeps the value and change of the first level at which it agreed, as if
-    refined alone, while refinement goes on for the entries that have not.
-    At the cap, NoConvergence carries each entry's change as changes and
-    their maximum as error.  Every caller's refinement runs through this
-    loop; kernel_K_half may accept its level 1 before calling it, by a
-    certificate of its own.
+    refined alone, and leaves the refinement.  Such an estimate is called
+    as estimate(level, rows), rows the flat indices of the entries still
+    open (None while all are), and returns those entries only.  An empty
+    stack returns at level 0.  At the cap, NoConvergence carries each
+    entry's change as changes and their maximum as error.  Every caller's
+    refinement runs through this loop; kernel_K_half may accept its level 1
+    before calling it, by a certificate of its own.
     """
-    prev = estimate(0)
-    held = None
+    first = np.asarray(estimate(0, None) if entrywise else estimate(0))
+    shape, prev = first.shape, first.reshape(-1)
+    if prev.size == 0:
+        return QuadResult(first, 0.0, 0)
+    size = prev.size
+    rows, value, change = np.arange(size), None, None
     for level in range(1, spec.max_refine + 1):
-        cur = estimate(level)
+        if entrywise:
+            cur = estimate(level, None if rows.size == size else rows)
+        else:
+            cur = estimate(level)
+        cur = np.asarray(cur).reshape(-1)
         diff = np.abs(cur - prev)
         met = diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
-        if entrywise and held is not None:
-            value = np.where(held, value, cur)
-            change = np.where(held, change, diff)
-            held = held | met
+        if entrywise:
+            if value is None:
+                value, change = np.empty(size, cur.dtype), np.empty(size)
+            value[rows], change[rows] = cur, diff
+            rows, prev = rows[~met], cur[~met]
+            done = rows.size == 0
         else:
-            value, change, held = cur, diff, met
-        if np.all(held):
-            return QuadResult(_unwrap(value), float(np.max(change)), level)
-        prev = cur
+            value, change, prev = cur, diff, cur
+            done = np.all(met)
+        if done:
+            return QuadResult(_unwrap(value.reshape(shape)), float(np.max(change)), level)
     err = float(np.max(change))
     raise NoConvergence(
         f"{describe}: refinement cap {spec.max_refine} reached with "
         f"inter-level change {err:.3e} above tolerance",
-        value=_unwrap(value),
+        value=_unwrap(value.reshape(shape)),
         error=err,
-        changes=_unwrap(change),
+        changes=_unwrap(change.reshape(shape)),
     )
 
 
@@ -289,15 +333,21 @@ def integrate_disk(integrand, spec=None):
     r**p with p > -1 at the origin is fine.  Complex integrands integrate
     componentwise.  A stacked integrand (leading axes before the node axis)
     integrates entrywise: each entry keeps the value of the first level at
-    which it meets the tolerance, the value it would get alone.
+    which it meets the tolerance, the value it would get alone, and is not
+    refined further.  An integrand may ask which entries are still open:
+    quadrature._open_rows(z), on the nodes it is handed, gives their flat
+    indices (None while all are), and it then returns those rows only, one
+    per index, node axis last.  An integrand that does not ask returns the
+    whole stack at every level, and the open entries are taken from it.  An
+    empty stack returns an empty value at level 0.
 
     The integrand sees the rule in blocks of at most _BLOCK_NODES = 2**13
     nodes, whatever it returns: a stack of h rows takes h x 2**13 elements
     per block (the norms sweep's 81 float rows, 5.3 MB).
     """
     spec = spec or DEFAULT_SPEC
-    return _converge(lambda level: _polar_estimate(integrand, spec, level), spec,
-                     "disk integral", entrywise=True)
+    return _converge(lambda level, rows: _polar_estimate(integrand, spec, level, rows),
+                     spec, "disk integral", entrywise=True)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from .errors import INF, NoConvergence
 from .ff_complex import (bergman_kernel, coefficient_integrals, dirichlet_norm,
                          dirichlet_norm_quad, dirichlet_norms_quad,
                          exact_coefficient_integrals, ff_eval_c,
-                         integrating_factor_residual, reproduce_identity_2,
-                         reproduction_rhs_1_stack, _gram_form, _kernel_weight,
+                         integrating_factor_residual, reproduction_rhs_1_stack,
+                         reproduction_rhs_2_stack, _gram_form, _kernel_weight,
                          _series_table, _table_gram)
 from .ff_quaternionic import (q_reproduce, qdirichlet_norm,
                               qdirichlet_norm_series, slice_norm_compare)
@@ -274,53 +274,63 @@ def _closed_k1_variant(f, p):
     return float(total)
 
 
+def _reproducing_stacks(rng, points, spec, stack):
+    """The series of the reproducing suites, drawn point by point (degree
+    below 5, complex normal coefficients), and their right-hand sides by
+    stack at alpha = 1.  The points cycle through the (sigma, k) cells and
+    each k's points are one stack, each row at its own point and sigma: one
+    disk integral per k.  Returns (z, sigma, k, f, value) in point order."""
+    combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
+    cells = [combos[i % len(combos)] for i in range(len(points))]
+    series = []
+    for _ in points:
+        deg = int(rng.integers(0, 5))
+        series.append(CPowerSeries(rng.standard_normal(deg + 1)
+                                   + 1j * rng.standard_normal(deg + 1)))
+    values = {}
+    for k in (1, INF):
+        idxs = [i for i, cell in enumerate(cells) if cell[1] == k]
+        # each row's sigma is its cell's; p gives alpha and k
+        rhs = stack([series[i] for i in idxs], FFParams(alpha=1.0, sigma=0.5, k=k),
+                    [points[i] for i in idxs], spec, sigmas=[cells[i][0] for i in idxs])
+        values.update(zip(idxs, rhs))
+    return [(z, *cells[i], series[i], values[i]) for i, z in enumerate(points)]
+
+
 def reproducing(n_points=20, seed=DEFAULT_SEED):
     """First reproducing identity on random polynomials at random points.
 
     alpha is 1, where the operator output stays holomorphic on the whole
     disk and the identity is exact; smaller alpha leaves the disk Bergman
     space (branch cut) and the hypothesis fails.  The points cycle through
-    the (sigma, k) cells, and each cell's points and polynomials are one
-    stack: one disk integral per cell, each row at its own point.
+    the (sigma, k) cells, and each k's points and polynomials are one
+    stack: one disk integral per k, each row at its own point and sigma.
     """
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 1)
-    combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
-    series = []
-    for _ in points:
-        deg = int(rng.integers(0, 5))
-        series.append(CPowerSeries(rng.standard_normal(deg + 1)
-                                   + 1j * rng.standard_normal(deg + 1)))
-    rows = [None] * n_points
-    for cell, (s, k) in enumerate(combos):
-        idxs = range(cell, n_points, len(combos))
-        rhs = reproduction_rhs_1_stack([series[i] for i in idxs],
-                                       FFParams(alpha=1.0, sigma=s, k=k),
-                                       [points[i] for i in idxs], DEFAULT_SPEC)
-        for i, value in zip(idxs, rhs):
-            z, f = points[i], series[i]
-            res = float(abs(f(z) - value))
-            rows[i] = {"z": str(z), "sigma": s, "k": _k_label(k), "deg": f.degree,
-                       "residual": res, "status": _status(res < TOL_REPRODUCE_1)}
+    rows = []
+    for z, s, k, f, value in _reproducing_stacks(rng, points, DEFAULT_SPEC,
+                                                 reproduction_rhs_1_stack):
+        res = float(abs(f(z) - value))
+        rows.append({"z": str(z), "sigma": s, "k": _k_label(k), "deg": f.degree,
+                     "residual": res, "status": _status(res < TOL_REPRODUCE_1)})
     return _verdict(rows)
 
 
 def kernel_reproducing(n_points=10, seed=DEFAULT_SEED):
     """Second reproducing identity (path kernel) at alpha = 1, plus path
     independence, between the two slit-path constructions, of the integrand
-    the kernel integrates: _kernel_weight times the Bergman kernel."""
+    the kernel integrates: _kernel_weight times the Bergman kernel.  The
+    identity's points cycle through the (sigma, k) cells, and each k's
+    points are one stack: one nested integral per k."""
     rng = np.random.default_rng(seed)
     points = random_slit_points(n_points, seed=seed + 2)
     rows = []
-    combos = [(s, k) for s in (0.3, 0.5, 0.7) for k in (1, INF)]
-    for idx, z in enumerate(points):
-        s, k = combos[idx % len(combos)]
-        deg = int(rng.integers(0, 5))
-        f = CPowerSeries(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-        p = FFParams(alpha=1.0, sigma=s, k=k)
-        res = reproduce_identity_2(f, p, z, NESTED_SPEC)
+    for z, s, k, f, value in _reproducing_stacks(rng, points, NESTED_SPEC,
+                                                 reproduction_rhs_2_stack):
+        res = abs(f(complex(z)) - complex(value))
         rows.append({"record": "identity2", "z": str(z), "sigma": s,
-                     "k": _k_label(k), "deg": deg, "residual": res,
+                     "k": _k_label(k), "deg": f.degree, "residual": res,
                      "status": _status(res < TOL_REPRODUCE_2)})
     p = FFParams(alpha=1.0, sigma=0.5, k=1)
     for z in points[:3]:

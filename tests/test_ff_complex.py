@@ -837,18 +837,25 @@ def test_path_levels_do_not_outlive_a_failed_nested_integral():
 
 
 def test_concurrent_nested_integrals_give_their_serial_bits():
+    # one-point stacks, and stacks with a point and a sigma per row
     jobs = [((CPowerSeries([1.0, 2.0 - 1.0j, 0.5]),), FFParams(alpha=1.0, sigma=0.4, k=INF),
-             0.3 + 0.4j),
-            ((CPowerSeries([0.3j, 0.0, 1.0]),), FFParams(alpha=0.7, sigma=0.6, k=2), -0.2 + 0.5j)]
-    serial = [reproduction_rhs_2_stack(fs, p, z, NESTED_SPEC) for fs, p, z in jobs]
+             0.3 + 0.4j, None),
+            ((CPowerSeries([0.3j, 0.0, 1.0]),), FFParams(alpha=0.7, sigma=0.6, k=2), -0.2 + 0.5j,
+             None),
+            ((CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), CPowerSeries([0.0, 1.0])),
+             FFParams(alpha=1.0, sigma=0.4, k=INF), [0.3 + 0.4j, 0.84 * np.exp(2.5j)], [0.4, 0.7]),
+            ((CPowerSeries([0.3j, 0.0, 1.0]), CPowerSeries([0.5, 0.0, 0.0, 1.0])),
+             FFParams(alpha=0.7, sigma=0.6, k=2), [-0.2 + 0.5j, 0.6j], [0.3, 0.6])]
+    serial = [reproduction_rhs_2_stack(fs, p, z, NESTED_SPEC, sigmas=sig)
+              for fs, p, z, sig in jobs]
     start = threading.Barrier(len(jobs))
     results = [[] for _ in jobs]
 
     def run(i):
-        fs, p, z = jobs[i]
+        fs, p, z, sig = jobs[i]
         start.wait()
         for _ in range(3):
-            results[i].append(reproduction_rhs_2_stack(fs, p, z, NESTED_SPEC))
+            results[i].append(reproduction_rhs_2_stack(fs, p, z, NESTED_SPEC, sigmas=sig))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
     for thread in threads:
@@ -882,8 +889,93 @@ def test_stacked_rhs_1_takes_one_point_per_series():
         assert abs(value - alone) <= 1e-13 * abs(alone)
     with pytest.raises(DomainError):
         reproduction_rhs_1_stack(fs, p, (0.3, -0.5, 0.2, 0.1j), NESTED_SPEC)
-    with pytest.raises(ValueError):
+    # a point list of another length is refused at the boundary
+    with pytest.raises(DomainError, match="points"):
         reproduction_rhs_1_stack(fs, p, zs[:2], NESTED_SPEC)
+
+
+# rows of the reproducing stacks that converge alone at different levels:
+# rhs_1 at levels 1, 4 and 2, rhs_2 at levels 1, 3 and 1 on NESTED_SPEC
+_ROW_SERIES = (CPowerSeries([1.0]), CPowerSeries([0.0, 1.0]),
+               CPowerSeries([0.5, 0.0, 0.0, 1.0]))
+_ROW_POINTS = (0.3, 0.84 * np.exp(2.5j), 0.6j)
+
+
+def _rule_rows_formed(monkeypatch):
+    """Rows x nodes of D f formed on disk-rule blocks, by _stack_rows."""
+    formed = [0]
+
+    def spy_rows(fs, p, sigmas, zz):
+        if quadrature._rule_block(zz) is not None:
+            formed[0] += len(fs) * zz.size
+        return stack_rows(fs, p, sigmas, zz)
+
+    stack_rows = ff_complex._stack_rows
+    monkeypatch.setattr(ff_complex, "_stack_rows", spy_rows)
+    return formed
+
+
+@pytest.mark.parametrize("stack", [reproduction_rhs_1_stack, reproduction_rhs_2_stack],
+                         ids=["rhs_1", "rhs_2"])
+def test_open_rows_of_reproducing_stacks_stop_forming_values(stack, monkeypatch):
+    # a row that converged leaves the refinement: the stack forms each
+    # row's values at the levels it takes alone, and no more
+    formed = _rule_rows_formed(monkeypatch)
+    p = FFParams(alpha=1.0, sigma=0.5, k=INF)
+    alone = []
+    for f, z in zip(_ROW_SERIES, _ROW_POINTS):
+        formed[0] = 0
+        stack((f,), p, z, NESTED_SPEC)
+        alone.append(formed[0])
+    formed[0] = 0
+    stack(_ROW_SERIES, p, _ROW_POINTS, NESTED_SPEC)
+    assert len(set(alone)) > 1 and formed[0] == sum(alone)
+
+
+@pytest.mark.parametrize("stack", [reproduction_rhs_1_stack, reproduction_rhs_2_stack],
+                         ids=["rhs_1", "rhs_2"])
+def test_per_row_points_and_sigmas_match_one_row_at_a_time(stack):
+    p = FFParams(alpha=1.0, sigma=0.5, k=INF)
+    fs = _ROW_SERIES + (CPowerSeries([1.0, 2.0 - 1.0j, 0.5]),)
+    zs = _ROW_POINTS + (0.3 + 0.4j,)
+    sigmas = (0.3, 0.5, 0.7, 0.4)
+    got = stack(fs, p, zs, NESTED_SPEC, sigmas=sigmas)
+    assert got.shape == (len(fs),)
+    for f, z, s, value in zip(fs, zs, sigmas, got):
+        alone = complex(stack((f,), replace(p, sigma=s), z, NESTED_SPEC)[0])
+        assert abs(value - alone) <= 1e-13 * abs(alone)
+    # one point and one sigma for all is the same stack with broadcast rows
+    pair = fs[1:3]
+    assert _same_bits(stack(pair, p, 0.3 + 0.4j, NESTED_SPEC),
+                      stack(pair, p, [0.3 + 0.4j] * 2, NESTED_SPEC, sigmas=[p.sigma] * 2))
+
+
+def test_per_row_kernels_are_shared_by_rows_with_one_point(monkeypatch):
+    # rows at one (z, p) share one kernel evaluation per block
+    calls = _count_calls(monkeypatch, "kernel_K_half")
+    p = FFParams(alpha=1.0, sigma=0.4, k=INF)
+    f, z = CPowerSeries([1.0, 2.0 - 1.0j, 0.5]), 0.3 + 0.4j
+    one = reproduction_rhs_2_stack((f,), p, z, NESTED_SPEC)
+    alone = calls[0]
+    two = reproduction_rhs_2_stack((f, f), p, [z, z], NESTED_SPEC, sigmas=[0.4, 0.4])
+    assert calls[0] == 2 * alone
+    assert np.all(np.abs(two - one) <= 1e-15 * np.abs(one))
+
+
+@pytest.mark.parametrize("stack", [reproduction_rhs_1_stack, reproduction_rhs_2_stack],
+                         ids=["rhs_1", "rhs_2"])
+def test_per_row_stacks_check_their_lists_at_the_boundary(stack, no_quadrature):
+    p = FFParams(alpha=1.0, sigma=0.5, k=INF)
+    fs = _ROW_SERIES[:2]
+    for empty in (stack((), p, 0.3), stack([], p, [], sigmas=[])):
+        assert empty.shape == (0,) and empty.dtype == complex
+    for bad in ({"z": [0.3, 0.2, 0.1]}, {"z": [0.3]}, {"z": 0.3, "sigmas": [0.5]},
+                {"z": [0.3, 0.2], "sigmas": [0.5, 0.5, 0.5]}, {"z": 0.3, "sigmas": [0.5, 1.0]},
+                {"z": 0.3, "sigmas": [0.5, float("nan")]}, {"z": [0.3, -0.5], "sigmas": None}):
+        with pytest.raises(DomainError):
+            stack(fs, p, bad["z"], NESTED_SPEC, sigmas=bad.get("sigmas"))
+    with pytest.raises(DomainError, match="1 series"):
+        stack(fs[:1], p, [], NESTED_SPEC)
 
 
 def _stacked_formula(fs, p, z):

@@ -276,15 +276,108 @@ def test_spec_node_budget():
             QuadratureSpec(**bad)
 
 
+# r**0.3 meets the tolerance at level 1, the kink at level 4
+_EARLY_AND_LATE = (lambda z: np.abs(z) ** 0.3, lambda z: np.abs(z.real - 0.3))
+_ROWS_SPEC = QuadratureSpec(nr=8, ntheta=8, panels_r=2, panels_theta=2, rel_tol=1e-4)
+
+
+def _honouring(rows, evaluated=None):
+    """A stacked integrand of the functions rows that forms only the rows
+    still open, recording (level nodes, open rows) per block."""
+    def integrand(z):
+        open_rows = quadrature._open_rows(z)
+        idx = range(len(rows)) if open_rows is None else open_rows
+        if evaluated is not None:
+            evaluated.append((z.size, list(idx)))
+        return np.stack([rows[i](z) for i in idx])
+    return integrand
+
+
 def test_stacked_entries_keep_the_value_they_get_alone():
-    # r**0.3 meets the tolerance at level 1, the kink at level 4; in one
-    # stack each keeps its own level's value
-    spec = QuadratureSpec(nr=8, ntheta=8, panels_r=2, panels_theta=2, rel_tol=1e-4)
-    rows = [lambda z: np.abs(z) ** 0.3, lambda z: np.abs(z.real - 0.3)]
+    # in one stack each row keeps its own level's value, whether the
+    # integrand forms the open rows only or the whole stack
+    spec, rows = _ROWS_SPEC, _EARLY_AND_LATE
     alone = [integrate_disk(g, spec) for g in rows]
-    stacked = integrate_disk(lambda z: np.stack([g(z) for g in rows]), spec)
     assert [a.refinements for a in alone] == [1, 4]
-    assert stacked.refinements == 4
-    assert stacked.error == pytest.approx(max(a.error for a in alone), rel=1e-6)
-    for a, v in zip(alone, stacked.value):
-        assert abs(v - a.value) <= 1e-15 * abs(a.value)
+    for stacked in (integrate_disk(lambda z: np.stack([g(z) for g in rows]), spec),
+                    integrate_disk(_honouring(rows), spec)):
+        assert stacked.refinements == 4
+        assert stacked.error == pytest.approx(max(a.error for a in alone), rel=1e-6)
+        for a, v in zip(alone, stacked.value):
+            assert abs(v - a.value) <= 1e-15 * abs(a.value)
+
+
+def test_open_rows_leave_the_refinement_once_converged():
+    # a row that converged at level L forms no values at level L + 1:
+    # rows x nodes formed are each row's nodes up to its own level
+    spec, rows, evaluated = _ROWS_SPEC, _EARLY_AND_LATE, []
+    res = integrate_disk(_honouring(rows, evaluated), spec)
+    formed = sum(size * len(idx) for size, idx in evaluated)
+    level_nodes = [(spec.nr * spec.panels_r * spec.ntheta * spec.panels_theta) << (2 * level)
+                   for level in range(5)]
+    assert formed == sum(level_nodes[:2]) * 2 + sum(level_nodes[2:])
+    assert {tuple(idx) for _, idx in evaluated} == {(0, 1), (1,)}
+    assert res.refinements == 4
+    # outside an integral, and on any array but the block's own nodes, no
+    # rows are published
+    assert quadrature._open_rows(np.zeros(3, dtype=complex)) is None
+
+
+def _old_entrywise(integrand, spec):
+    """The entrywise loop as it was: the whole stack at every level, each
+    entry holding the value of the first level at which it agreed."""
+    prev = quadrature._polar_estimate(integrand, spec, 0)
+    held = None
+    for level in range(1, spec.max_refine + 1):
+        cur = quadrature._polar_estimate(integrand, spec, level)
+        diff = np.abs(cur - prev)
+        met = diff <= np.maximum(spec.rel_tol * np.abs(cur), spec.abs_tol)
+        if held is None:
+            value, change, held = cur, diff, met
+        else:
+            value, change = np.where(held, value, cur), np.where(held, change, diff)
+            held = held | met
+        if np.all(held):
+            return value, float(np.max(change)), level
+        prev = cur
+    raise AssertionError("the reference did not converge")
+
+
+def test_integrand_ignoring_open_rows_gets_its_former_values():
+    # a user integrand returns the whole stack, a (2, 2) one here; the open
+    # entries are taken from it, and every entry keeps the value, change and
+    # level the former whole-stack loop gave it
+    spec = _ROWS_SPEC
+    early, late = _EARLY_AND_LATE
+
+    def integrand(z):
+        return np.stack([np.stack([early(z), late(z)]), np.stack([late(z) ** 2, early(z)])])
+
+    value, error, level = _old_entrywise(integrand, spec)
+    res = integrate_disk(integrand, spec)
+    assert res.value.shape == value.shape == (2, 2)
+    assert (res.refinements, res.error) == (level, pytest.approx(error, rel=1e-12))
+    assert np.all(np.abs(res.value - value) <= 1e-15 * np.abs(value))
+
+
+def test_open_rows_keep_each_entry_change_at_the_cap():
+    # rows that converged left the refinement, yet NoConvergence carries
+    # every entry's own last change, shaped like the stack
+    tol = DIVERGENCE_SPEC.rel_tol
+    rows = (lambda z: np.ones(z.shape), lambda z: 1.0 / np.abs(1 + z) ** 2,
+            lambda z: np.abs(z) ** 2)
+    for integrand in (_honouring(rows), lambda z: np.stack([g(z) for g in rows])):
+        with pytest.raises(NoConvergence) as info:
+            integrate_disk(integrand, DIVERGENCE_SPEC)
+        exc = info.value
+        assert exc.changes.shape == exc.value.shape == (3,)
+        assert exc.changes[0] <= tol * abs(exc.value[0])
+        assert exc.changes[2] <= tol * abs(exc.value[2])
+        assert exc.changes[1] > 10.0 * tol * abs(exc.value[1])
+        assert exc.error == max(exc.changes)
+
+
+def test_empty_stacks_integrate_to_empty_values():
+    for shape in ((0,), (2, 0)):
+        res = integrate_disk(lambda z: np.empty(shape + z.shape))
+        assert res.value.shape == shape and res.error == 0.0 and res.refinements == 0
